@@ -14,6 +14,7 @@ import sys
 from math import comb
 
 from .chroma import (
+    DEFAULT_STATE_CAP,
     chromatic_number,
     closed_form_report,
     colour_separation,
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chroma", help="chromatic polynomial checks")
     p.add_argument("--ell", required=True)
-    p.add_argument("--cap-cyclerank", type=int, default=None)
+    p.add_argument("--cap-states", type=int, default=None)
     common(p)
 
     p = sub.add_parser("separation", help="two-colour separations and balance")
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="fail on any mismatch, not just invariant failures")
     p.add_argument("--cap-vertices", type=int, default=None)
-    p.add_argument("--cap-cyclerank", type=int, default=None)
+    p.add_argument("--cap-states", type=int, default=None)
     common(p)
 
     p = sub.add_parser("export", help="write one graph artifact")
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = (
     "format", "out", "series", "which", "kind",
-    "cap_vertices", "cap_cyclerank", "degree_bound",
+    "cap_vertices", "cap_states", "degree_bound",
 )
 
 
@@ -256,13 +257,11 @@ def cmd_chroma(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.ell, "ell")
     if lo < 3:
         raise UsageError(f"--ell starts at 3 for chromatic checks, got {lo}")
-    cap = args.cap_cyclerank if args.cap_cyclerank else 24
+    cap = args.cap_states if args.cap_states else DEFAULT_STATE_CAP
     reports = []
     for ell in range(lo, hi + 1):
-        rep = closed_form_report(ell, ell)
-        number = chromatic_number(
-            build_layered_graph(staircase(ell)).as_simple(), cap_cyclerank=cap
-        )
+        rep = closed_form_report(ell, ell, cap)
+        number = chromatic_number(build_layered_graph(staircase(ell)).as_simple(), cap)
         rep.add(check(f"chromatic number at length {ell}", number, 2))
         reports.append(rep)
     return _emit(args, reports), 0
@@ -345,15 +344,22 @@ def cmd_conjectures(args) -> tuple[str, int]:
 
 def _guarded_audit(fn, ell: int, lo: int, hi: int, title: str, why: str) -> Report:
     if not lo <= ell <= hi:
-        rep = Report(title)
-        rep.add(skipped("audit", note=why))
-        return rep
+        return _skipped_audit(title, why)
+    return _capped_audit(lambda: fn(ell), title)
+
+
+def _capped_audit(run, title: str) -> Report:
+    """run(), or a SKIPPED report when it hits a resource limit."""
     try:
-        return fn(ell)
+        return run()
     except ResourceLimitError as e:
-        rep = Report(title)
-        rep.add(skipped("audit", note=f"resource limit: {e}"))
-        return rep
+        return _skipped_audit(title, f"resource limit: {e}")
+
+
+def _skipped_audit(title: str, note: str) -> Report:
+    rep = Report(title)
+    rep.add(skipped("audit", note=note))
+    return rep
 
 
 def cmd_verify_all(args) -> tuple[str, int]:
@@ -361,7 +367,7 @@ def cmd_verify_all(args) -> tuple[str, int]:
     if lo < 3:
         raise UsageError(f"--ell starts at 3 for verify-all, got {lo}")
     cap_v = args.cap_vertices if args.cap_vertices else 5000
-    cap_c = args.cap_cyclerank if args.cap_cyclerank else 24
+    cap_s = args.cap_states if args.cap_states else DEFAULT_STATE_CAP
     reports = [triangular_gf_report(10)]
     for ell in range(lo, hi + 1):
         reports.append(structure_report(ell, cap_vertices=cap_v))
@@ -382,7 +388,7 @@ def cmd_verify_all(args) -> tuple[str, int]:
         try:
             simple = g.as_simple()
             rep.add(
-                check("chromatic number", chromatic_number(simple, cap_c), 2)
+                check("chromatic number", chromatic_number(simple, cap_s), 2)
             )
         except ResourceLimitError as e:
             rep.add(skipped("chromatic number", note=str(e)))
@@ -390,8 +396,10 @@ def cmd_verify_all(args) -> tuple[str, int]:
             for row in parity_pair_report(staircase(ell - 1), staircase(ell)).rows:
                 rep.add(row)
         reports.append(rep)
-        if 3 <= ell <= 6:
-            reports.append(closed_form_report(ell, ell))
+        reports.append(_capped_audit(
+            lambda: closed_form_report(ell, ell, cap_s),
+            f"layered closed form vs recursion, lengths {ell}..{ell}",
+        ))
         if ell >= 5:
             reports.append(subidentity_report(staircase(ell)))
         reports.append(_guarded_audit(

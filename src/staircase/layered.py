@@ -149,39 +149,52 @@ def is_isomorphic(
     ]
     # match most-constrained vertices first
     order = sorted(range(a.n), key=lambda v: (len(candidates[v]), -deg_a[v]))
-    image: list[int | None] = [None] * a.n
-    used = [False] * b.n
+    return _extend(0, order, candidates, adj_a, adj_b, [None] * a.n, [False] * b.n)
 
-    def extend(k: int) -> bool:
-        if k == a.n:
-            return True
-        v = order[k]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            ok = True
-            for w in adj_a[v]:
+
+def _extend(
+    k: int,
+    order: list[int],
+    candidates: list[list[int]],
+    adj_a: list[set[int]],
+    adj_b: list[set[int]],
+    image: list[int | None],
+    used: list[bool],
+) -> bool:
+    """Map order[k:] given the partial map ``image``; backtracks in place.
+
+    A module-level function, not a recursive closure: a closure that
+    calls itself is a reference cycle, so the search state would live
+    until the cyclic collector happened to run.
+    """
+    n = len(order)
+    if k == n:
+        return True
+    v = order[k]
+    for u in candidates[v]:
+        if used[u]:
+            continue
+        ok = True
+        for w in adj_a[v]:
+            iw = image[w]
+            if iw is not None and iw not in adj_b[u]:
+                ok = False
+                break
+        if ok:
+            for w in range(n):
                 iw = image[w]
-                if iw is not None and iw not in adj_b[u]:
+                if iw is not None and w not in adj_a[v] and iw in adj_b[u]:
                     ok = False
                     break
-            if ok:
-                for w in range(a.n):
-                    iw = image[w]
-                    if iw is not None and w not in adj_a[v] and iw in adj_b[u]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            image[v] = u
-            used[u] = True
-            if extend(k + 1):
-                return True
-            image[v] = None
-            used[u] = False
-        return False
-
-    return extend(0)
+        if not ok:
+            continue
+        image[v] = u
+        used[u] = True
+        if _extend(k + 1, order, candidates, adj_a, adj_b, image, used):
+            return True
+        image[v] = None
+        used[u] = False
+    return False
 
 
 def missing_edge_polynomial(ell: int) -> IntPolynomial:

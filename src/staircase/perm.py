@@ -130,28 +130,31 @@ def enumerate_reduced_words(
         raise DomainError(
             f"degree {len(w)} exceeds the cap {max_degree}; pass max_degree to raise it"
         )
+    return tuple(sorted(_words_of(w, {})))
 
-    cache: dict[tuple[int, ...], tuple[Word, ...]] = {}
 
-    def rec(u: tuple[int, ...]) -> tuple[Word, ...]:
-        got = cache.get(u)
-        if got is not None:
-            return got
-        ds = [i + 1 for i in range(len(u) - 1) if u[i] > u[i + 1]]
-        if not ds:
-            out: tuple[Word, ...] = ((),)
-        else:
-            acc = []
-            for i in ds:
-                shorter = list(u)
-                shorter[i - 1], shorter[i] = shorter[i], shorter[i - 1]
-                for word in rec(tuple(shorter)):
-                    acc.append(word + (i,))
-            out = tuple(acc)
-        cache[u] = out
-        return out
-
-    return tuple(sorted(rec(w)))
+def _words_of(
+    u: tuple[int, ...], cache: dict[tuple[int, ...], tuple[Word, ...]]
+) -> tuple[Word, ...]:
+    # A module-level function with the cache passed in, not a recursive
+    # closure: a closure that calls itself is a reference cycle, so its
+    # cache would live until the cyclic collector happened to run.
+    got = cache.get(u)
+    if got is not None:
+        return got
+    ds = [i + 1 for i in range(len(u) - 1) if u[i] > u[i + 1]]
+    if not ds:
+        out: tuple[Word, ...] = ((),)
+    else:
+        acc = []
+        for i in ds:
+            shorter = list(u)
+            shorter[i - 1], shorter[i] = shorter[i], shorter[i - 1]
+            for word in _words_of(tuple(shorter), cache):
+                acc.append(word + (i,))
+        out = tuple(acc)
+    cache[u] = out
+    return out
 
 
 def reduced_word_count(w: Sequence[int], max_degree: int = DEFAULT_MAX_DEGREE) -> int:

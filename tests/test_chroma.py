@@ -1,8 +1,11 @@
+import random
+import time
 from math import comb
 
 import pytest
 
 from staircase.chroma import (
+    DEFAULT_STATE_CAP,
     balance_bound_check,
     chromatic_number,
     chromatic_polynomial,
@@ -13,11 +16,14 @@ from staircase.chroma import (
     square_chain,
     square_chain_closed_form,
 )
+from staircase.cli import main
 from staircase.errors import ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.layered import build_layered_graph
 from staircase.partition import staircase
 from staircase.poly import IntPolynomial
+
+from chroma_oracle import count_colourings, deletion_contraction
 
 K = IntPolynomial.variable()
 
@@ -55,9 +61,12 @@ def test_formula_diverges_from_length_five():
 
 
 def test_recursion_degree_is_vertex_count():
-    for ell in range(3, 7):
+    # the polynomial must also agree with the two-colouring: P(1) = 0 < P(2)
+    for ell in range(3, 11):
         chi = chromatic_polynomial(build_layered_graph(staircase(ell)).as_simple())
         assert chi.degree() == comb(ell + 1, 2)
+        assert chi(1) == 0
+        assert chi(2) > 0
 
 
 def test_closed_form_report_findings():
@@ -81,10 +90,57 @@ def test_chromatic_number_non_bipartite():
     assert chromatic_number(single) == 1
 
 
-def test_cycle_rank_cap():
+def test_state_cap():
     g = build_layered_graph(staircase(6)).as_simple()
-    with pytest.raises(ResourceLimitError):
-        chromatic_polynomial(g, cap_cyclerank=3)
+    with pytest.raises(ResourceLimitError, match="4 frontier states exceed the cap 3"):
+        chromatic_polynomial(g, cap_states=3)
+
+
+def test_state_cap_stops_the_cli_quickly(capsys):
+    # length 15 is the first whose sweep needs more than the default cap
+    start = time.monotonic()
+    assert main(["chroma", "--ell", "15"]) == 3
+    assert time.monotonic() - start < 5.0
+    assert f"exceed the cap {DEFAULT_STATE_CAP}" in capsys.readouterr().err
+
+
+def _random_graph(rng: random.Random) -> SimpleGraph:
+    n = rng.randint(1, 9)
+    p = rng.choice((0.3, 0.5, 0.7))
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    return SimpleGraph.from_edges(n, edges)
+
+
+def test_sweep_matches_deletion_contraction_on_the_family():
+    for ell in range(1, 7):
+        g = build_layered_graph(staircase(ell)).as_simple()
+        assert chromatic_polynomial(g) == deletion_contraction(g)
+
+
+def test_sweep_matches_deletion_contraction_on_square_chains():
+    for d in range(1, 7):
+        g = square_chain(d)
+        assert chromatic_polynomial(g) == deletion_contraction(g)
+
+
+def test_sweep_on_random_graphs():
+    rng = random.Random(2310)
+    for _ in range(50):
+        g = _random_graph(rng)
+        chi = chromatic_polynomial(g)
+        assert chi == deletion_contraction(g), g
+        for k in range(5):
+            assert chi(k) == count_colourings(g, k), (g, k)
+
+
+def test_chromatic_number_matches_colouring_count():
+    rng = random.Random(17613)
+    for _ in range(50):
+        g = _random_graph(rng)
+        t = 1
+        while count_colourings(g, t) == 0:
+            t += 1
+        assert chromatic_number(g) == t, g
 
 
 def test_colour_separation_values():

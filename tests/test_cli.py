@@ -32,6 +32,17 @@ def test_resource_limit_exits_3(capsys):
     assert "resource limit" in err
 
 
+def test_closed_form_audit_skips_at_the_state_cap(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify-all", "--ell", "7", "--cap-states", "5")
+    assert code == 0
+    closed = out.split("layered closed form vs recursion, lengths 7..7\n")[1]
+    assert closed.startswith("  audit  observed=-  claimed=-  SKIPPED")
+    assert "6 frontier states exceed the cap 5" in closed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cap_states": 5}))
+    assert run(capsys, "--config", str(cfg), "chroma", "--ell", "7")[0] == 3
+
+
 def test_json_output_parses(capsys):
     code, out, _ = run(capsys, "graph", "--ell", "4..5", "--format", "json")
     assert code == 0
