@@ -46,30 +46,6 @@ class SimpleGraph:
             deg[b] += 1
         return deg
 
-    def components(self) -> list[list[int]]:
-        adj = self.adjacency()
-        seen = [False] * self.n
-        comps = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            stack = [root]
-            seen[root] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-    def cycle_rank(self) -> int:
-        """Edges minus vertices plus components; 0 exactly for forests."""
-        return len(self.edges) - self.n + len(self.components())
-
     def two_colouring(self) -> tuple[int, ...] | None:
         """A proper 2-colouring as a 0/1 vector, or None if not bipartite."""
         adj = self.adjacency()

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .binomial import Binomial, divides, lex_greater
+from .binomial import Binomial, lex_greater
 from .chroma import colour_separation
 from .errors import DomainError, InvalidIdentityError, ResourceLimitError
 from .partition import Partition, is_staircase, staircase
@@ -233,6 +233,12 @@ def graver_basis(
     witness has smaller degree, so truncation does not lose primitivity
     verdicts inside the bound.
 
+    ``state_cap`` bounds the monomials plus the pairs enumerated.  A
+    candidate u - v is primitive when no proper divisor of x^u has the
+    weight of a proper divisor of x^v, so the primitivity step costs
+    candidates * (|div u| + |div v|), at most 2^degree_bound divisors
+    a side.
+
     >>> [b.to_json() for b in graver_basis((1, 2), 2)]
     [{'u': [2, 0], 'v': [0, 1]}]
     """
@@ -286,20 +292,25 @@ def graver_basis(
             else:
                 candidates.append((b, a))
 
-    primitive = []
-    for u, v in candidates:
-        dominated = False
-        for a, b in candidates:
-            if (a, b) == (u, v):
-                continue
-            if (divides(a, u) and divides(b, v)) or (
-                divides(a, v) and divides(b, u)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            primitive.append((u, v))
+    # The weights are positive, so a relation a - b with a | u and b | v
+    # other than u - v itself has a and b proper divisors.  Such a pair
+    # keeps the disjoint supports and the degree bound, so it is itself a
+    # candidate: this is the dominance test over all candidates.
+    primitive = [
+        (u, v)
+        for u, v in candidates
+        if _proper_divisor_weights(u, ws).isdisjoint(_proper_divisor_weights(v, ws))
+    ]
     return _canonical_graver(primitive)
+
+
+def _proper_divisor_weights(e: tuple[int, ...], ws: tuple[int, ...]) -> set[int]:
+    """Weights of the divisors of x^e other than 1 and x^e itself."""
+    sums = {0}
+    for x, w in zip(e, ws):
+        if x:
+            sums = {s + k * w for s in sums for k in range(x + 1)}
+    return sums - {0, sum(x * w for x, w in zip(e, ws))}
 
 
 def _canonical_graver(
@@ -307,8 +318,3 @@ def _canonical_graver(
 ) -> tuple[Binomial, ...]:
     ordered = sorted(pairs, key=lambda p: (max(sum(p[0]), sum(p[1])), p[0], p[1]))
     return tuple(Binomial(u, v) for u, v in ordered)
-
-
-def graver_to_json(weights, elements: tuple[Binomial, ...]) -> list[dict]:
-    ws = list(weights)
-    return [{"u": list(b.u), "v": list(b.v), "weights": ws} for b in elements]

@@ -74,10 +74,6 @@ class Partition:
         return iter(self.parts)
 
 
-def make_partition(parts) -> Partition:
-    return Partition(tuple(parts))
-
-
 def staircase(ell: int) -> Partition:
     """The partition (ell, ell-1, ..., 1)."""
     if ell < 1:
@@ -147,10 +143,6 @@ def triangular_gf_report(upto: int = 10) -> Report:
     return rep
 
 
-BLACK = "B"
-RED = "R"
-
-
 @dataclass(frozen=True)
 class Colouring:
     """A two-colouring of Ferrers cells by diagonal parity."""
@@ -166,18 +158,6 @@ class Colouring:
     @property
     def red_count(self) -> int:
         return len(self.red)
-
-    def colour_of(self, a: int, b: int) -> str:
-        return BLACK if (a + b) % 2 == 0 else RED
-
-    def ascii_diagram(self) -> str:
-        """Rows top to bottom, one letter per cell."""
-        rows = []
-        for b in range(len(self.partition.parts) - 1, -1, -1):
-            rows.append(
-                "".join(self.colour_of(a, b) for a in range(self.partition.parts[b]))
-            )
-        return "\n".join(rows)
 
     def to_json(self) -> dict:
         return {

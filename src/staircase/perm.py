@@ -17,10 +17,8 @@ a reduced word of w t_i.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import comb
 
-from .errors import DomainError, MalformedPermutationError
-from .report import INVARIANT, Report, check
+from .errors import DomainError, MalformedPermutationError, ResourceLimitError
 
 Word = tuple[int, ...]
 
@@ -110,11 +108,6 @@ def staircase_permutation(r: int) -> tuple[int, ...]:
     return check_permutation(tuple(range(2, r - 2)) + (r, r - 2, r - 1, 1))
 
 
-def verify_staircase_length(r: int) -> bool:
-    """True when the family member of degree r has exactly r+1 inversions."""
-    return inversions(staircase_permutation(r)) == r + 1
-
-
 def enumerate_reduced_words(
     w: Sequence[int], max_degree: int = DEFAULT_MAX_DEGREE
 ) -> tuple[Word, ...]:
@@ -127,7 +120,7 @@ def enumerate_reduced_words(
     """
     w = check_permutation(w)
     if len(w) > max_degree:
-        raise DomainError(
+        raise ResourceLimitError(
             f"degree {len(w)} exceeds the cap {max_degree}; pass max_degree to raise it"
         )
     return tuple(sorted(_words_of(w, {})))
@@ -170,22 +163,3 @@ def word_to_str(word: Sequence[int]) -> str:
     if word and max(word) > 9:
         return ",".join(str(a) for a in word)
     return "".join(str(a) for a in word)
-
-
-def last_letter_split(r: int, max_degree: int = DEFAULT_MAX_DEGREE) -> Report:
-    """How the family member's reduced words split by final letter.
-
-    The splitting claim under audit: C(r-1, 2) words end in r-1 and the
-    remaining r-1 words end in r-3.  The report records the observed
-    split next to that claim instead of assuming it.
-    """
-    words = enumerate_reduced_words(staircase_permutation(r), max_degree)
-    observed: dict[int, int] = {}
-    for word in words:
-        observed[word[-1]] = observed.get(word[-1], 0) + 1
-    claimed = {r - 1: comb(r - 1, 2), r - 3: r - 1}
-    rep = Report(f"last-letter split for the degree-{r} family member")
-    rep.add(check("word count", len(words), comb(r, 2), kind=INVARIANT))
-    rep.add(check("split by last letter", dict(sorted(observed.items())),
-                  dict(sorted(claimed.items()))))
-    return rep

@@ -9,7 +9,7 @@ enter.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 
 class IntPolynomial:
@@ -175,10 +175,3 @@ def _coerce(x: IntPolynomial | int) -> IntPolynomial:
     if isinstance(x, int):
         return IntPolynomial([x])
     raise TypeError(f"cannot treat {x!r} as a polynomial")
-
-
-def product(polys: Sequence[IntPolynomial]) -> IntPolynomial:
-    out = IntPolynomial([1])
-    for p in polys:
-        out = out * p
-    return out

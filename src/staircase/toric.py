@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .binomial import (
     Binomial,
@@ -79,9 +78,6 @@ class MonomialIdeal:
                     f"monomial on {len(g)} variables in a {self.nvars}-variable ideal"
                 )
         object.__setattr__(self, "gens", _minimalize(self.gens))
-
-    def contains_monomial(self, m: Expo) -> bool:
-        return any(divides(g, m) for g in self.gens)
 
     def to_json(self) -> dict:
         return {"nvars": self.nvars, "gens": [list(g) for g in self.gens]}
@@ -272,19 +268,35 @@ def hilbert_function_prefix(hd: HilbertData, nvars: int, upto: int) -> tuple[int
 def standard_monomial_counts(mi: MonomialIdeal, upto: int) -> tuple[int, ...]:
     """Direct count of monomials outside the ideal, degree by degree.
 
-    Independent of the numerator recursion; used as its oracle.
+    Chooses exponents one variable at a time.  A state is the bitmask
+    of generators that still divide the exponents chosen so far, with a
+    count per degree 0..upto; the monomials that end at mask 0 are the
+    standard ones.  Work is about nvars * masks * (upto+1)^2, masks at
+    most 2^#gens.  It never touches the numerator recursion, so it is
+    that recursion's oracle.
+
+    >>> standard_monomial_counts(MonomialIdeal(2, ((1, 1),)), 3)
+    (1, 2, 2, 2)
     """
-    out = []
-    for d in range(upto + 1):
-        count = 0
-        for combo in combinations_with_replacement(range(mi.nvars), d):
-            e = [0] * mi.nvars
-            for i in combo:
-                e[i] += 1
-            if not mi.contains_monomial(tuple(e)):
-                count += 1
-        out.append(count)
-    return tuple(out)
+    if upto < 0:
+        return ()
+    states = {(1 << len(mi.gens)) - 1: [1] + [0] * upto}
+    for i in range(mi.nvars):
+        # keep[e]: the generators whose x_i exponent is at most e, up to
+        # the largest such exponent (or upto); a larger e keeps them all
+        top = min(max((g[i] for g in mi.gens), default=0), upto)
+        keep = [
+            sum(1 << k for k, g in enumerate(mi.gens) if g[i] <= e)
+            for e in range(top + 1)
+        ]
+        nxt: dict[int, list[int]] = {}
+        for mask, counts in states.items():
+            for e in range(upto + 1):
+                acc = nxt.setdefault(mask & keep[min(e, top)], [0] * (upto + 1))
+                for d in range(upto + 1 - e):
+                    acc[d + e] += counts[d]
+        states = nxt
+    return tuple(states.get(0, [0] * (upto + 1)))
 
 
 def identity_binomial(ident: PartitionIdentity, weights) -> Binomial:

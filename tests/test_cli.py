@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -30,6 +31,22 @@ def test_resource_limit_exits_3(capsys):
     code, _, err = run(capsys, "graph", "--ell", "6", "--cap-vertices", "5")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_word_degree_cap_is_a_resource_limit(capsys):
+    # length 12 needs permutations of degree 13, past the default cap of 12
+    code, out, err = run(capsys, "graph", "--ell", "12")
+    assert code == 3
+    assert out == ""
+    assert "degree 13 exceeds the cap 12" in err
+
+
+def test_graver_listing_finishes_quickly(capsys):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "identities", "--ell", "9", "--degree-bound", "4")
+    assert time.monotonic() - start < 5.0
+    assert code == 0
+    assert out.count("graver: ") == 1994
 
 
 def test_closed_form_audit_skips_at_the_state_cap(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from staircase.binomial import Binomial
+from staircase.chroma import colour_separation
 from staircase.errors import (
     DomainError,
     InvalidIdentityError,
@@ -17,6 +20,8 @@ from staircase.identities import (
     subidentity_report,
 )
 from staircase.partition import staircase
+
+from toric_oracle import brute_graver
 
 
 def test_make_identity_sorts_and_validates():
@@ -148,3 +153,31 @@ def test_graver_validates_weights():
 def test_graver_state_cap():
     with pytest.raises(ResourceLimitError):
         graver_basis(tuple(range(1, 9)), 6, state_cap=50)
+    # a cap hit during pair enumeration keeps the pairs found so far
+    with pytest.raises(ResourceLimitError, match="pair enumeration") as info:
+        graver_basis(tuple(range(1, 9)), 3, state_cap=200)
+    assert info.value.partial
+    assert all(b.in_kernel(tuple(range(1, 9))) for b in info.value.partial)
+
+
+def _pairs(basis) -> list[tuple[tuple, tuple]]:
+    return [(b.u, b.v) for b in basis]
+
+
+def test_graver_basis_matches_the_dominance_scan_on_the_family():
+    for ell in range(5, 9):
+        sep = colour_separation(staircase(ell))
+        weights = tuple(range(1, ell + 1)) + (sep.mu, sep.kappa)
+        assert _pairs(graver_basis(weights, 3)) == brute_graver(weights, 3), ell
+
+
+def test_graver_basis_matches_the_dominance_scan_on_random_weights():
+    rng = random.Random(9157)
+    for _ in range(100):
+        weights = tuple(rng.sample(range(1, 16), rng.randint(1, 6)))
+        bound = rng.randint(1, 4)
+        assert _pairs(graver_basis(weights, bound)) == brute_graver(weights, bound), (
+            weights,
+            bound,
+        )
+

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from staircase.errors import DomainError, MalformedPermutationError
+from staircase.errors import DomainError, MalformedPermutationError, ResourceLimitError
 from staircase.perm import (
     apply_word,
     descents,
@@ -68,3 +68,10 @@ def test_rejects_malformed_permutations():
 
 def test_identity_has_one_empty_word():
     assert enumerate_reduced_words((1, 2, 3)) == ((),)
+
+
+def test_degree_cap_is_a_resource_limit():
+    w = staircase_permutation(13)
+    with pytest.raises(ResourceLimitError, match="degree 13 exceeds the cap 12"):
+        enumerate_reduced_words(w)
+    assert len(enumerate_reduced_words(w, max_degree=13)) == comb(13, 2)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 
@@ -19,6 +21,8 @@ from staircase.toric import (
     standard_monomial_counts,
     weight_chain_diagram,
 )
+
+from toric_oracle import brute_standard_monomial_counts
 
 
 def _sympy_groebner(gens: list[Binomial], nvars: int) -> set[tuple[tuple, tuple]]:
@@ -126,6 +130,44 @@ def test_hilbert_against_direct_count():
     for mi in ideals:
         hd = hilbert(mi)
         assert hilbert_function_prefix(hd, mi.nvars, 8) == standard_monomial_counts(mi, 8)
+
+
+def _random_monomial_ideal(rng: random.Random) -> MonomialIdeal:
+    n = rng.randint(1, 7)
+    gens = tuple(
+        tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 8))
+    )
+    return MonomialIdeal(n, gens)
+
+
+def test_standard_monomial_counts_match_brute_force():
+    rng = random.Random(4021)
+    for _ in range(200):
+        mi = _random_monomial_ideal(rng)
+        assert standard_monomial_counts(mi, 5) == brute_standard_monomial_counts(
+            mi.nvars, mi.gens, 5
+        ), mi
+
+
+def test_standard_monomial_counts_edge_cases():
+    # no generators: every monomial is standard, C(d+2, 2) of them in 3 variables
+    assert standard_monomial_counts(MonomialIdeal(3, ()), 4) == (1, 3, 6, 10, 15)
+    # the unit ideal leaves nothing
+    assert standard_monomial_counts(MonomialIdeal(3, ((0, 0, 0),)), 4) == (0,) * 5
+    assert standard_monomial_counts(MonomialIdeal(0, ()), 2) == (1, 0, 0)
+    # degree 0 alone: 1 unless the ideal is the unit ideal
+    assert standard_monomial_counts(MonomialIdeal(2, ((1, 0), (0, 2))), 0) == (1,)
+    assert standard_monomial_counts(MonomialIdeal(2, ((0, 0),)), 0) == (0,)
+
+
+def test_hilbert_prefix_matches_direct_count_on_random_ideals():
+    rng = random.Random(4021)
+    for _ in range(200):
+        mi = _random_monomial_ideal(rng)
+        hd = hilbert(mi)
+        assert hilbert_function_prefix(hd, mi.nvars, 5) == standard_monomial_counts(
+            mi, 5
+        ), mi
 
 
 def test_hilbert_caps():
