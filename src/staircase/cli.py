@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from math import comb
 
 from .chroma import (
@@ -24,6 +26,7 @@ from .chroma import (
 from .errors import DomainError, ResourceLimitError
 from .identities import graver_basis, subidentity_report
 from .layered import (
+    LayeredGraph,
     balance_matrix_report,
     build_layered_graph,
     family_series_report,
@@ -34,8 +37,8 @@ from .layered import (
 )
 from .partition import staircase, triangular_gf_report
 from .perm import enumerate_reduced_words, staircase_permutation, word_to_str
-from .report import INVARIANT, Report, check, skipped
-from .rwgraph import build_word_graph, structure_report
+from .report import INVARIANT, CheckRow, Report, check, skipped
+from .rwgraph import DEFAULT_CAP_VERTICES, build_word_graph, structure_report
 from .toric import (
     audit_quadric_chain_ideal,
     audit_separation_ideal,
@@ -47,7 +50,9 @@ class UsageError(Exception):
     pass
 
 
-def _parse_range(text: str, name: str) -> tuple[int, int]:
+def _parse_range(
+    text: str, name: str, least: int | None = None, single: bool = False
+) -> tuple[int, int]:
     parts = text.split("..")
     try:
         if len(parts) == 1:
@@ -60,7 +65,19 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
         raise UsageError(f"--{name} wants N or A..B, got {text!r}") from None
     if hi < lo:
         raise UsageError(f"--{name} range {text!r} is empty")
+    if least is not None and lo < least:
+        raise UsageError(f"--{name} starts at {least}, got {lo}")
+    if single and lo != hi:
+        raise UsageError(f"--{name} must be a single value here, got {text!r}")
     return lo, hi
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the caps and bounds: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmts: str = "json,markdown,text") -> None:
-        p.add_argument("--format", choices=fmts.split(","), default=None)
+    def common(p: argparse.ArgumentParser, fmts: str = "json,markdown,text",
+               default: str = "text") -> None:
+        p.add_argument("--format", choices=fmts.split(","), default=default)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("words", help="reduced words of the staircase permutations")
@@ -81,18 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="reduced-word move graph structure")
     p.add_argument("--ell", required=True, help="staircase length N or A..B")
-    p.add_argument("--cap-vertices", type=int, default=None)
+    p.add_argument("--cap-vertices", type=positive_int, default=DEFAULT_CAP_VERTICES)
     common(p, "json,markdown,text,dot")
 
     p = sub.add_parser("layered", help="layered graphs on staircase diagonals")
     p.add_argument("--ell", required=True)
-    p.add_argument("--series", type=int, default=None,
+    p.add_argument("--series", type=positive_int, default=None,
                    help="append the family series table truncated at this order")
     common(p, "json,markdown,text,dot")
 
     p = sub.add_parser("chroma", help="chromatic polynomial checks")
     p.add_argument("--ell", required=True)
-    p.add_argument("--cap-states", type=int, default=None)
+    p.add_argument("--cap-states", type=positive_int, default=DEFAULT_STATE_CAP)
     common(p)
 
     p = sub.add_parser("separation", help="two-colour separations and balance")
@@ -101,21 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="partition identity audits")
     p.add_argument("--ell", required=True)
-    p.add_argument("--degree-bound", type=int, default=None,
+    p.add_argument("--degree-bound", type=positive_int, default=None,
                    help="also list the truncated Graver basis up to this degree")
     common(p)
 
     p = sub.add_parser("conjectures", help="toric ideal audits")
     p.add_argument("--ell", required=True)
-    p.add_argument("--which", choices=["c1", "c2", "both"], default=None)
+    p.add_argument("--which", choices=["c1", "c2", "both"], default="both")
     common(p)
 
     p = sub.add_parser("verify-all", help="the full check suite over a range")
     p.add_argument("--ell", required=True)
     p.add_argument("--strict", action="store_true",
                    help="fail on any mismatch, not just invariant failures")
-    p.add_argument("--cap-vertices", type=int, default=None)
-    p.add_argument("--cap-states", type=int, default=None)
+    p.add_argument("--cap-vertices", type=positive_int, default=DEFAULT_CAP_VERTICES)
+    p.add_argument("--cap-states", type=positive_int, default=DEFAULT_STATE_CAP)
     common(p)
 
     p = sub.add_parser("export", help="write one graph artifact")
@@ -123,21 +141,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         choices=["word-graph", "layered-graph", "weight-chain"],
-        default=None,
+        default="layered-graph",
     )
-    common(p, "dot,json")
+    common(p, "dot,json", default="dot")
     return parser
 
 
 _CONFIG_KEYS = (
     "format", "out", "series", "which", "kind",
-    "cap_vertices", "cap_states", "degree_bound",
+    "cap_vertices", "cap_states", "degree_bound", "strict",
 )
 
 
-def apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """argv with the --config file's values as flags right after the command.
+
+    The explicit flags come later, so they win, and argparse checks both
+    alike.  A key that args.command has no option for is ignored.
+    """
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -145,41 +166,122 @@ def apply_config(args: argparse.Namespace) -> None:
         raise UsageError(f"cannot read config {args.config}: {e}") from None
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    flags = []
     for key, value in sorted(data.items()):
         attr = key.replace("-", "_")
-        if attr == "strict":
-            if getattr(args, "strict", None) is False and value:
-                args.strict = True
-            continue
         if attr not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, value)
+        if not hasattr(args, attr) or value is None:
+            continue
+        flag = "--" + attr.replace("_", "-")
+        if attr != "strict":
+            flags += [flag, str(value)]
+        elif value:
+            flags.append(flag)
+    # --config is the only option before the command: NAME VALUE or NAME=VALUE
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return [*argv[: i + 1], *flags, *argv[i + 1 :]]
 
 
-def _fmt(args: argparse.Namespace, default: str = "text") -> str:
-    return args.format if args.format else default
-
-
-def _emit(args: argparse.Namespace, reports: list[Report], dot: str | None = None) -> str:
-    fmt = _fmt(args)
-    if fmt == "dot":
-        if dot is None:
-            raise UsageError("dot output needs a single graph; pick one --ell value")
-        return dot
-    if fmt == "json":
+def _emit(args: argparse.Namespace, reports: list[Report]) -> str:
+    if args.format == "json":
         return json.dumps(
             [r.to_dict() for r in reports], sort_keys=True, indent=2
         ) + "\n"
-    if fmt == "markdown":
+    if args.format == "markdown":
         return "\n".join(r.to_markdown() for r in reports)
     return "\n".join(r.to_text() for r in reports)
 
 
+def _isomorphism_row(ell: int, g: LayeredGraph, cap_vertices: int) -> CheckRow:
+    """The layered graph g against the move graph at ell, SKIPPED at a cap."""
+    name = "isomorphic to the reduced-word graph"
+    try:
+        words = build_word_graph(staircase_permutation(ell + 1), cap_vertices)
+        return check(name, is_isomorphic(words, g), True, kind=INVARIANT)
+    except ResourceLimitError as e:
+        return skipped(name, note=str(e))
+
+
+@dataclass(frozen=True)
+class Audit:
+    """A report per length: report(ell, args) for lo <= ell <= hi.
+
+    A length out of range gives a SKIPPED report that says why, or no
+    report when why is None; a resource limit gives a SKIPPED report.
+    """
+
+    title: str  # of the SKIPPED report, with {ell}
+    report: Callable[[int, argparse.Namespace], Report]
+    lo: int = 1
+    hi: int = sys.maxsize
+    why: str | None = None
+
+    def run(self, ell: int, args: argparse.Namespace) -> Report | None:
+        note = self.why
+        if self.lo <= ell <= self.hi:
+            try:
+                return self.report(ell, args)
+            except ResourceLimitError as e:
+                note = f"resource limit: {e}"
+        if note is None:
+            return None
+        rep = Report(self.title.format(ell=ell))
+        rep.add(skipped("audit", note=note))
+        return rep
+
+
+def _layered_checks(ell: int, args: argparse.Namespace) -> Report:
+    g = build_layered_graph(staircase(ell))
+    rep = Report(f"layered checks at length {ell}")
+    rep.add(_isomorphism_row(ell, g, args.cap_vertices))
+    try:
+        number = chromatic_number(g.as_simple(), args.cap_states)
+        rep.add(check("chromatic number", number, 2))
+    except ResourceLimitError as e:
+        rep.add(skipped("chromatic number", note=str(e)))
+    if ell > 3:
+        rep.rows.extend(parity_pair_report(staircase(ell - 1), staircase(ell)).rows)
+    return rep
+
+
+# verify-all runs every audit, in this order, at each length; conjectures
+# runs c1, c2 or both.  The imported report functions are called through
+# lambdas, so each call looks up the module-level name, which a test or a
+# tracer may have rebound.
+_AUDITS = {
+    "census": Audit(
+        "move-graph census at ell = {ell}",
+        lambda ell, args: structure_report(ell, cap_vertices=args.cap_vertices),
+        lo=3,
+    ),
+    "layered": Audit("layered checks at length {ell}", _layered_checks),
+    "closed form": Audit(
+        "layered closed form vs recursion, lengths {ell}..{ell}",
+        lambda ell, args: closed_form_report(ell, ell, args.cap_states),
+    ),
+    "subidentities": Audit(
+        "subidentities at length {ell}",
+        lambda ell, args: subidentity_report(staircase(ell)),
+        lo=5,
+    ),
+    "c1": Audit(
+        "separation ideal audit at length {ell}",
+        lambda ell, args: audit_separation_ideal(ell),
+        5, 10, "the separation identity needs length 5..10",
+    ),
+    "c2": Audit(
+        "consecutive-quadric ideal audit at length {ell}",
+        lambda ell, args: audit_quadric_chain_ideal(ell),
+        2, 8, "the quadric-chain audit covers lengths 2..8",
+    ),
+}
+
+
 def cmd_words(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.r, "r")
-    if lo < 4:
-        raise UsageError(f"--r starts at 4, got {lo}")
+    lo, hi = _parse_range(args.r, "r", least=4)
     reports = []
     for r in range(lo, hi + 1):
         words = enumerate_reduced_words(staircase_permutation(r))
@@ -192,30 +294,21 @@ def cmd_words(args) -> tuple[str, int]:
 
 
 def cmd_graph(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    if lo < 3:
-        raise UsageError(f"--ell starts at 3 for the move graph, got {lo}")
-    cap = args.cap_vertices if args.cap_vertices else 5000
-    dot = None
-    if _fmt(args) == "dot":
-        if lo != hi:
-            raise UsageError("dot output needs a single --ell value")
-        dot = build_word_graph(
-            staircase_permutation(lo + 1), cap_vertices=cap
-        ).to_dot()
-    reports = [structure_report(ell, cap_vertices=cap) for ell in range(lo, hi + 1)]
-    return _emit(args, reports, dot), 0
+    lo, hi = _parse_range(args.ell, "ell", least=3, single=args.format == "dot")
+    if args.format == "dot":
+        words = build_word_graph(staircase_permutation(lo + 1), args.cap_vertices)
+        return words.to_dot(), 0
+    reports = [
+        structure_report(ell, cap_vertices=args.cap_vertices)
+        for ell in range(lo, hi + 1)
+    ]
+    return _emit(args, reports), 0
 
 
 def cmd_layered(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    if lo < 1:
-        raise UsageError(f"--ell must be positive, got {lo}")
-    dot = None
-    if _fmt(args) == "dot":
-        if lo != hi:
-            raise UsageError("dot output needs a single --ell value")
-        dot = build_layered_graph(staircase(lo)).to_dot()
+    lo, hi = _parse_range(args.ell, "ell", least=1, single=args.format == "dot")
+    if args.format == "dot":
+        return build_layered_graph(staircase(lo)).to_dot(), 0
     reports = []
     for ell in range(lo, hi + 1):
         g = build_layered_graph(staircase(ell))
@@ -230,49 +323,34 @@ def cmd_layered(args) -> tuple[str, int]:
         )
         rep.add(check("edge count", g.edge_count, ell * (ell - 1), kind=INVARIANT))
         if 3 <= ell <= 6:
-            words = build_word_graph(staircase_permutation(ell + 1))
-            rep.add(
-                check(
-                    "isomorphic to the reduced-word graph",
-                    is_isomorphic(words, g),
-                    True,
-                    kind=INVARIANT,
-                )
-            )
+            rep.add(_isomorphism_row(ell, g, DEFAULT_CAP_VERTICES))
         rep.note(f"missing-edge polynomial {missing_edge_polynomial(ell).format('e')}")
         if ell > 1:
-            rep2 = parity_pair_report(staircase(ell - 1), staircase(ell))
-            for row in rep2.rows:
-                rep.add(row)
+            rep.rows.extend(parity_pair_report(staircase(ell - 1), staircase(ell)).rows)
         if ell % 2 == 1:
-            for row in vertex_parity_report(ell).rows:
-                rep.add(row)
+            rep.rows.extend(vertex_parity_report(ell).rows)
         reports.append(rep)
     if args.series:
         reports.append(family_series_report(args.series, args.series))
-    return _emit(args, reports, dot), 0
+    return _emit(args, reports), 0
 
 
 def cmd_chroma(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    if lo < 3:
-        raise UsageError(f"--ell starts at 3 for chromatic checks, got {lo}")
-    cap = args.cap_states if args.cap_states else DEFAULT_STATE_CAP
+    lo, hi = _parse_range(args.ell, "ell", least=3)
     reports = []
     for ell in range(lo, hi + 1):
-        rep = closed_form_report(ell, ell, cap)
-        number = chromatic_number(build_layered_graph(staircase(ell)).as_simple(), cap)
+        rep = closed_form_report(ell, ell, args.cap_states)
+        simple = build_layered_graph(staircase(ell)).as_simple()
+        number = chromatic_number(simple, args.cap_states)
         rep.add(check(f"chromatic number at length {ell}", number, 2))
         reports.append(rep)
     return _emit(args, reports), 0
 
 
 def cmd_separation(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    if lo < 1:
-        raise UsageError(f"--ell must be positive, got {lo}")
+    lo, hi = _parse_range(args.ell, "ell", least=1)
     reports = [balance_bound_check(hi)]
-    for ell in range(max(lo, 1), hi + 1):
+    for ell in range(lo, hi + 1):
         sep = colour_separation(staircase(ell))
         rep = Report(f"colour separation at length {ell}")
         half_up, half_down = (ell + 1) // 2, ell // 2
@@ -299,16 +377,13 @@ def cmd_separation(args) -> tuple[str, int]:
                     kind=INVARIANT,
                 )
             )
-            for row in balance_matrix_report(k).rows:
-                rep.add(row)
+            rep.rows.extend(balance_matrix_report(k).rows)
         reports.append(rep)
     return _emit(args, reports), 0
 
 
 def cmd_identities(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    if lo < 5:
-        raise UsageError(f"--ell starts at 5 for identity audits, got {lo}")
+    lo, hi = _parse_range(args.ell, "ell", least=5)
     reports = []
     for ell in range(lo, hi + 1):
         rep = subidentity_report(staircase(ell))
@@ -324,94 +399,22 @@ def cmd_identities(args) -> tuple[str, int]:
 
 def cmd_conjectures(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.ell, "ell")
-    which = args.which if args.which else "both"
+    names = ("c1", "c2") if args.which == "both" else (args.which,)
     reports = []
     for ell in range(lo, hi + 1):
-        if which in ("c1", "both"):
-            reports.append(_guarded_audit(
-                audit_separation_ideal, ell, 5, 10,
-                f"separation ideal audit at length {ell}",
-                "the separation identity needs length 5..10",
-            ))
-        if which in ("c2", "both"):
-            reports.append(_guarded_audit(
-                audit_quadric_chain_ideal, ell, 2, 8,
-                f"consecutive-quadric ideal audit at length {ell}",
-                "the quadric-chain audit covers lengths 2..8",
-            ))
+        for name in names:
+            reports.append(_AUDITS[name].run(ell, args))
     return _emit(args, reports), 0
 
 
-def _guarded_audit(fn, ell: int, lo: int, hi: int, title: str, why: str) -> Report:
-    if not lo <= ell <= hi:
-        return _skipped_audit(title, why)
-    return _capped_audit(lambda: fn(ell), title)
-
-
-def _capped_audit(run, title: str) -> Report:
-    """run(), or a SKIPPED report when it hits a resource limit."""
-    try:
-        return run()
-    except ResourceLimitError as e:
-        return _skipped_audit(title, f"resource limit: {e}")
-
-
-def _skipped_audit(title: str, note: str) -> Report:
-    rep = Report(title)
-    rep.add(skipped("audit", note=note))
-    return rep
-
-
 def cmd_verify_all(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    if lo < 3:
-        raise UsageError(f"--ell starts at 3 for verify-all, got {lo}")
-    cap_v = args.cap_vertices if args.cap_vertices else 5000
-    cap_s = args.cap_states if args.cap_states else DEFAULT_STATE_CAP
+    lo, hi = _parse_range(args.ell, "ell", least=3)
     reports = [triangular_gf_report(10)]
     for ell in range(lo, hi + 1):
-        reports.append(structure_report(ell, cap_vertices=cap_v))
-        g = build_layered_graph(staircase(ell))
-        rep = Report(f"layered checks at length {ell}")
-        try:
-            words = build_word_graph(staircase_permutation(ell + 1), cap_vertices=cap_v)
-            rep.add(
-                check(
-                    "isomorphic to the reduced-word graph",
-                    is_isomorphic(words, g),
-                    True,
-                    kind=INVARIANT,
-                )
-            )
-        except ResourceLimitError as e:
-            rep.add(skipped("isomorphic to the reduced-word graph", note=str(e)))
-        try:
-            simple = g.as_simple()
-            rep.add(
-                check("chromatic number", chromatic_number(simple, cap_s), 2)
-            )
-        except ResourceLimitError as e:
-            rep.add(skipped("chromatic number", note=str(e)))
-        if ell > 3:
-            for row in parity_pair_report(staircase(ell - 1), staircase(ell)).rows:
-                rep.add(row)
-        reports.append(rep)
-        reports.append(_capped_audit(
-            lambda: closed_form_report(ell, ell, cap_s),
-            f"layered closed form vs recursion, lengths {ell}..{ell}",
-        ))
-        if ell >= 5:
-            reports.append(subidentity_report(staircase(ell)))
-        reports.append(_guarded_audit(
-            audit_separation_ideal, ell, 5, 10,
-            f"separation ideal audit at length {ell}",
-            "the separation identity needs length 5..10",
-        ))
-        reports.append(_guarded_audit(
-            audit_quadric_chain_ideal, ell, 2, 8,
-            f"consecutive-quadric ideal audit at length {ell}",
-            "the quadric-chain audit covers lengths 2..8",
-        ))
+        for audit in _AUDITS.values():
+            rep = audit.run(ell, args)
+            if rep is not None:
+                reports.append(rep)
     reports.append(balance_bound_check(hi))
     for k in range(1, hi // 2 + 1):
         reports.append(balance_matrix_report(k))
@@ -430,22 +433,15 @@ def cmd_verify_all(args) -> tuple[str, int]:
 
 
 def cmd_export(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    if lo != hi:
-        raise UsageError("export wants a single --ell value")
-    kind = args.kind if args.kind else "layered-graph"
-    if kind == "word-graph":
-        if lo < 3:
-            raise UsageError("word-graph export starts at --ell 3")
+    least = {"word-graph": 3, "weight-chain": 2}.get(args.kind)
+    lo, _ = _parse_range(args.ell, "ell", least, single=True)
+    if args.kind == "word-graph":
         obj = build_word_graph(staircase_permutation(lo + 1))
-    elif kind == "layered-graph":
+    elif args.kind == "layered-graph":
         obj = build_layered_graph(staircase(lo))
     else:
-        if lo < 2:
-            raise UsageError("weight-chain export starts at --ell 2")
         obj = weight_chain_diagram(staircase(lo))
-    fmt = _fmt(args, default="dot")
-    if fmt == "json":
+    if args.format == "json":
         return json.dumps(obj.to_json(), sort_keys=True, indent=2) + "\n", 0
     return obj.to_dot(), 0
 
@@ -465,14 +461,14 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
-        apply_config(args)
+        if args.config:
+            args = parser.parse_args(_with_config(args, argv))
         text, code = _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
+    except (UsageError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ResourceLimitError as e:

@@ -34,10 +34,6 @@ class LayeredGraph:
     layer_cells: tuple[tuple[tuple[int, int], ...], ...]
     edges: tuple[tuple[VertexId, VertexId], ...]
 
-    @property
-    def layer_count(self) -> int:
-        return len(self.layer_cells)
-
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.layer_cells)
 

@@ -10,7 +10,6 @@ anti-diagonal a + b = d holds l - d cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import DomainError
 from .report import Report, check
@@ -83,20 +82,6 @@ def staircase(ell: int) -> Partition:
 
 def is_staircase(p: Partition) -> bool:
     return p == staircase(p.length) if p.parts else False
-
-
-def is_triangular(n: int) -> int | None:
-    """The ell with ell(ell+1)/2 == n, or None.
-
-    >>> is_triangular(21)
-    6
-    >>> is_triangular(20) is None
-    True
-    """
-    if n < 1:
-        return None
-    ell = (isqrt(8 * n + 1) - 1) // 2
-    return ell if ell * (ell + 1) // 2 == n else None
 
 
 def distinct_odd_parts(p: Partition) -> Partition:

@@ -19,6 +19,7 @@ from .perm import (
     Word,
     check_permutation,
     enumerate_reduced_words,
+    staircase_permutation,
     word_to_str,
 )
 from .report import INVARIANT, Report, check
@@ -75,9 +76,6 @@ class WordGraph:
 
     def braid_edge_count(self) -> int:
         return sum(1 for _, _, t in self.edges if t == BRAID)
-
-    def commutation_edge_count(self) -> int:
-        return sum(1 for _, _, t in self.edges if t == COMMUTATION)
 
     def as_simple(self) -> SimpleGraph:
         return SimpleGraph.from_edges(
@@ -163,8 +161,6 @@ def structure_report(
     alternating sum v + c - e = 1.  The edge claim is also compared
     against the independent closed count ell(ell-1).
     """
-    from .perm import staircase_permutation
-
     if ell < 3:
         raise DomainError(f"the family census starts at ell = 3, got {ell}")
     g = build_word_graph(staircase_permutation(ell + 1), cap_vertices, max_degree)

@@ -7,7 +7,10 @@ from staircase.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse rejected the arguments
+        code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -39,6 +42,88 @@ def test_word_degree_cap_is_a_resource_limit(capsys):
     assert code == 3
     assert out == ""
     assert "degree 13 exceeds the cap 12" in err
+
+
+def test_verify_all_skips_the_census_at_the_degree_cap(capsys):
+    code, out, _ = run(capsys, "verify-all", "--ell", "11..12")
+    assert code == 0
+    assert "move-graph census at ell = 11\n  vertices " in out
+    census = out.split("move-graph census at ell = 12\n")[1]
+    assert census.startswith("  audit  observed=-  claimed=-  SKIPPED")
+    assert "resource limit: degree 13 exceeds the cap 12" in census
+    layered = out.split("layered checks at length 12\n")[1]
+    assert layered.startswith(
+        "  isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n"
+        "    note: degree 13 exceeds the cap 12"
+    )
+    assert out.endswith("claim mismatches do not fail the run without --strict\n")
+
+
+def test_verify_all_skips_the_census_at_the_vertex_cap(capsys):
+    code, out, _ = run(capsys, "verify-all", "--ell", "6..7", "--cap-vertices", "10")
+    assert code == 0
+    for ell, words in ((6, 21), (7, 28)):
+        census = out.split(f"move-graph census at ell = {ell}\n")[1]
+        assert census.startswith("  audit  observed=-  claimed=-  SKIPPED")
+        note = f"{words} reduced words exceed the cap 10"
+        assert f"resource limit: {note}" in census
+        layered = out.split(f"layered checks at length {ell}\n")[1]
+        assert layered.startswith(
+            "  isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n"
+            f"    note: {note}\n"
+        )
+    assert "separation ideal audit at length 7" in out
+    assert out.endswith("claim mismatches do not fail the run without --strict\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chroma", "--ell", "7", "--cap-states", "-1"),
+        ("chroma", "--ell", "7", "--cap-states", "0"),
+        ("verify-all", "--ell", "3", "--cap-states", "0"),
+        ("graph", "--ell", "5", "--cap-vertices", "-1"),
+        ("verify-all", "--ell", "3", "--cap-vertices", "0"),
+        ("identities", "--ell", "5", "--degree-bound", "0"),
+        ("layered", "--ell", "3", "--series", "0"),
+        ("layered", "--ell", "3", "--series", "-2"),
+    ],
+    ids=" ".join,
+)
+def test_caps_and_bounds_must_be_positive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
+    assert "Traceback" not in err
+
+
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # a string that argparse reads as an int
+    cfg.write_text(json.dumps({"cap_states": "5"}))
+    code, _, err = run(capsys, "--config", str(cfg), "chroma", "--ell", "7")
+    assert code == 3
+    assert "6 frontier states exceed the cap 5" in err
+    # choices are enforced
+    for config, argv in (
+        ({"kind": "foo"}, ("export", "--ell", "4")),
+        ({"which": "c3"}, ("conjectures", "--ell", "5")),
+        ({"cap_states": 0}, ("chroma", "--ell", "3")),
+    ):
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+
+def test_config_file_before_the_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json", "strict": True}))
+    code, out, _ = run(capsys, f"--config={cfg}", "verify-all", "--ell", "3")
+    assert code == 1
+    json.loads(out)
 
 
 def test_graver_listing_finishes_quickly(capsys):
