@@ -26,7 +26,6 @@ from .identities import (
     colour_separation_identity,
     graver_basis,
     is_primitive,
-    make_identity,
     parity_split,
     primitive_subidentities,
     proper_subidentities,
@@ -35,12 +34,10 @@ from .identities import (
 from .layered import (
     BalanceMatrix,
     LayeredGraph,
-    balance_matrix,
     balance_matrix_report,
     build_layered_graph,
     family_series_report,
     is_isomorphic,
-    is_parity_pair,
     is_subgraph_order,
     missing_edge_polynomial,
     parity_pair_report,
@@ -58,7 +55,6 @@ from .perm import (
     apply_word,
     enumerate_reduced_words,
     inversions,
-    reduced_word_count,
     staircase_permutation,
     word_to_str,
 )
@@ -68,7 +64,6 @@ from .rwgraph import (
     WordGraph,
     build_word_graph,
     count_four_cycles,
-    euler_like_invariant,
     structure_report,
 )
 from .toric import (

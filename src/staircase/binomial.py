@@ -1,6 +1,7 @@
 """Pure-difference binomials x^u - x^v and their monomial arithmetic.
 
-Exponent vectors are plain tuples of naturals.  Coefficients are
+Exponent vectors are plain tuples of naturals, ordered by grevlex
+with variable 0 largest, the only monomial order.  Coefficients are
 always +1 and -1; the rewriting helpers check the invariants that
 keep it that way at every step (oriented divisors, strictly
 decreasing rewrites) and abort rather than silently leave the
@@ -37,10 +38,6 @@ def divides(a: Expo, b: Expo) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def total_degree(a: Expo) -> int:
-    return sum(a)
-
-
 def grevlex_greater(a: Expo, b: Expo) -> bool:
     """Graded reverse lexicographic order with variable 0 largest."""
     da, db = sum(a), sum(b)
@@ -51,11 +48,6 @@ def grevlex_greater(a: Expo, b: Expo) -> bool:
         if d:
             return d < 0
     return False
-
-
-def lex_greater(a: Expo, b: Expo) -> bool:
-    """Plain lexicographic order with variable 0 largest."""
-    return a > b
 
 
 @dataclass(frozen=True)
@@ -120,9 +112,9 @@ class Binomial:
     def flipped(self) -> Binomial:
         return Binomial(self.v, self.u)
 
-    def oriented(self, greater=grevlex_greater) -> Binomial:
-        """The same binomial up to sign, with the larger side first."""
-        return self if greater(self.u, self.v) else self.flipped()
+    def oriented(self) -> Binomial:
+        """The same binomial up to sign, with the grevlex-larger side first."""
+        return self if grevlex_greater(self.u, self.v) else self.flipped()
 
     def same_up_to_sign(self, other: Binomial) -> bool:
         return (self.u, self.v) in ((other.u, other.v), (other.v, other.u))
@@ -162,9 +154,7 @@ def s_binomial(f: Binomial, g: Binomial) -> Binomial | None:
     return Binomial(a, b)
 
 
-def reduce_monomial(
-    m: Expo, basis: list[Binomial] | tuple[Binomial, ...], greater=grevlex_greater
-) -> Expo:
+def reduce_monomial(m: Expo, basis: list[Binomial] | tuple[Binomial, ...]) -> Expo:
     """Rewrite x^m by lead -> trail until no lead divides; returns the rest.
 
     Each basis element must be oriented.  Every step replaces a
@@ -179,7 +169,7 @@ def reduce_monomial(
         for g in basis:
             if divides(g.u, current):
                 nxt = expo_mul(expo_div(current, g.u), g.v)
-                if not greater(current, nxt):
+                if not grevlex_greater(current, nxt):
                     raise RuntimeError(
                         f"rewriting {current} -> {nxt} does not decrease; "
                         "basis element not oriented?"
@@ -191,11 +181,11 @@ def reduce_monomial(
 
 
 def normal_form(
-    b: Binomial, basis: list[Binomial] | tuple[Binomial, ...], greater=grevlex_greater
+    b: Binomial, basis: list[Binomial] | tuple[Binomial, ...]
 ) -> Binomial | None:
     """Normal form of a binomial modulo oriented binomials; None if zero."""
-    p = reduce_monomial(b.u, basis, greater)
-    q = reduce_monomial(b.v, basis, greater)
+    p = reduce_monomial(b.u, basis)
+    q = reduce_monomial(b.v, basis)
     if p == q:
         return None
     return Binomial(p, q)

@@ -176,6 +176,8 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
         flag = "--" + attr.replace("_", "-")
         if attr != "strict":
             flags += [flag, str(value)]
+        elif not isinstance(value, bool):
+            raise UsageError(f"config strict must be true, false or null, got {value!r}")
         elif value:
             flags.append(flag)
     # --config is the only option before the command: NAME VALUE or NAME=VALUE
@@ -260,7 +262,7 @@ _AUDITS = {
     "layered": Audit("layered checks at length {ell}", _layered_checks),
     "closed form": Audit(
         "layered closed form vs recursion, lengths {ell}..{ell}",
-        lambda ell, args: closed_form_report(ell, ell, args.cap_states),
+        lambda ell, args: closed_form_report(ell, args.cap_states),
     ),
     "subidentities": Audit(
         "subidentities at length {ell}",
@@ -331,7 +333,7 @@ def cmd_layered(args) -> tuple[str, int]:
             rep.rows.extend(vertex_parity_report(ell).rows)
         reports.append(rep)
     if args.series:
-        reports.append(family_series_report(args.series, args.series))
+        reports.append(family_series_report(args.series))
     return _emit(args, reports), 0
 
 
@@ -339,7 +341,7 @@ def cmd_chroma(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.ell, "ell", least=3)
     reports = []
     for ell in range(lo, hi + 1):
-        rep = closed_form_report(ell, ell, args.cap_states)
+        rep = closed_form_report(ell, args.cap_states)
         simple = build_layered_graph(staircase(ell)).as_simple()
         number = chromatic_number(simple, args.cap_states)
         rep.add(check(f"chromatic number at length {ell}", number, 2))
@@ -409,7 +411,7 @@ def cmd_conjectures(args) -> tuple[str, int]:
 
 def cmd_verify_all(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.ell, "ell", least=3)
-    reports = [triangular_gf_report(10)]
+    reports = [triangular_gf_report()]
     for ell in range(lo, hi + 1):
         for audit in _AUDITS.values():
             rep = audit.run(ell, args)
@@ -475,8 +477,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -64,6 +64,3 @@ class SimpleGraph:
                     elif colour[w] == colour[v]:
                         return None
         return tuple(colour)
-
-    def is_bipartite(self) -> bool:
-        return self.two_colouring() is not None

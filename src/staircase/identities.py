@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .binomial import Binomial, lex_greater
+from .binomial import Binomial
 from .chroma import colour_separation
 from .errors import DomainError, InvalidIdentityError, ResourceLimitError
 from .partition import Partition, is_staircase, staircase
@@ -70,15 +70,6 @@ class PartitionIdentity:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs), "bound": self.bound}
 
 
-def make_identity(lhs, rhs, bound: int) -> PartitionIdentity:
-    """Validated identity from two part iterables.
-
-    >>> str(make_identity([1, 2, 3, 4, 5], [9, 6], 9))
-    '1+2+3+4+5 = 9+6'
-    """
-    return PartitionIdentity(tuple(lhs), tuple(rhs), bound)
-
-
 def _sub_multisets_by_sum(parts: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
     """Every distinct sub-multiset, keyed by its sum; includes () and all."""
     acc: list[tuple[tuple[int, ...], int]] = [((), 0)]
@@ -123,9 +114,9 @@ def proper_subidentities(ident: PartitionIdentity) -> list[PartitionIdentity]:
 def is_primitive(ident: PartitionIdentity) -> bool:
     """No proper subidentity exists.
 
-    >>> is_primitive(make_identity([1, 3, 5], [9], 9))
+    >>> is_primitive(PartitionIdentity((1, 3, 5), (9,), 9))
     True
-    >>> is_primitive(make_identity([1, 2, 3, 4, 5], [9, 6], 9))
+    >>> is_primitive(PartitionIdentity((1, 2, 3, 4, 5), (9, 6), 9))
     False
     """
     return not proper_subidentities(ident)
@@ -287,7 +278,7 @@ def graver_basis(
                 raise err
             if any(x and y for x, y in zip(a, b)):
                 continue
-            if lex_greater(a, b):
+            if a > b:
                 candidates.append((a, b))
             else:
                 candidates.append((b, a))

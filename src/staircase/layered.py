@@ -11,8 +11,6 @@ inside a layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
@@ -207,32 +205,31 @@ def missing_edge_polynomial(ell: int) -> IntPolynomial:
     return IntPolynomial(range(1, ell + 1))
 
 
-def family_series_report(nz: int, ne: int) -> Report:
+def family_series_report(n: int) -> Report:
     """Truncations of z/((1-e)(1-ez)^2) against the per-length polynomials.
 
-    The closed form's e-expansion is an infinite tail at every z-degree,
-    so coefficient-wise agreement with sum_{l>=2} P_l(e) z^l cannot hold
+    Both sides are truncated at z^n and e^n.  The closed form's
+    e-expansion is an infinite tail at every z-degree, so
+    coefficient-wise agreement with sum_{l>=2} P_l(e) z^l cannot hold
     beyond the main diagonal; this report tabulates both sides and marks
     each coefficient, asserting nothing.
     """
-    if nz < 1 or ne < 0:
-        raise DomainError("need nz >= 1 and ne >= 0")
+    if n < 1:
+        raise DomainError(f"need a positive truncation order, got {n}")
     # closed form: z * (sum_q e^q) * (sum_j (j+1) e^j z^j), truncated
     closed: dict[tuple[int, int], int] = {}
-    for j in range(min(nz, ne) + 1):
-        if j + 1 > nz:
-            continue
-        for q in range(j, ne + 1):
-            closed[(j + 1, q)] = closed.get((j + 1, q), 0) + (j + 1)
+    for j in range(n):
+        for q in range(j, n + 1):
+            closed[(j + 1, q)] = j + 1
     family: dict[tuple[int, int], int] = {}
-    for ell in range(2, nz + 1):
+    for ell in range(2, n + 1):
         for q, coeff in enumerate(missing_edge_polynomial(ell).coeffs):
-            if q <= ne:
+            if q <= n:
                 family[(ell, q)] = coeff
 
-    rep = Report(f"family generating function truncated at z^{nz}, e^{ne}")
-    for m in range(1, nz + 1):
-        for q in range(ne + 1):
+    rep = Report(f"family generating function truncated at z^{n}, e^{n}")
+    for m in range(1, n + 1):
+        for q in range(n + 1):
             lhs = closed.get((m, q), 0)
             rhs = family.get((m, q), 0)
             rep.add(check(f"coefficient of z^{m} e^{q}", lhs, rhs))
@@ -297,13 +294,6 @@ def parity_pair_report(p1: Partition, p2: Partition) -> Report:
     return rep
 
 
-def is_parity_pair(p1: Partition, p2: Partition) -> bool:
-    """True when the consecutive staircases' sizes share parity."""
-    if not is_staircase(p1) or not is_staircase(p2):
-        raise DomainError("both arguments must be staircases")
-    return p1.size % 2 == p2.size % 2
-
-
 def vertex_parity_report(ell: int) -> Report:
     """Audit the claimed size parity of the pair starting at odd ell.
 
@@ -328,6 +318,10 @@ class BalanceMatrix:
 
     k: int
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise DomainError(f"balance parameter must be positive, got {self.k}")
+
     @property
     def entries(self) -> tuple[tuple[int, int], tuple[int, int]]:
         k = self.k
@@ -351,19 +345,8 @@ class BalanceMatrix:
         }
 
 
-def balance_matrix(k: int) -> BalanceMatrix:
-    """The matrix correspondence for the shared-balance pair at k.
-
-    >>> balance_matrix(3).entries
-    ((9, 12), (6, 9))
-    """
-    if k < 1:
-        raise DomainError(f"balance parameter must be positive, got {k}")
-    return BalanceMatrix(k)
-
-
 def balance_matrix_report(k: int) -> Report:
-    m = balance_matrix(k)
+    m = BalanceMatrix(k)
     rep = Report(f"balance matrix at k = {k}")
     rep.add(check("determinant", m.determinant, k * k, kind=INVARIANT))
     rep.add(

@@ -106,14 +106,13 @@ def distinct_odd_parts(p: Partition) -> Partition:
     return Partition(tuple(hooks))
 
 
-def triangular_gf_report(upto: int = 10) -> Report:
-    """Coefficients of z / (1 - z)^3 against the triangular numbers.
+def triangular_gf_report() -> Report:
+    """Coefficients of z / (1 - z)^3 against the triangular numbers, z^0..z^10.
 
     Index 0 is included but flagged degenerate: the series and the
     closed form both vanish there, so it carries no information.
     """
-    if upto < 0:
-        raise DomainError("need a nonnegative truncation order")
+    upto = 10
     # 1/(1-z)^3 expanded by three rounds of prefix sums, then one shift.
     series = [1] * (upto + 1)
     for _ in range(2):

@@ -150,10 +150,6 @@ def _words_of(
     return out
 
 
-def reduced_word_count(w: Sequence[int], max_degree: int = DEFAULT_MAX_DEGREE) -> int:
-    return len(enumerate_reduced_words(w, max_degree))
-
-
 def word_to_str(word: Sequence[int]) -> str:
     """Compact form: digits run together while they stay single-digit.
 

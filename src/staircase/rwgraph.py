@@ -144,16 +144,7 @@ def count_four_cycles(g: WordGraph | SimpleGraph) -> int:
     return count
 
 
-def euler_like_invariant(g: WordGraph) -> int:
-    """Vertices plus 4-cycles minus edges."""
-    return g.vertex_count + count_four_cycles(g) - g.edge_count
-
-
-def structure_report(
-    ell: int,
-    cap_vertices: int = DEFAULT_CAP_VERTICES,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> Report:
+def structure_report(ell: int, cap_vertices: int = DEFAULT_CAP_VERTICES) -> Report:
     """Audit the claimed census of the degree-(ell+1) family move graph.
 
     The printed claims under audit: C(ell+1, 2) vertices, ell(ell+1)
@@ -163,7 +154,7 @@ def structure_report(
     """
     if ell < 3:
         raise DomainError(f"the family census starts at ell = 3, got {ell}")
-    g = build_word_graph(staircase_permutation(ell + 1), cap_vertices, max_degree)
+    g = build_word_graph(staircase_permutation(ell + 1), cap_vertices)
     cycles = count_four_cycles(g)
     rep = Report(f"move-graph census at ell = {ell}")
     rep.add(check("vertices", g.vertex_count, comb(ell + 1, 2)))

@@ -18,7 +18,6 @@ from .binomial import (
     Expo,
     divides,
     expo_lcm,
-    grevlex_greater,
     normal_form,
     reduce_monomial,
     s_binomial,
@@ -92,16 +91,13 @@ def _minimalize(gens) -> tuple[Expo, ...]:
     return tuple(out)
 
 
-def groebner_basis(
-    gens,
-    greater=grevlex_greater,
-    max_basis: int = MAX_BASIS,
-) -> tuple[Binomial, ...]:
-    """Reduced Groebner basis of a binomial list, canonically sorted.
+def groebner_basis(gens) -> tuple[Binomial, ...]:
+    """Reduced grevlex Groebner basis of a binomial list, canonically sorted.
 
     Pairs are processed smallest lcm first; the coprime-lead criterion
     prunes.  The result is auto-reduced (minimal leads, irreducible
-    tails) so it is unique for the order, independent of input order.
+    tails) so it is unique, independent of input order.  A basis that
+    grows past MAX_BASIS elements raises ResourceLimitError.
     """
     gen_list = list(gens)
     if not gen_list:
@@ -111,7 +107,7 @@ def groebner_basis(
     for g in gen_list:
         if g.nvars != nvars:
             raise DomainError("generators on different variable counts")
-        og = g.oriented(greater)
+        og = g.oriented()
         if all(not og.same_up_to_sign(h) for h in basis):
             basis.append(og)
 
@@ -128,24 +124,24 @@ def groebner_basis(
         s = s_binomial(f, g)
         if s is None:
             continue
-        h = normal_form(s, basis, greater)
+        h = normal_form(s, basis)
         if h is None:
             continue
-        h = h.oriented(greater)
+        h = h.oriented()
         basis.append(h)
-        if len(basis) > max_basis:
+        if len(basis) > MAX_BASIS:
             raise ResourceLimitError(
-                f"basis grew past {max_basis} elements"
+                f"basis grew past {MAX_BASIS} elements"
             )
         k = len(basis) - 1
         for i2 in range(k):
             lcm2 = expo_lcm(basis[i2].u, h.u)
             heapq.heappush(queue, (sum(lcm2), lcm2, i2, k))
 
-    return _autoreduce(basis, greater)
+    return _autoreduce(basis)
 
 
-def _autoreduce(basis: list[Binomial], greater) -> tuple[Binomial, ...]:
+def _autoreduce(basis: list[Binomial]) -> tuple[Binomial, ...]:
     ordered = sorted(basis, key=lambda g: (sum(g.u), g.u, g.v))
     minimal: list[Binomial] = []
     for g in ordered:
@@ -156,23 +152,16 @@ def _autoreduce(basis: list[Binomial], greater) -> tuple[Binomial, ...]:
         changed = False
         for i, g in enumerate(minimal):
             others = minimal[:i] + minimal[i + 1 :]
-            tail = reduce_monomial(g.v, others, greater)
+            tail = reduce_monomial(g.v, others)
             if tail != g.v:
                 minimal[i] = Binomial(g.u, tail)
                 changed = True
     return tuple(sorted(minimal, key=lambda g: (sum(g.u), g.u, g.v)))
 
 
-def initial_ideal(
-    gb, nvars: int | None = None, greater=grevlex_greater
-) -> MonomialIdeal:
+def initial_ideal(gb, nvars: int) -> MonomialIdeal:
     """Leading terms of a Groebner basis, minimalized."""
-    elems = list(gb)
-    if nvars is None:
-        if not elems:
-            raise DomainError("empty basis needs an explicit variable count")
-        nvars = elems[0].nvars
-    return MonomialIdeal(nvars, tuple(g.oriented(greater).u for g in elems))
+    return MonomialIdeal(nvars, tuple(g.oriented().u for g in gb))
 
 
 @dataclass(frozen=True)
@@ -258,11 +247,6 @@ def _hilbert_numerator(
     ).shift(1)
     cache[gens] = out
     return out
-
-
-def hilbert_function_prefix(hd: HilbertData, nvars: int, upto: int) -> tuple[int, ...]:
-    """Graded dimensions in degrees 0..upto, from the series numerator."""
-    return hd.numerator.series_prefix(nvars, upto)
 
 
 def standard_monomial_counts(mi: MonomialIdeal, upto: int) -> tuple[int, ...]:
@@ -383,7 +367,7 @@ def audit_separation_ideal(ell: int) -> Report:
     rep.add(
         check(
             "series prefix equals direct monomial count through degree 8",
-            hilbert_function_prefix(hd, ideal.nvars, 8),
+            hd.numerator.series_prefix(ideal.nvars, 8),
             standard_monomial_counts(mi, 8),
             kind=INVARIANT,
         )
@@ -456,7 +440,7 @@ def audit_quadric_chain_ideal(ell: int) -> Report:
     rep.add(
         check(
             "series prefix equals direct monomial count through degree 8",
-            hilbert_function_prefix(hd, ideal.nvars, 8),
+            hd.numerator.series_prefix(ideal.nvars, 8),
             standard_monomial_counts(mi, 8),
             kind=INVARIANT,
         )

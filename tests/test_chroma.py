@@ -70,9 +70,9 @@ def test_recursion_degree_is_vertex_count():
 
 
 def test_closed_form_report_findings():
-    rep = closed_form_report(3, 6)
-    assert not rep.invariant_failures()
-    names = {r.name for r in rep.mismatches()}
+    reps = [closed_form_report(ell) for ell in range(3, 7)]
+    assert not any(rep.invariant_failures() for rep in reps)
+    names = {r.name for rep in reps for r in rep.mismatches()}
     assert "formula equals recursion at length 5" in names
     assert "formula equals recursion at length 6" in names
 
@@ -97,11 +97,13 @@ def test_state_cap():
 
 
 def test_state_cap_stops_the_cli_quickly(capsys):
-    # length 15 is the first whose sweep needs more than the default cap
-    start = time.monotonic()
-    assert main(["chroma", "--ell", "15"]) == 3
-    assert time.monotonic() - start < 5.0
-    assert f"exceed the cap {DEFAULT_STATE_CAP}" in capsys.readouterr().err
+    # length 15 is the first whose sweep needs more than the default cap;
+    # at 70 the graph has 2,485 vertices and the claimed form degree 4,696
+    for ell in (15, 70):
+        start = time.monotonic()
+        assert main(["chroma", "--ell", str(ell)]) == 3
+        assert time.monotonic() - start < 5.0
+        assert f"exceed the cap {DEFAULT_STATE_CAP}" in capsys.readouterr().err
 
 
 def _random_graph(rng: random.Random) -> SimpleGraph:

@@ -105,11 +105,12 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "chroma", "--ell", "7")
     assert code == 3
     assert "6 frontier states exceed the cap 5" in err
-    # choices are enforced
+    # choices are enforced, and strict takes a JSON boolean only
     for config, argv in (
         ({"kind": "foo"}, ("export", "--ell", "4")),
         ({"which": "c3"}, ("conjectures", "--ell", "5")),
         ({"cap_states": 0}, ("chroma", "--ell", "3")),
+        ({"strict": "false"}, ("verify-all", "--ell", "3..5")),
     ):
         cfg.write_text(json.dumps(config))
         code, out, err = run(capsys, "--config", str(cfg), *argv)
@@ -140,6 +141,13 @@ def test_closed_form_audit_skips_at_the_state_cap(tmp_path, capsys):
     closed = out.split("layered closed form vs recursion, lengths 7..7\n")[1]
     assert closed.startswith("  audit  observed=-  claimed=-  SKIPPED")
     assert "6 frontier states exceed the cap 5" in closed
+    # the default cap stops the sweep before the claimed form is expanded
+    start = time.monotonic()
+    code, out, _ = run(capsys, "verify-all", "--ell", "70")
+    assert time.monotonic() - start < 5.0
+    assert code == 0
+    closed = out.split("layered closed form vs recursion, lengths 70..70\n")[1]
+    assert closed.startswith("  audit  observed=-  claimed=-  SKIPPED")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cap_states": 5}))
     assert run(capsys, "--config", str(cfg), "chroma", "--ell", "7")[0] == 3
@@ -210,6 +218,11 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("## balance bound through length 6")
+    missing = tmp_path / "no-such-dir" / "x.txt"
+    code, out, err = run(capsys, "graph", "--ell", "3", "--out", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {missing}: ")
 
 
 def test_export_json(capsys):

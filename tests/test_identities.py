@@ -10,10 +10,10 @@ from staircase.errors import (
     ResourceLimitError,
 )
 from staircase.identities import (
+    PartitionIdentity,
     colour_separation_identity,
     graver_basis,
     is_primitive,
-    make_identity,
     parity_split,
     primitive_subidentities,
     proper_subidentities,
@@ -25,16 +25,16 @@ from toric_oracle import brute_graver
 
 
 def test_make_identity_sorts_and_validates():
-    ident = make_identity([2, 1, 3], [6], 6)
+    ident = PartitionIdentity((2, 1, 3), (6,), 6)
     assert ident.lhs == (3, 2, 1)
     assert ident.rhs == (6,)
     assert ident.total == 6
     with pytest.raises(InvalidIdentityError):
-        make_identity([1, 2], [4], 4)
+        PartitionIdentity((1, 2), (4,), 4)
     with pytest.raises(DomainError):
-        make_identity([1, 9], [10], 8)
+        PartitionIdentity((1, 9), (10,), 8)
     with pytest.raises(DomainError):
-        make_identity([], [0], 3)
+        PartitionIdentity((), (0,), 3)
 
 
 def test_identity_str_form():
@@ -42,7 +42,7 @@ def test_identity_str_form():
 
 
 def test_proper_subidentities_exclude_trivial():
-    ident = make_identity([1, 2, 3], [6], 6)
+    ident = PartitionIdentity((1, 2, 3), (6,), 6)
     subs = proper_subidentities(ident)
     # only 1+2+3 = 6 itself sums to 6, so nothing proper remains
     assert subs == []
@@ -50,13 +50,13 @@ def test_proper_subidentities_exclude_trivial():
 
 
 def test_multiset_subidentities():
-    ident = make_identity([2, 2], [4], 4)
+    ident = PartitionIdentity((2, 2), (4,), 4)
     assert proper_subidentities(ident) == []
     assert is_primitive(ident)
-    wider = make_identity([2, 2, 4], [4, 4], 4)
+    wider = PartitionIdentity((2, 2, 4), (4, 4), 4)
     subs = proper_subidentities(wider)
-    assert make_identity([4], [4], 4) in subs
-    assert make_identity([2, 2], [4], 4) in subs
+    assert PartitionIdentity((4,), (4,), 4) in subs
+    assert PartitionIdentity((2, 2), (4,), 4) in subs
     assert not is_primitive(wider)
 
 
@@ -112,7 +112,7 @@ def test_subidentity_report_rows():
 
 
 def test_part_count_guard():
-    ident = make_identity(list(range(1, 22)), [sum(range(1, 22))], 300)
+    ident = PartitionIdentity(tuple(range(1, 22)), (sum(range(1, 22)),), 300)
     with pytest.raises(ResourceLimitError):
         proper_subidentities(ident)
 

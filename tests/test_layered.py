@@ -3,12 +3,11 @@ import pytest
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.layered import (
-    balance_matrix,
+    BalanceMatrix,
     balance_matrix_report,
     build_layered_graph,
     family_series_report,
     is_isomorphic,
-    is_parity_pair,
     is_subgraph_order,
     missing_edge_polynomial,
     parity_pair_report,
@@ -75,7 +74,7 @@ def test_missing_edge_polynomial():
 
 
 def test_family_series_diagonal():
-    rep = family_series_report(4, 4)
+    rep = family_series_report(4)
     by_name = {r.name: r for r in rep.rows}
     # the polynomial sum starts at z^2, so only those diagonals can agree
     for m in range(2, 5):
@@ -94,10 +93,12 @@ def test_subgraph_order():
 
 def test_parity_pairs():
     # sizes 10, 15 disagree in parity and the first length is even
-    assert not is_parity_pair(staircase(4), staircase(5))
+    rep = parity_pair_report(staircase(4), staircase(5))
+    assert rep.rows[0].observed is False
+    assert rep.all_match()
     # sizes 15, 21 share parity and the first length is odd
-    assert is_parity_pair(staircase(5), staircase(6))
     rep = parity_pair_report(staircase(5), staircase(6))
+    assert rep.rows[0].observed is True
     assert rep.all_match()
 
 
@@ -117,7 +118,7 @@ def test_vertex_parity_claim_always_mismatches():
 
 
 def test_balance_matrix_values():
-    m = balance_matrix(3)
+    m = BalanceMatrix(3)
     assert m.entries == ((9, 12), (6, 9))
     assert m.determinant == 9
     assert m.column_sums() == (15, 21)

@@ -76,6 +76,6 @@ def test_checkerboard_is_proper():
 
 
 def test_triangular_gf_matches_through_index_10():
-    rep = triangular_gf_report(10)
+    rep = triangular_gf_report()
     assert rep.all_match()
     assert len(rep.rows) == 11

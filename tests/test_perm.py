@@ -8,7 +8,6 @@ from staircase.perm import (
     descents,
     enumerate_reduced_words,
     inversions,
-    reduced_word_count,
     staircase_permutation,
     word_to_str,
 )
@@ -51,7 +50,7 @@ def test_worked_example_word_set():
 
 
 def test_reduced_word_count_shortcut():
-    assert reduced_word_count(staircase_permutation(6)) == 15
+    assert len(enumerate_reduced_words(staircase_permutation(6))) == 15
 
 
 def test_descents():

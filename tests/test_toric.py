@@ -3,9 +3,10 @@ import random
 import pytest
 import sympy
 
+from staircase import toric
 from staircase.binomial import Binomial, grevlex_greater, normal_form, s_binomial
 from staircase.errors import DomainError, ResourceLimitError
-from staircase.identities import make_identity
+from staircase.identities import PartitionIdentity
 from staircase.partition import staircase
 from staircase.toric import (
     MonomialIdeal,
@@ -14,7 +15,6 @@ from staircase.toric import (
     consecutive_quadric_ideal,
     groebner_basis,
     hilbert,
-    hilbert_function_prefix,
     identity_binomial,
     initial_ideal,
     separation_ideal,
@@ -129,7 +129,7 @@ def test_hilbert_against_direct_count():
     ]
     for mi in ideals:
         hd = hilbert(mi)
-        assert hilbert_function_prefix(hd, mi.nvars, 8) == standard_monomial_counts(mi, 8)
+        assert hd.numerator.series_prefix(mi.nvars, 8) == standard_monomial_counts(mi, 8)
 
 
 def _random_monomial_ideal(rng: random.Random) -> MonomialIdeal:
@@ -165,18 +165,36 @@ def test_hilbert_prefix_matches_direct_count_on_random_ideals():
     for _ in range(200):
         mi = _random_monomial_ideal(rng)
         hd = hilbert(mi)
-        assert hilbert_function_prefix(hd, mi.nvars, 5) == standard_monomial_counts(
+        assert hd.numerator.series_prefix(mi.nvars, 5) == standard_monomial_counts(
             mi, 5
         ), mi
 
 
 def test_hilbert_caps():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="limited to 16 variables"):
         hilbert(MonomialIdeal(17, ()))
+    # 65 distinct squarefree quadrics in 12 variables: an antichain
+    quadrics = [
+        tuple(1 if k in (i, j) else 0 for k in range(12))
+        for i in range(12)
+        for j in range(i + 1, 12)
+    ][:65]
+    mi = MonomialIdeal(12, tuple(quadrics))
+    assert len(mi.gens) == 65
+    with pytest.raises(ResourceLimitError, match="limited to 64 generators"):
+        hilbert(mi)
+
+
+def test_basis_size_cap(monkeypatch):
+    # completion adds a third element to these two generators
+    gens = [Binomial((1, 0, 1, 0), (0, 2, 0, 0)), Binomial((1, 0, 0, 1), (0, 1, 1, 0))]
+    monkeypatch.setattr(toric, "MAX_BASIS", 2)
+    with pytest.raises(ResourceLimitError, match="basis grew past 2 elements"):
+        groebner_basis(gens)
 
 
 def test_identity_binomial():
-    ident = make_identity([1, 3, 5], [9], 9)
+    ident = PartitionIdentity((1, 3, 5), (9,), 9)
     b = identity_binomial(ident, (1, 2, 3, 4, 5, 9, 6))
     assert b == Binomial((1, 0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1, 0))
     with pytest.raises(DomainError):
