@@ -123,9 +123,6 @@ class Binomial:
         ns = names if names is not None else [f"x{i}" for i in range(self.nvars)]
         return f"{format_monomial(self.u, ns)} - {format_monomial(self.v, ns)}"
 
-    def to_json(self) -> dict:
-        return {"u": list(self.u), "v": list(self.v)}
-
 
 def format_monomial(e: Expo, names: list[str]) -> str:
     if not any(e):

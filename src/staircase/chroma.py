@@ -244,9 +244,6 @@ class ColourSeparation:
     def balance(self) -> int:
         return self.mu - self.kappa
 
-    def to_json(self) -> dict:
-        return {"mu": self.mu, "kappa": self.kappa, "balance": self.balance}
-
 
 def colour_separation(p: Partition) -> ColourSeparation:
     """Colour-class sizes by alternating layers; mu takes layer 1.

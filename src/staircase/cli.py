@@ -42,7 +42,9 @@ from .rwgraph import DEFAULT_CAP_VERTICES, build_word_graph, structure_report
 from .toric import (
     audit_quadric_chain_ideal,
     audit_separation_ideal,
+    separation_ideal,
     weight_chain_diagram,
+    weight_names,
 )
 
 
@@ -50,9 +52,7 @@ class UsageError(Exception):
     pass
 
 
-def _parse_range(
-    text: str, name: str, least: int | None = None, single: bool = False
-) -> tuple[int, int]:
+def _parse_range(text: str, name: str, single: bool = False) -> tuple[int, int]:
     parts = text.split("..")
     try:
         if len(parts) == 1:
@@ -65,8 +65,6 @@ def _parse_range(
         raise UsageError(f"--{name} wants N or A..B, got {text!r}") from None
     if hi < lo:
         raise UsageError(f"--{name} range {text!r} is empty")
-    if least is not None and lo < least:
-        raise UsageError(f"--{name} starts at {least}, got {lo}")
     if single and lo != hi:
         raise UsageError(f"--{name} must be a single value here, got {text!r}")
     return lo, hi
@@ -174,12 +172,14 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
         if not hasattr(args, attr) or value is None:
             continue
         flag = "--" + attr.replace("_", "-")
-        if attr != "strict":
+        if attr == "strict":
+            if not isinstance(value, bool):
+                raise UsageError(f"config strict must be true, false or null, got {value!r}")
+            flags += [flag] if value else []
+        elif type(value) in (str, int):  # not bool, which is an int
             flags += [flag, str(value)]
-        elif not isinstance(value, bool):
-            raise UsageError(f"config strict must be true, false or null, got {value!r}")
-        elif value:
-            flags.append(flag)
+        else:
+            raise UsageError(f"config {key} must be a string or an integer, got {value!r}")
     # --config is the only option before the command: NAME VALUE or NAME=VALUE
     i = 0
     while argv[i].startswith("-"):
@@ -257,7 +257,6 @@ _AUDITS = {
     "census": Audit(
         "move-graph census at ell = {ell}",
         lambda ell, args: structure_report(ell, cap_vertices=args.cap_vertices),
-        lo=3,
     ),
     "layered": Audit("layered checks at length {ell}", _layered_checks),
     "closed form": Audit(
@@ -283,7 +282,7 @@ _AUDITS = {
 
 
 def cmd_words(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.r, "r", least=4)
+    lo, hi = _parse_range(args.r, "r")
     reports = []
     for r in range(lo, hi + 1):
         words = enumerate_reduced_words(staircase_permutation(r))
@@ -296,7 +295,7 @@ def cmd_words(args) -> tuple[str, int]:
 
 
 def cmd_graph(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell", least=3, single=args.format == "dot")
+    lo, hi = _parse_range(args.ell, "ell", single=args.format == "dot")
     if args.format == "dot":
         words = build_word_graph(staircase_permutation(lo + 1), args.cap_vertices)
         return words.to_dot(), 0
@@ -308,7 +307,7 @@ def cmd_graph(args) -> tuple[str, int]:
 
 
 def cmd_layered(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell", least=1, single=args.format == "dot")
+    lo, hi = _parse_range(args.ell, "ell", single=args.format == "dot")
     if args.format == "dot":
         return build_layered_graph(staircase(lo)).to_dot(), 0
     reports = []
@@ -324,7 +323,7 @@ def cmd_layered(args) -> tuple[str, int]:
             )
         )
         rep.add(check("edge count", g.edge_count, ell * (ell - 1), kind=INVARIANT))
-        if 3 <= ell <= 6:
+        if ell >= 3:
             rep.add(_isomorphism_row(ell, g, DEFAULT_CAP_VERTICES))
         rep.note(f"missing-edge polynomial {missing_edge_polynomial(ell).format('e')}")
         if ell > 1:
@@ -338,7 +337,7 @@ def cmd_layered(args) -> tuple[str, int]:
 
 
 def cmd_chroma(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell", least=3)
+    lo, hi = _parse_range(args.ell, "ell")
     reports = []
     for ell in range(lo, hi + 1):
         rep = closed_form_report(ell, args.cap_states)
@@ -350,7 +349,7 @@ def cmd_chroma(args) -> tuple[str, int]:
 
 
 def cmd_separation(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell", least=1)
+    lo, hi = _parse_range(args.ell, "ell")
     reports = [balance_bound_check(hi)]
     for ell in range(lo, hi + 1):
         sep = colour_separation(staircase(ell))
@@ -385,14 +384,13 @@ def cmd_separation(args) -> tuple[str, int]:
 
 
 def cmd_identities(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell", least=5)
+    lo, hi = _parse_range(args.ell, "ell")
     reports = []
     for ell in range(lo, hi + 1):
         rep = subidentity_report(staircase(ell))
         if args.degree_bound:
-            sep = colour_separation(staircase(ell))
-            weights = tuple(range(1, ell + 1)) + (sep.mu, sep.kappa)
-            names = [f"x{w}" for w in weights]
+            weights = separation_ideal(staircase(ell)).weights
+            names = weight_names(weights)
             for b in graver_basis(weights, args.degree_bound):
                 rep.note(f"graver: {b.format(names)}")
         reports.append(rep)
@@ -410,7 +408,7 @@ def cmd_conjectures(args) -> tuple[str, int]:
 
 
 def cmd_verify_all(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell", least=3)
+    lo, hi = _parse_range(args.ell, "ell")
     reports = [triangular_gf_report()]
     for ell in range(lo, hi + 1):
         for audit in _AUDITS.values():
@@ -435,8 +433,7 @@ def cmd_verify_all(args) -> tuple[str, int]:
 
 
 def cmd_export(args) -> tuple[str, int]:
-    least = {"word-graph": 3, "weight-chain": 2}.get(args.kind)
-    lo, _ = _parse_range(args.ell, "ell", least, single=True)
+    lo, _ = _parse_range(args.ell, "ell", single=True)
     if args.kind == "word-graph":
         obj = build_word_graph(staircase_permutation(lo + 1))
     elif args.kind == "layered-graph":

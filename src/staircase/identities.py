@@ -21,7 +21,7 @@ from .partition import Partition, is_staircase, staircase
 from .report import INVARIANT, Report, check
 
 MAX_IDENTITY_PARTS = 20
-DEFAULT_STATE_CAP = 200_000
+MAX_GRAVER_STATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,6 @@ class PartitionIdentity:
         left = "+".join(str(p) for p in reversed(self.lhs))
         right = "+".join(str(p) for p in self.rhs)
         return f"{left} = {right}"
-
-    def to_json(self) -> dict:
-        return {"lhs": list(self.lhs), "rhs": list(self.rhs), "bound": self.bound}
 
 
 def _sub_multisets_by_sum(parts: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
@@ -211,11 +208,7 @@ def subidentity_report(p: Partition) -> Report:
     return rep
 
 
-def graver_basis(
-    weights,
-    degree_bound: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[Binomial, ...]:
+def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     """Primitive weight relations up to a total-degree bound.
 
     Enumerates all pairs of disjoint-support monomials of equal weight
@@ -224,14 +217,14 @@ def graver_basis(
     witness has smaller degree, so truncation does not lose primitivity
     verdicts inside the bound.
 
-    ``state_cap`` bounds the monomials plus the pairs enumerated.  A
+    MAX_GRAVER_STATES bounds the monomials plus the pairs enumerated.  A
     candidate u - v is primitive when no proper divisor of x^u has the
     weight of a proper divisor of x^v, so the primitivity step costs
     candidates * (|div u| + |div v|), at most 2^degree_bound divisors
     a side.
 
-    >>> [b.to_json() for b in graver_basis((1, 2), 2)]
-    [{'u': [2, 0], 'v': [0, 1]}]
+    >>> [b.format() for b in graver_basis((1, 2), 2)]
+    ['x0^2 - x1']
     """
     ws = tuple(weights)
     if not ws:
@@ -257,9 +250,9 @@ def graver_basis(
                 continue
             seen.add(nxt)
             states += 1
-            if states > state_cap:
+            if states > MAX_GRAVER_STATES:
                 err = ResourceLimitError(
-                    f"monomial enumeration exceeded {state_cap} states"
+                    f"monomial enumeration exceeded {MAX_GRAVER_STATES} states"
                 )
                 err.partial = ()
                 raise err
@@ -270,9 +263,9 @@ def graver_basis(
     for _, group in sorted(by_weight.items()):
         for a, b in combinations(group, 2):
             states += 1
-            if states > state_cap:
+            if states > MAX_GRAVER_STATES:
                 err = ResourceLimitError(
-                    f"pair enumeration exceeded {state_cap} states"
+                    f"pair enumeration exceeded {MAX_GRAVER_STATES} states"
                 )
                 err.partial = _canonical_graver(candidates)
                 raise err

@@ -22,6 +22,7 @@ from .rwgraph import WordGraph
 VertexId = tuple[int, int]  # (layer, index within layer)
 
 DEFAULT_ISO_CAP = 28
+MAX_SERIES_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -212,10 +213,15 @@ def family_series_report(n: int) -> Report:
     e-expansion is an infinite tail at every z-degree, so
     coefficient-wise agreement with sum_{l>=2} P_l(e) z^l cannot hold
     beyond the main diagonal; this report tabulates both sides and marks
-    each coefficient, asserting nothing.
+    each coefficient, asserting nothing.  Its n(n+1) rows are capped at
+    MAX_SERIES_ROWS.
     """
     if n < 1:
         raise DomainError(f"need a positive truncation order, got {n}")
+    if n * (n + 1) > MAX_SERIES_ROWS:
+        raise ResourceLimitError(
+            f"order {n} needs {n * (n + 1)} series rows, past the cap {MAX_SERIES_ROWS}"
+        )
     # closed form: z * (sum_q e^q) * (sum_j (j+1) e^j z^j), truncated
     closed: dict[tuple[int, int], int] = {}
     for j in range(n):
@@ -335,14 +341,6 @@ class BalanceMatrix:
     def column_sums(self) -> tuple[int, int]:
         (a, b), (c, d) = self.entries
         return (a + c, b + d)
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "entries": [list(r) for r in self.entries],
-            "determinant": self.determinant,
-            "column_sums": list(self.column_sums()),
-        }
 
 
 def balance_matrix_report(k: int) -> Report:

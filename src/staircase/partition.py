@@ -66,9 +66,6 @@ class Partition:
         leg = sum(1 for b2 in range(b + 1, len(self.parts)) if self.parts[b2] > a)
         return arm + leg + 1
 
-    def to_json(self) -> list[int]:
-        return list(self.parts)
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -142,13 +139,6 @@ class Colouring:
     @property
     def red_count(self) -> int:
         return len(self.red)
-
-    def to_json(self) -> dict:
-        return {
-            "partition": self.partition.to_json(),
-            "black": [list(c) for c in self.black],
-            "red": [list(c) for c in self.red],
-        }
 
 
 def checkerboard(p: Partition) -> Colouring:

@@ -121,12 +121,8 @@ class Report:
 
 
 def _plain(x: object) -> object:
-    if hasattr(x, "to_json") and not isinstance(x, type):
-        return x.to_json()
     if isinstance(x, tuple):
         return [_plain(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
     return x
 
 
@@ -134,6 +130,6 @@ def _cell(x: object) -> str:
     if x is None:
         return "-"
     p = _plain(x)
-    if isinstance(p, (list, dict)):
-        return json.dumps(p, sort_keys=True)
+    if isinstance(p, list):
+        return json.dumps(p)
     return str(p)

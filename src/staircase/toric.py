@@ -36,11 +36,11 @@ MAX_HILBERT_GENS = 64
 
 @dataclass(frozen=True)
 class BinomialIdeal:
-    """A list of binomial generators, optionally with variable weights."""
+    """A list of binomial generators with one weight per variable."""
 
     nvars: int
     generators: tuple[Binomial, ...]
-    weights: tuple[int, ...] | None = None
+    weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
         for g in self.generators:
@@ -48,19 +48,10 @@ class BinomialIdeal:
                 raise DomainError(
                     f"generator on {g.nvars} variables in a {self.nvars}-variable ideal"
                 )
-        if self.weights is not None and len(self.weights) != self.nvars:
+        if len(self.weights) != self.nvars:
             raise DomainError(
                 f"{len(self.weights)} weights for {self.nvars} variables"
             )
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "nvars": self.nvars,
-            "generators": [g.to_json() for g in self.generators],
-        }
-        if self.weights is not None:
-            out["weights"] = list(self.weights)
-        return out
 
 
 @dataclass(frozen=True)
@@ -77,9 +68,6 @@ class MonomialIdeal:
                     f"monomial on {len(g)} variables in a {self.nvars}-variable ideal"
                 )
         object.__setattr__(self, "gens", _minimalize(self.gens))
-
-    def to_json(self) -> dict:
-        return {"nvars": self.nvars, "gens": [list(g) for g in self.gens]}
 
 
 def _minimalize(gens) -> tuple[Expo, ...]:
@@ -171,13 +159,6 @@ class HilbertData:
     numerator: IntPolynomial
     dimension: int
     degree: int
-
-    def to_json(self) -> dict:
-        return {
-            "numerator": self.numerator.to_json(),
-            "dimension": self.dimension,
-            "degree": self.degree,
-        }
 
 
 def hilbert(mi: MonomialIdeal) -> HilbertData:
@@ -304,18 +285,32 @@ def identity_binomial(ident: PartitionIdentity, weights) -> Binomial:
 
 def separation_ideal(p: Partition) -> BinomialIdeal:
     """The two parity-split relations over weights (1..l, mu, kappa)."""
-    if not is_staircase(p):
-        raise DomainError(f"{p.parts} is not a staircase")
-    if p.length < 5:
-        raise DomainError(f"separation ideal needs length >= 5, got {p.length}")
     sep = colour_separation(p)
     weights = tuple(range(1, p.length + 1)) + (sep.mu, sep.kappa)
     gens = tuple(identity_binomial(s, weights) for s in parity_split(p))
     return BinomialIdeal(len(weights), gens, weights)
 
 
-def _weight_names(weights) -> list[str]:
+def weight_names(weights) -> list[str]:
+    """The variable of weight w is named xw, as the audits print it."""
     return [f"x{w}" for w in weights]
+
+
+def _hilbert_rows(rep: Report, gb, nvars: int, dimension: int, degree: int) -> None:
+    """Dimension and degree of the quotient by gb against the claimed ones,
+    and its series against the direct monomial count."""
+    mi = initial_ideal(gb, nvars)
+    hd = hilbert(mi)
+    rep.add(check("dimension", hd.dimension, dimension))
+    rep.add(check("degree", hd.degree, degree))
+    rep.add(
+        check(
+            "series prefix equals direct monomial count through degree 8",
+            hd.numerator.series_prefix(nvars, 8),
+            standard_monomial_counts(mi, 8),
+            kind=INVARIANT,
+        )
+    )
 
 
 def audit_separation_ideal(ell: int) -> Report:
@@ -326,11 +321,8 @@ def audit_separation_ideal(ell: int) -> Report:
     claimed dimension l and degree ceil(l/2)*floor(l/2), and probes
     whether other small weight relations already lie in that ideal.
     """
-    if not 5 <= ell <= 10:
-        raise DomainError(f"audit covers lengths 5..10, got {ell}")
     ideal = separation_ideal(staircase(ell))
-    assert ideal.weights is not None
-    names = _weight_names(ideal.weights)
+    names = weight_names(ideal.weights)
     rep = Report(f"separation ideal audit at length {ell}")
     rep.note(
         "dimension and degree are affine: Krull dimension of the full "
@@ -360,18 +352,7 @@ def audit_separation_ideal(ell: int) -> Report:
             note=f"basis size {len(gb)}",
         )
     )
-    mi = initial_ideal(gb, ideal.nvars)
-    hd = hilbert(mi)
-    rep.add(check("dimension", hd.dimension, ell))
-    rep.add(check("degree", hd.degree, (ell + 1) // 2 * (ell // 2)))
-    rep.add(
-        check(
-            "series prefix equals direct monomial count through degree 8",
-            hd.numerator.series_prefix(ideal.nvars, 8),
-            standard_monomial_counts(mi, 8),
-            kind=INVARIANT,
-        )
-    )
+    _hilbert_rows(rep, gb, ideal.nvars, ell, (ell + 1) // 2 * (ell // 2))
     for probe in graver_basis(ideal.weights, 2):
         if any(probe.same_up_to_sign(g) for g in ideal.generators):
             continue
@@ -413,10 +394,7 @@ def consecutive_quadric_ideal(ell: int) -> BinomialIdeal:
 
 def audit_quadric_chain_ideal(ell: int) -> Report:
     """Audit of the consecutive-quadric ideal at one length."""
-    if not 2 <= ell <= 8:
-        raise DomainError(f"audit covers lengths 2..8, got {ell}")
     ideal = consecutive_quadric_ideal(ell)
-    assert ideal.weights is not None
     rep = Report(f"consecutive-quadric ideal audit at length {ell}")
     rep.note(
         "dimension is the affine Krull dimension of the quotient; the "
@@ -433,18 +411,7 @@ def audit_quadric_chain_ideal(ell: int) -> Report:
         )
     )
     gb = groebner_basis(ideal.generators)
-    mi = initial_ideal(gb, ideal.nvars)
-    hd = hilbert(mi)
-    rep.add(check("dimension", hd.dimension, 2))
-    rep.add(check("degree", hd.degree, 2 ** (ell - 1)))
-    rep.add(
-        check(
-            "series prefix equals direct monomial count through degree 8",
-            hd.numerator.series_prefix(ideal.nvars, 8),
-            standard_monomial_counts(mi, 8),
-            kind=INVARIANT,
-        )
-    )
+    _hilbert_rows(rep, gb, ideal.nvars, 2, 2 ** (ell - 1))
     return rep
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,22 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "words", "--r", "abc")[0] == 2
     assert run(capsys, "graph", "--ell", "5..4")[0] == 2
     assert run(capsys, "graph", "--ell", "3..5", "--format", "dot")[0] == 2
+    # lengths below each library function's domain: the library says why
+    for argv, message in (
+        ("words --r 3", "family starts at degree 4, got 3"),
+        ("graph --ell 2", "the family census starts at ell = 3, got 2"),
+        ("layered --ell 0", "staircase index must be positive, got 0"),
+        ("chroma --ell 2", "closed form starts at length 3, got 2"),
+        ("separation --ell 0", "need a positive length bound, got 0"),
+        ("identities --ell 4", "needs length >= 5, got 4"),
+        ("verify-all --ell 2..4", "the family census starts at ell = 3, got 2"),
+        ("export --ell 2 --kind word-graph", "family starts at degree 4, got 3"),
+        ("export --ell 1 --kind weight-chain", "need length >= 2, got 1"),
+    ):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and message in err, argv
+        assert "Traceback" not in err
 
 
 def test_resource_limit_exits_3(capsys):
@@ -98,25 +115,32 @@ def test_caps_and_bounds_must_be_positive(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_config_values_are_checked_like_flags(tmp_path, capsys):
+def test_config_values_are_checked_like_flags(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     # a string that argparse reads as an int
     cfg.write_text(json.dumps({"cap_states": "5"}))
     code, _, err = run(capsys, "--config", str(cfg), "chroma", "--ell", "7")
     assert code == 3
     assert "6 frontier states exceed the cap 5" in err
-    # choices are enforced, and strict takes a JSON boolean only
+    # choices are enforced, strict takes a JSON boolean only, and the
+    # other keys a string or an integer
     for config, argv in (
         ({"kind": "foo"}, ("export", "--ell", "4")),
         ({"which": "c3"}, ("conjectures", "--ell", "5")),
         ({"cap_states": 0}, ("chroma", "--ell", "3")),
         ({"strict": "false"}, ("verify-all", "--ell", "3..5")),
+        ({"out": True}, ("words", "--r", "4")),
+        ({"out": ["x"]}, ("words", "--r", "4")),
+        ({"out": {"a": 1}}, ("words", "--r", "4")),
+        ({"series": 2.5}, ("layered", "--ell", "3")),
     ):
         cfg.write_text(json.dumps(config))
         code, out, err = run(capsys, "--config", str(cfg), *argv)
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_config_file_before_the_command(tmp_path, capsys):
@@ -151,6 +175,47 @@ def test_closed_form_audit_skips_at_the_state_cap(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cap_states": 5}))
     assert run(capsys, "--config", str(cfg), "chroma", "--ell", "7")[0] == 3
+
+
+def test_layered_isomorphism_row_at_every_length(capsys):
+    code, out, _ = run(capsys, "layered", "--ell", "7..8")
+    assert code == 0
+    at7, at8 = out.split("layered graph at length 8\n")
+    assert "isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH" in at7
+    assert "isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n" in at8
+    assert "note: isomorphism search capped at 28 vertices, got 36" in at8
+    # past the reduced-word degree cap the row is SKIPPED, not the command
+    code, out, _ = run(capsys, "layered", "--ell", "12")
+    assert code == 0
+    assert (
+        "isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n"
+        "    note: degree 13 exceeds the cap 12"
+    ) in out
+
+
+def test_series_rows_are_capped(capsys):
+    code, out, _ = run(capsys, "layered", "--ell", "3", "--series", "99")
+    assert code == 0
+    assert out.count("coefficient of z^") == 99 * 100
+    for order in ("100", "600"):
+        start = time.monotonic()
+        code, out, err = run(capsys, "layered", "--ell", "3", "--series", order)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "series rows, past the cap 10000" in err
+
+
+def test_readme_examples_run(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [
+        line.split("#")[0].split()[1:]
+        for line in readme.splitlines()
+        if line.startswith("staircase ")
+    ]
+    assert len(lines) >= 10
+    for argv in lines:
+        code, _, err = run(capsys, *argv)
+        assert code == (1 if "--strict" in argv else 0), (argv, err)
 
 
 def test_json_output_parses(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from staircase.binomial import Binomial
 from staircase.chroma import colour_separation
+from staircase import identities
 from staircase.errors import (
     DomainError,
     InvalidIdentityError,
@@ -150,12 +151,14 @@ def test_graver_validates_weights():
         graver_basis((1, 2), 0)
 
 
-def test_graver_state_cap():
-    with pytest.raises(ResourceLimitError):
-        graver_basis(tuple(range(1, 9)), 6, state_cap=50)
+def test_graver_state_cap(monkeypatch):
+    monkeypatch.setattr(identities, "MAX_GRAVER_STATES", 50)
+    with pytest.raises(ResourceLimitError, match="monomial enumeration"):
+        graver_basis(tuple(range(1, 9)), 6)
     # a cap hit during pair enumeration keeps the pairs found so far
+    monkeypatch.setattr(identities, "MAX_GRAVER_STATES", 200)
     with pytest.raises(ResourceLimitError, match="pair enumeration") as info:
-        graver_basis(tuple(range(1, 9)), 3, state_cap=200)
+        graver_basis(tuple(range(1, 9)), 3)
     assert info.value.partial
     assert all(b.in_kernel(tuple(range(1, 9))) for b in info.value.partial)
 

@@ -222,15 +222,17 @@ def test_audit_separation_ideal_5():
 
 
 def test_audit_separation_ideal_6():
-    rep = audit_separation_ideal(6)
-    assert not rep.invariant_failures()
-    by_name = {r.name: r for r in rep.rows}
-    assert by_name["dimension"].observed == 6
-    assert by_name["degree"].observed == 9
+    # the audit has no length range of its own; 11 and 14 lie past the CLI's
+    for ell, degree in ((6, 9), (11, 30), (14, 49)):
+        rep = audit_separation_ideal(ell)
+        assert not rep.invariant_failures()
+        by_name = {r.name: r for r in rep.rows}
+        assert by_name["dimension"].observed == ell
+        assert by_name["degree"].observed == degree
 
 
 def test_audit_quadric_chain_small():
-    for ell, degree in ((2, 2), (3, 4), (4, 8), (5, 16)):
+    for ell, degree in ((2, 2), (3, 4), (4, 8), (5, 16), (9, 256), (12, 2048)):
         rep = audit_quadric_chain_ideal(ell)
         assert rep.all_match()
         by_name = {r.name: r for r in rep.rows}
