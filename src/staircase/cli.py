@@ -38,7 +38,7 @@ from .layered import (
 from .partition import staircase, triangular_gf_report
 from .perm import enumerate_reduced_words, staircase_permutation, word_to_str
 from .report import INVARIANT, CheckRow, Report, check, skipped
-from .rwgraph import DEFAULT_CAP_VERTICES, build_word_graph, structure_report
+from .rwgraph import DEFAULT_CAP_VERTICES, family_word_graph, structure_report
 from .toric import (
     audit_quadric_chain_ideal,
     audit_separation_ideal,
@@ -201,7 +201,7 @@ def _isomorphism_row(ell: int, g: LayeredGraph, cap_vertices: int) -> CheckRow:
     """The layered graph g against the move graph at ell, SKIPPED at a cap."""
     name = "isomorphic to the reduced-word graph"
     try:
-        words = build_word_graph(staircase_permutation(ell + 1), cap_vertices)
+        words = family_word_graph(ell, cap_vertices)
         return check(name, is_isomorphic(words, g), True, kind=INVARIANT)
     except ResourceLimitError as e:
         return skipped(name, note=str(e))
@@ -297,8 +297,7 @@ def cmd_words(args) -> tuple[str, int]:
 def cmd_graph(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.ell, "ell", single=args.format == "dot")
     if args.format == "dot":
-        words = build_word_graph(staircase_permutation(lo + 1), args.cap_vertices)
-        return words.to_dot(), 0
+        return family_word_graph(lo, args.cap_vertices).to_dot(), 0
     reports = [
         structure_report(ell, cap_vertices=args.cap_vertices)
         for ell in range(lo, hi + 1)
@@ -435,7 +434,7 @@ def cmd_verify_all(args) -> tuple[str, int]:
 def cmd_export(args) -> tuple[str, int]:
     lo, _ = _parse_range(args.ell, "ell", single=True)
     if args.kind == "word-graph":
-        obj = build_word_graph(staircase_permutation(lo + 1))
+        obj = family_word_graph(lo)
     elif args.kind == "layered-graph":
         obj = build_layered_graph(staircase(lo))
     else:

@@ -9,7 +9,6 @@ two adjacent letters with |x - y| > 1.  Edges carry their move type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .errors import DomainError, ResourceLimitError
@@ -28,35 +27,6 @@ BRAID = "braid"
 COMMUTATION = "commutation"
 
 DEFAULT_CAP_VERTICES = 5000
-
-
-def detect_move(w1: Word, w2: Word) -> str | None:
-    """The move type joining two words, or None.
-
-    >>> detect_move((3, 2, 1, 2, 3), (3, 1, 2, 1, 3))
-    'braid'
-    >>> detect_move((3, 1, 2, 3, 1), (1, 3, 2, 3, 1))
-    'commutation'
-    """
-    if len(w1) != len(w2) or w1 == w2:
-        return None
-    diff = [i for i in range(len(w1)) if w1[i] != w2[i]]
-    if len(diff) == 2:
-        i, j = diff
-        if j == i + 1 and w1[i] == w2[j] and w1[j] == w2[i] and abs(w1[i] - w1[j]) > 1:
-            return COMMUTATION
-        return None
-    if len(diff) == 3:
-        i, j, k = diff
-        if k != i + 2 or j != i + 1:
-            return None
-        x, y = w1[i], w1[j]
-        if abs(x - y) != 1:
-            return None
-        if w1[i : i + 3] == (x, y, x) and w2[i : i + 3] == (y, x, y):
-            return BRAID
-        return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -110,7 +80,9 @@ def build_word_graph(
     """Move graph on the reduced words of w.
 
     Edge indices refer to the lexicographically sorted word list, each
-    edge stored once as (i, j, type) with i < j.
+    edge stored once as (i, j, type) with i < j.  Each word of length r
+    has at most r - 1 moves; applying each and looking the result up in
+    an index of the words costs O(V·r) dict lookups for V words.
     """
     w = check_permutation(w)
     words = enumerate_reduced_words(w, max_degree)
@@ -119,29 +91,52 @@ def build_word_graph(
             f"{len(words)} reduced words exceed the cap {cap_vertices}",
             partial=len(words),
         )
+    index = {word: i for i, word in enumerate(words)}
     edges = []
-    for i, j in combinations(range(len(words)), 2):
-        t = detect_move(words[i], words[j])
-        if t is not None:
-            edges.append((i, j, t))
+    for i, word in enumerate(words):
+        for k in range(len(word) - 1):
+            x, y = word[k], word[k + 1]
+            if abs(x - y) > 1:
+                j = index[word[:k] + (y, x) + word[k + 2 :]]
+                if j > i:
+                    edges.append((i, j, COMMUTATION))
+            # adjacent letters of a reduced word differ, so here |x - y| = 1
+            elif k + 2 < len(word) and word[k + 2] == x:
+                j = index[word[:k] + (y, x, y) + word[k + 3 :]]
+                if j > i:
+                    edges.append((i, j, BRAID))
+    edges.sort()
     return WordGraph(words, tuple(edges))
 
 
 def count_four_cycles(g: WordGraph | SimpleGraph) -> int:
-    """Distinct 4-vertex subsets inducing a chordless 4-cycle."""
+    """Distinct 4-vertex subsets inducing a chordless 4-cycle.
+
+    A chordless cycle p - r - q - s has two non-adjacent diagonals,
+    {p, q} and {r, s}, and is found once from each: for each non-adjacent
+    pair p < q, the non-adjacent pairs among its common neighbours.  The
+    walk over paths p - r - q costs O(sum over r of deg(r)^2), and the
+    pair count the square of each common-neighbour list.
+    """
     sg = g if isinstance(g, SimpleGraph) else g.as_simple()
     adj = sg.adjacency()
-    count = 0
-    for a, b, c, d in combinations(range(sg.n), 4):
-        # the three pairings of the subset into two diagonal pairs
-        for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
-            # candidate cycle p - r - q - s - p with diagonals (p,q), (r,s)
-            if q in adj[p] or s in adj[r]:
-                continue
-            if r in adj[p] and q in adj[r] and s in adj[q] and p in adj[s]:
-                count += 1
-                break
-    return count
+    twice = 0
+    for p in range(sg.n):
+        middles: dict[int, list[int]] = {}
+        for r in adj[p]:
+            for q in adj[r]:
+                if q > p and q not in adj[p]:
+                    middles.setdefault(q, []).append(r)
+        for rs in middles.values():
+            twice += sum(b not in adj[a] for a in rs for b in rs if a < b)
+    return twice // 2
+
+
+def family_word_graph(ell: int, cap_vertices: int = DEFAULT_CAP_VERTICES) -> WordGraph:
+    """The family move graph at length ell: the words of staircase_permutation(ell + 1)."""
+    if ell < 3:
+        raise DomainError(f"the family move graph starts at ell = 3, got {ell}")
+    return build_word_graph(staircase_permutation(ell + 1), cap_vertices)
 
 
 def structure_report(ell: int, cap_vertices: int = DEFAULT_CAP_VERTICES) -> Report:
@@ -154,7 +149,7 @@ def structure_report(ell: int, cap_vertices: int = DEFAULT_CAP_VERTICES) -> Repo
     """
     if ell < 3:
         raise DomainError(f"the family census starts at ell = 3, got {ell}")
-    g = build_word_graph(staircase_permutation(ell + 1), cap_vertices)
+    g = family_word_graph(ell, cap_vertices)
     cycles = count_four_cycles(g)
     rep = Report(f"move-graph census at ell = {ell}")
     rep.add(check("vertices", g.vertex_count, comb(ell + 1, 2)))

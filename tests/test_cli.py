@@ -38,7 +38,8 @@ def test_usage_errors_exit_2(capsys):
         ("separation --ell 0", "need a positive length bound, got 0"),
         ("identities --ell 4", "needs length >= 5, got 4"),
         ("verify-all --ell 2..4", "the family census starts at ell = 3, got 2"),
-        ("export --ell 2 --kind word-graph", "family starts at degree 4, got 3"),
+        ("export --ell 2 --kind word-graph", "the family move graph starts at ell = 3, got 2"),
+        ("graph --ell 2 --format dot", "the family move graph starts at ell = 3, got 2"),
         ("export --ell 1 --kind weight-chain", "need length >= 2, got 1"),
     ):
         code, out, err = run(capsys, *argv.split())

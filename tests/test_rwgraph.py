@@ -1,14 +1,17 @@
+import random
+import time
 from math import comb
 
 import pytest
 
+from rwgraph_oracle import all_pairs_edges, detect_move, four_cycles_by_subsets
 from staircase.errors import ResourceLimitError
+from staircase.graphs import SimpleGraph
 from staircase.perm import staircase_permutation
 from staircase.report import MISMATCH
 from staircase.rwgraph import (
     build_word_graph,
     count_four_cycles,
-    detect_move,
     structure_report,
 )
 
@@ -54,13 +57,47 @@ def test_structure_report_other_rows_match():
 
 
 def test_four_cycles_are_chordless():
-    # a 4-clique holds no chordless 4-cycle
-    from staircase.graphs import SimpleGraph
-
+    # a 4-clique holds no chordless 4-cycle; K_{2,3} holds one per pair
+    # of its three-side vertices
     k4 = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert count_four_cycles(k4) == 0
     c4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert count_four_cycles(c4) == 1
+    k23 = SimpleGraph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    for g, want in ((k4, 0), (c4, 1), (k23, 3)):
+        assert count_four_cycles(g) == four_cycles_by_subsets(g) == want
+
+
+def test_edges_match_the_all_pairs_oracle():
+    for ell in range(3, 10):
+        g = build_word_graph(staircase_permutation(ell + 1))
+        assert g.edges == all_pairs_edges(g.words), ell
+
+
+def test_four_cycles_match_the_subset_oracle_on_the_family():
+    for ell in range(3, 10):
+        g = build_word_graph(staircase_permutation(ell + 1)).as_simple()
+        assert count_four_cycles(g) == four_cycles_by_subsets(g), ell
+
+
+def test_four_cycles_match_the_subset_oracle_on_random_graphs():
+    rng = random.Random(4410)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.3, 0.5, 0.7))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        g = SimpleGraph.from_edges(n, edges)
+        assert count_four_cycles(g) == four_cycles_by_subsets(g), g
+
+
+def test_census_at_large_lengths():
+    # past the default degree cap and far past the C(V, 4) oracle's reach
+    start = time.monotonic()
+    for ell in (12, 20, 40):
+        g = build_word_graph(staircase_permutation(ell + 1), max_degree=ell + 1)
+        assert g.vertex_count == comb(ell + 1, 2)
+        assert g.edge_count == ell * (ell - 1)
+        assert g.braid_edge_count() == ell - 1
+        assert count_four_cycles(g) == comb(ell - 1, 2)
+    assert time.monotonic() - start < 5.0
 
 
 def test_vertex_cap():
