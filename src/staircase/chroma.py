@@ -24,7 +24,7 @@ from .partition import Partition, is_staircase, staircase
 from .poly import IntPolynomial
 from .report import INVARIANT, Report, check
 
-DEFAULT_STATE_CAP = 10_000
+MAX_FRONTIER_STATES = 10_000
 
 _K = IntPolynomial.variable()
 _K_MINUS_1 = IntPolynomial((-1, 1))
@@ -32,9 +32,7 @@ _K_MINUS_1 = IntPolynomial((-1, 1))
 _SQUARE_FACTOR = IntPolynomial((3, -3, 1))
 
 
-def chromatic_polynomial(
-    g: SimpleGraph, cap_states: int = DEFAULT_STATE_CAP
-) -> IntPolynomial:
+def chromatic_polynomial(g: SimpleGraph) -> IntPolynomial:
     """Chromatic polynomial by a frontier transfer-matrix sweep.
 
     A state is the partition of the frontier into colour classes, as a
@@ -45,8 +43,8 @@ def chromatic_polynomial(
     colours unused on the frontier.  The work is about n x (peak states)
     x w sums of coefficient lists, with w the widest frontier and peak
     states at most Bell(w + 1), plus about n x (n + edges) steps to choose
-    the vertex order; more than ``cap_states`` live states raises
-    ResourceLimitError.
+    the vertex order; more than ``MAX_FRONTIER_STATES`` live states
+    raises ResourceLimitError.
 
     >>> square = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     >>> chromatic_polynomial(square).format()
@@ -66,12 +64,12 @@ def chromatic_polynomial(
             blocked = {labels[i] for i in nbr_pos}
             for c in range(classes):
                 if c not in blocked:
-                    _accumulate(grown, labels + (c,), weight, cap_states)
+                    _accumulate(grown, labels + (c,), weight)
             # a fresh colour: one of the k - classes unused on the frontier
             fresh = [-classes * w for w in weight] + [0]
             for i, w in enumerate(weight):
                 fresh[i + 1] += w
-            _accumulate(grown, labels + (classes,), fresh, cap_states)
+            _accumulate(grown, labels + (classes,), fresh)
         frontier.append(v)
         done[v] = True
         for u in adj[v]:
@@ -83,7 +81,7 @@ def chromatic_polynomial(
         frontier = [frontier[i] for i in keep]
         states = {}
         for labels, weight in grown.items():
-            _accumulate(states, _canonical([labels[i] for i in keep]), weight, cap_states)
+            _accumulate(states, _canonical([labels[i] for i in keep]), weight)
     (weight,) = states.values()
     return IntPolynomial(weight)
 
@@ -112,13 +110,12 @@ def _accumulate(
     states: dict[tuple[int, ...], list[int]],
     labels: tuple[int, ...],
     weight: list[int],
-    cap: int,
 ) -> None:
     acc = states.get(labels)
     if acc is None:
-        if len(states) >= cap:
+        if len(states) >= MAX_FRONTIER_STATES:
             raise ResourceLimitError(
-                f"{len(states) + 1} frontier states exceed the cap {cap}"
+                f"{len(states) + 1} frontier states exceed the cap {MAX_FRONTIER_STATES}"
             )
         states[labels] = weight
         return
@@ -175,15 +172,13 @@ def layered_closed_form(ell: int) -> IntPolynomial:
     return _K * _K_MINUS_1**3 * _SQUARE_FACTOR**m
 
 
-def closed_form_report(ell: int, cap_states: int = DEFAULT_STATE_CAP) -> Report:
+def closed_form_report(ell: int) -> Report:
     """Claimed closed form against the swept chromatic polynomial at one length.
 
-    The sweep runs first, so a length past ``cap_states`` stops before the
-    claimed form, of degree 4 + (ell-1)(ell-2), is expanded.
+    The sweep runs first, so a length past ``MAX_FRONTIER_STATES`` stops
+    before the claimed form, of degree 4 + (ell-1)(ell-2), is expanded.
     """
-    actual = chromatic_polynomial(
-        build_layered_graph(staircase(ell)).as_simple(), cap_states
-    )
+    actual = chromatic_polynomial(build_layered_graph(staircase(ell)).as_simple())
     formula = layered_closed_form(ell)
     vertices = comb(ell + 1, 2)
     rep = Report(f"layered closed form vs recursion, lengths {ell}..{ell}")
@@ -213,7 +208,7 @@ def closed_form_report(ell: int, cap_states: int = DEFAULT_STATE_CAP) -> Report:
     return rep
 
 
-def chromatic_number(g: SimpleGraph, cap_states: int = DEFAULT_STATE_CAP) -> int:
+def chromatic_number(g: SimpleGraph) -> int:
     """Least positive t with a proper t-colouring.
 
     Bipartite graphs are answered from a two-colouring; only the others
@@ -226,7 +221,7 @@ def chromatic_number(g: SimpleGraph, cap_states: int = DEFAULT_STATE_CAP) -> int
         raise DomainError("chromatic number of the empty graph is undefined here")
     if g.two_colouring() is not None:
         return 2 if g.edges else 1
-    chi = chromatic_polynomial(g, cap_states)
+    chi = chromatic_polynomial(g)
     t = 3
     while chi(t) <= 0:
         t += 1

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .chroma import (
-    DEFAULT_STATE_CAP,
     chromatic_number,
     closed_form_report,
     colour_separation,
@@ -38,7 +37,7 @@ from .layered import (
 from .partition import staircase, triangular_gf_report
 from .perm import enumerate_reduced_words, staircase_permutation, word_to_str
 from .report import INVARIANT, CheckRow, Report, check, skipped
-from .rwgraph import DEFAULT_CAP_VERTICES, family_word_graph, structure_report
+from .rwgraph import family_word_graph, structure_report
 from .toric import (
     audit_quadric_chain_ideal,
     audit_separation_ideal,
@@ -71,7 +70,7 @@ def _parse_range(text: str, name: str, single: bool = False) -> tuple[int, int]:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of the caps and bounds: an integer of at least 1."""
+    """argparse type of --degree-bound and --series: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -97,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="reduced-word move graph structure")
     p.add_argument("--ell", required=True, help="staircase length N or A..B")
-    p.add_argument("--cap-vertices", type=positive_int, default=DEFAULT_CAP_VERTICES)
     common(p, "json,markdown,text,dot")
 
     p = sub.add_parser("layered", help="layered graphs on staircase diagonals")
@@ -108,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chroma", help="chromatic polynomial checks")
     p.add_argument("--ell", required=True)
-    p.add_argument("--cap-states", type=positive_int, default=DEFAULT_STATE_CAP)
     common(p)
 
     p = sub.add_parser("separation", help="two-colour separations and balance")
@@ -130,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", required=True)
     p.add_argument("--strict", action="store_true",
                    help="fail on any mismatch, not just invariant failures")
-    p.add_argument("--cap-vertices", type=positive_int, default=DEFAULT_CAP_VERTICES)
-    p.add_argument("--cap-states", type=positive_int, default=DEFAULT_STATE_CAP)
     common(p)
 
     p = sub.add_parser("export", help="write one graph artifact")
@@ -146,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_KEYS = (
-    "format", "out", "series", "which", "kind",
-    "cap_vertices", "cap_states", "degree_bound", "strict",
+    "format", "out", "series", "which", "kind", "degree_bound", "strict",
 )
 
 
@@ -197,11 +191,11 @@ def _emit(args: argparse.Namespace, reports: list[Report]) -> str:
     return "\n".join(r.to_text() for r in reports)
 
 
-def _isomorphism_row(ell: int, g: LayeredGraph, cap_vertices: int) -> CheckRow:
+def _isomorphism_row(ell: int, g: LayeredGraph) -> CheckRow:
     """The layered graph g against the move graph at ell, SKIPPED at a cap."""
     name = "isomorphic to the reduced-word graph"
     try:
-        words = family_word_graph(ell, cap_vertices)
+        words = family_word_graph(ell)
         return check(name, is_isomorphic(words, g), True, kind=INVARIANT)
     except ResourceLimitError as e:
         return skipped(name, note=str(e))
@@ -209,23 +203,23 @@ def _isomorphism_row(ell: int, g: LayeredGraph, cap_vertices: int) -> CheckRow:
 
 @dataclass(frozen=True)
 class Audit:
-    """A report per length: report(ell, args) for lo <= ell <= hi.
+    """A report per length: report(ell) for lo <= ell <= hi.
 
     A length out of range gives a SKIPPED report that says why, or no
     report when why is None; a resource limit gives a SKIPPED report.
     """
 
     title: str  # of the SKIPPED report, with {ell}
-    report: Callable[[int, argparse.Namespace], Report]
+    report: Callable[[int], Report]
     lo: int = 1
     hi: int = sys.maxsize
     why: str | None = None
 
-    def run(self, ell: int, args: argparse.Namespace) -> Report | None:
+    def run(self, ell: int) -> Report | None:
         note = self.why
         if self.lo <= ell <= self.hi:
             try:
-                return self.report(ell, args)
+                return self.report(ell)
             except ResourceLimitError as e:
                 note = f"resource limit: {e}"
         if note is None:
@@ -235,15 +229,12 @@ class Audit:
         return rep
 
 
-def _layered_checks(ell: int, args: argparse.Namespace) -> Report:
+def _layered_checks(ell: int) -> Report:
     g = build_layered_graph(staircase(ell))
     rep = Report(f"layered checks at length {ell}")
-    rep.add(_isomorphism_row(ell, g, args.cap_vertices))
-    try:
-        number = chromatic_number(g.as_simple(), args.cap_states)
-        rep.add(check("chromatic number", number, 2))
-    except ResourceLimitError as e:
-        rep.add(skipped("chromatic number", note=str(e)))
+    rep.add(_isomorphism_row(ell, g))
+    # bipartite, so chromatic_number answers without the chromatic sweep
+    rep.add(check("chromatic number", chromatic_number(g.as_simple()), 2))
     if ell > 3:
         rep.rows.extend(parity_pair_report(staircase(ell - 1), staircase(ell)).rows)
     return rep
@@ -256,26 +247,26 @@ def _layered_checks(ell: int, args: argparse.Namespace) -> Report:
 _AUDITS = {
     "census": Audit(
         "move-graph census at ell = {ell}",
-        lambda ell, args: structure_report(ell, cap_vertices=args.cap_vertices),
+        lambda ell: structure_report(ell),
     ),
     "layered": Audit("layered checks at length {ell}", _layered_checks),
     "closed form": Audit(
         "layered closed form vs recursion, lengths {ell}..{ell}",
-        lambda ell, args: closed_form_report(ell, args.cap_states),
+        lambda ell: closed_form_report(ell),
     ),
     "subidentities": Audit(
         "subidentities at length {ell}",
-        lambda ell, args: subidentity_report(staircase(ell)),
+        lambda ell: subidentity_report(staircase(ell)),
         lo=5,
     ),
     "c1": Audit(
         "separation ideal audit at length {ell}",
-        lambda ell, args: audit_separation_ideal(ell),
+        lambda ell: audit_separation_ideal(ell),
         5, 10, "the separation identity needs length 5..10",
     ),
     "c2": Audit(
         "consecutive-quadric ideal audit at length {ell}",
-        lambda ell, args: audit_quadric_chain_ideal(ell),
+        lambda ell: audit_quadric_chain_ideal(ell),
         2, 8, "the quadric-chain audit covers lengths 2..8",
     ),
 }
@@ -297,11 +288,8 @@ def cmd_words(args) -> tuple[str, int]:
 def cmd_graph(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.ell, "ell", single=args.format == "dot")
     if args.format == "dot":
-        return family_word_graph(lo, args.cap_vertices).to_dot(), 0
-    reports = [
-        structure_report(ell, cap_vertices=args.cap_vertices)
-        for ell in range(lo, hi + 1)
-    ]
+        return family_word_graph(lo).to_dot(), 0
+    reports = [structure_report(ell) for ell in range(lo, hi + 1)]
     return _emit(args, reports), 0
 
 
@@ -323,7 +311,7 @@ def cmd_layered(args) -> tuple[str, int]:
         )
         rep.add(check("edge count", g.edge_count, ell * (ell - 1), kind=INVARIANT))
         if ell >= 3:
-            rep.add(_isomorphism_row(ell, g, DEFAULT_CAP_VERTICES))
+            rep.add(_isomorphism_row(ell, g))
         rep.note(f"missing-edge polynomial {missing_edge_polynomial(ell).format('e')}")
         if ell > 1:
             rep.rows.extend(parity_pair_report(staircase(ell - 1), staircase(ell)).rows)
@@ -339,9 +327,9 @@ def cmd_chroma(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.ell, "ell")
     reports = []
     for ell in range(lo, hi + 1):
-        rep = closed_form_report(ell, args.cap_states)
+        rep = closed_form_report(ell)
         simple = build_layered_graph(staircase(ell)).as_simple()
-        number = chromatic_number(simple, args.cap_states)
+        number = chromatic_number(simple)
         rep.add(check(f"chromatic number at length {ell}", number, 2))
         reports.append(rep)
     return _emit(args, reports), 0
@@ -402,7 +390,7 @@ def cmd_conjectures(args) -> tuple[str, int]:
     reports = []
     for ell in range(lo, hi + 1):
         for name in names:
-            reports.append(_AUDITS[name].run(ell, args))
+            reports.append(_AUDITS[name].run(ell))
     return _emit(args, reports), 0
 
 
@@ -411,7 +399,7 @@ def cmd_verify_all(args) -> tuple[str, int]:
     reports = [triangular_gf_report()]
     for ell in range(lo, hi + 1):
         for audit in _AUDITS.values():
-            rep = audit.run(ell, args)
+            rep = audit.run(ell)
             if rep is not None:
                 reports.append(rep)
     reports.append(balance_bound_check(hi))

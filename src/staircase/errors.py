@@ -20,7 +20,7 @@ class InvalidIdentityError(DomainError):
 
 
 class ResourceLimitError(StaircaseError, RuntimeError):
-    """A configured size or search cap was exceeded.
+    """A size or search cap of an engine was exceeded.
 
     ``partial`` carries whatever was computed before the cap hit, when the
     operation can say something useful about it; otherwise it is None.

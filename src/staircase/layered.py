@@ -118,15 +118,13 @@ def is_isomorphic(
 ) -> bool:
     """Backtracking isomorphism test with degree pruning.
 
-    Intended for the desk-scale graphs this package builds; refuses
-    graphs above ``cap`` vertices.
+    Vertex and edge counts, degree sequences and neighbour-degree
+    signatures settle most pairs; only a pair that agrees on all of them
+    goes to the backtracking search, which refuses graphs above ``cap``
+    vertices.
     """
     a = g1 if isinstance(g1, SimpleGraph) else g1.as_simple()
     b = g2 if isinstance(g2, SimpleGraph) else g2.as_simple()
-    if max(a.n, b.n) > cap:
-        raise ResourceLimitError(
-            f"isomorphism search capped at {cap} vertices, got {max(a.n, b.n)}"
-        )
     if a.n != b.n or len(a.edges) != len(b.edges):
         return False
     deg_a, deg_b = a.degrees(), b.degrees()
@@ -138,6 +136,10 @@ def is_isomorphic(
     sig_b = [tuple(sorted(deg_b[w] for w in adj_b[v])) for v in range(b.n)]
     if sorted(sig_a) != sorted(sig_b):
         return False
+    if a.n > cap:
+        raise ResourceLimitError(
+            f"isomorphism search capped at {cap} vertices, got {a.n}"
+        )
     candidates = [
         [u for u in range(b.n) if deg_b[u] == deg_a[v] and sig_b[u] == sig_a[v]]
         for v in range(a.n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .graphs import SimpleGraph
 from .perm import (
     DEFAULT_MAX_DEGREE,
@@ -25,8 +25,6 @@ from .report import INVARIANT, Report, check
 
 BRAID = "braid"
 COMMUTATION = "commutation"
-
-DEFAULT_CAP_VERTICES = 5000
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,7 @@ class WordGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_word_graph(
-    w,
-    cap_vertices: int = DEFAULT_CAP_VERTICES,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> WordGraph:
+def build_word_graph(w, max_degree: int = DEFAULT_MAX_DEGREE) -> WordGraph:
     """Move graph on the reduced words of w.
 
     Edge indices refer to the lexicographically sorted word list, each
@@ -86,11 +80,6 @@ def build_word_graph(
     """
     w = check_permutation(w)
     words = enumerate_reduced_words(w, max_degree)
-    if len(words) > cap_vertices:
-        raise ResourceLimitError(
-            f"{len(words)} reduced words exceed the cap {cap_vertices}",
-            partial=len(words),
-        )
     index = {word: i for i, word in enumerate(words)}
     edges = []
     for i, word in enumerate(words):
@@ -132,14 +121,14 @@ def count_four_cycles(g: WordGraph | SimpleGraph) -> int:
     return twice // 2
 
 
-def family_word_graph(ell: int, cap_vertices: int = DEFAULT_CAP_VERTICES) -> WordGraph:
+def family_word_graph(ell: int) -> WordGraph:
     """The family move graph at length ell: the words of staircase_permutation(ell + 1)."""
     if ell < 3:
         raise DomainError(f"the family move graph starts at ell = 3, got {ell}")
-    return build_word_graph(staircase_permutation(ell + 1), cap_vertices)
+    return build_word_graph(staircase_permutation(ell + 1))
 
 
-def structure_report(ell: int, cap_vertices: int = DEFAULT_CAP_VERTICES) -> Report:
+def structure_report(ell: int) -> Report:
     """Audit the claimed census of the degree-(ell+1) family move graph.
 
     The printed claims under audit: C(ell+1, 2) vertices, ell(ell+1)
@@ -149,7 +138,7 @@ def structure_report(ell: int, cap_vertices: int = DEFAULT_CAP_VERTICES) -> Repo
     """
     if ell < 3:
         raise DomainError(f"the family census starts at ell = 3, got {ell}")
-    g = family_word_graph(ell, cap_vertices)
+    g = family_word_graph(ell)
     cycles = count_four_cycles(g)
     rep = Report(f"move-graph census at ell = {ell}")
     rep.add(check("vertices", g.vertex_count, comb(ell + 1, 2)))

@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
+from staircase import chroma
 from staircase.chroma import (
-    DEFAULT_STATE_CAP,
     balance_bound_check,
     chromatic_number,
     chromatic_polynomial,
@@ -90,10 +90,11 @@ def test_chromatic_number_non_bipartite():
     assert chromatic_number(single) == 1
 
 
-def test_state_cap():
+def test_state_cap(monkeypatch):
     g = build_layered_graph(staircase(6)).as_simple()
+    monkeypatch.setattr(chroma, "MAX_FRONTIER_STATES", 3)
     with pytest.raises(ResourceLimitError, match="4 frontier states exceed the cap 3"):
-        chromatic_polynomial(g, cap_states=3)
+        chromatic_polynomial(g)
 
 
 def test_state_cap_stops_the_cli_quickly(capsys):
@@ -103,7 +104,7 @@ def test_state_cap_stops_the_cli_quickly(capsys):
         start = time.monotonic()
         assert main(["chroma", "--ell", str(ell)]) == 3
         assert time.monotonic() - start < 5.0
-        assert f"exceed the cap {DEFAULT_STATE_CAP}" in capsys.readouterr().err
+        assert f"exceed the cap {chroma.MAX_FRONTIER_STATES}" in capsys.readouterr().err
 
 
 def _random_graph(rng: random.Random) -> SimpleGraph:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from staircase import chroma
 from staircase.cli import main
 
 
@@ -48,10 +49,11 @@ def test_usage_errors_exit_2(capsys):
         assert "Traceback" not in err
 
 
-def test_resource_limit_exits_3(capsys):
-    code, _, err = run(capsys, "graph", "--ell", "6", "--cap-vertices", "5")
-    assert code == 3
-    assert "resource limit" in err
+def test_resource_limit_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(chroma, "MAX_FRONTIER_STATES", 5)
+    code, out, err = run(capsys, "chroma", "--ell", "7")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: 6 frontier states exceed the cap 5\n"
 
 
 def test_word_degree_cap_is_a_resource_limit(capsys):
@@ -77,31 +79,9 @@ def test_verify_all_skips_the_census_at_the_degree_cap(capsys):
     assert out.endswith("claim mismatches do not fail the run without --strict\n")
 
 
-def test_verify_all_skips_the_census_at_the_vertex_cap(capsys):
-    code, out, _ = run(capsys, "verify-all", "--ell", "6..7", "--cap-vertices", "10")
-    assert code == 0
-    for ell, words in ((6, 21), (7, 28)):
-        census = out.split(f"move-graph census at ell = {ell}\n")[1]
-        assert census.startswith("  audit  observed=-  claimed=-  SKIPPED")
-        note = f"{words} reduced words exceed the cap 10"
-        assert f"resource limit: {note}" in census
-        layered = out.split(f"layered checks at length {ell}\n")[1]
-        assert layered.startswith(
-            "  isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n"
-            f"    note: {note}\n"
-        )
-    assert "separation ideal audit at length 7" in out
-    assert out.endswith("claim mismatches do not fail the run without --strict\n")
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ("chroma", "--ell", "7", "--cap-states", "-1"),
-        ("chroma", "--ell", "7", "--cap-states", "0"),
-        ("verify-all", "--ell", "3", "--cap-states", "0"),
-        ("graph", "--ell", "5", "--cap-vertices", "-1"),
-        ("verify-all", "--ell", "3", "--cap-vertices", "0"),
         ("identities", "--ell", "5", "--degree-bound", "0"),
         ("layered", "--ell", "3", "--series", "0"),
         ("layered", "--ell", "3", "--series", "-2"),
@@ -120,16 +100,17 @@ def test_config_values_are_checked_like_flags(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     # a string that argparse reads as an int
-    cfg.write_text(json.dumps({"cap_states": "5"}))
-    code, _, err = run(capsys, "--config", str(cfg), "chroma", "--ell", "7")
-    assert code == 3
-    assert "6 frontier states exceed the cap 5" in err
+    cfg.write_text(json.dumps({"degree_bound": "2"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "identities", "--ell", "5")
+    assert code == 0
+    assert "graver: " in out
     # choices are enforced, strict takes a JSON boolean only, and the
     # other keys a string or an integer
     for config, argv in (
         ({"kind": "foo"}, ("export", "--ell", "4")),
         ({"which": "c3"}, ("conjectures", "--ell", "5")),
-        ({"cap_states": 0}, ("chroma", "--ell", "3")),
+        ({"degree_bound": 0}, ("identities", "--ell", "5")),
+        ({"degree_bound": "x"}, ("identities", "--ell", "5")),
         ({"strict": "false"}, ("verify-all", "--ell", "3..5")),
         ({"out": True}, ("words", "--r", "4")),
         ({"out": ["x"]}, ("words", "--r", "4")),
@@ -160,8 +141,10 @@ def test_graver_listing_finishes_quickly(capsys):
     assert out.count("graver: ") == 1994
 
 
-def test_closed_form_audit_skips_at_the_state_cap(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify-all", "--ell", "7", "--cap-states", "5")
+def test_closed_form_audit_skips_at_the_state_cap(capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(chroma, "MAX_FRONTIER_STATES", 5)
+        code, out, _ = run(capsys, "verify-all", "--ell", "7")
     assert code == 0
     closed = out.split("layered closed form vs recursion, lengths 7..7\n")[1]
     assert closed.startswith("  audit  observed=-  claimed=-  SKIPPED")
@@ -173,9 +156,6 @@ def test_closed_form_audit_skips_at_the_state_cap(tmp_path, capsys):
     assert code == 0
     closed = out.split("layered closed form vs recursion, lengths 70..70\n")[1]
     assert closed.startswith("  audit  observed=-  claimed=-  SKIPPED")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cap_states": 5}))
-    assert run(capsys, "--config", str(cfg), "chroma", "--ell", "7")[0] == 3
 
 
 def test_layered_isomorphism_row_at_every_length(capsys):
@@ -271,8 +251,12 @@ def test_config_file_defaults(tmp_path, capsys):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mystery": 1}))
-    assert run(capsys, "--config", str(cfg), "words", "--r", "4")[0] == 2
+    # the caps are constants, so their old keys are unknown too
+    for key in ("mystery", "cap_states", "cap_vertices"):
+        cfg.write_text(json.dumps({key: 1}))
+        code, out, err = run(capsys, "--config", str(cfg), "words", "--r", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown config key {key!r}\n"
 
 
 def test_out_file(tmp_path, capsys):

@@ -4,9 +4,10 @@ Each case runs ``main`` in-process, optionally with a JSON config file,
 and compares the exit code and the sha256 of everything written to
 stdout with the pinned values.  The cases cover every subcommand in each
 format it offers, each export kind, the skip paths of the toric audits,
-the caps, the config file, and the usage (2) and resource-limit (3)
-exits.  A change that alters a single byte of a report fails here; a
-deliberate one updates the digest and says why in CHANGES.md.
+the caps (the chromatic state cap lowered by patching its constant), the
+config file, and the usage (2) and resource-limit (3) exits.  A change
+that alters a single byte of a report fails here; a deliberate one
+updates the digest and says why in CHANGES.md.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import json
 
 import pytest
 
+from staircase import chroma
 from staircase.cli import main
 
 # (config file contents or None, argv, exit code, sha256 of stdout)
@@ -130,17 +132,11 @@ GOLDEN = [
      "5663ac7fda2f04d6426d3609a9a06e64fe47b44742b69dddf5b3df4aa26960d8"),
     (None, "verify-all --ell 3..4 --strict --format json", 1,
      "8c44c5b1e80e70e70aa54fcc035646a1e00c5fdcd9ab8dced6222eda04303c5a"),
-    (None, "verify-all --ell 7 --cap-states 5", 0,
-     "d05e0c31507e433eaa83d6806fb5b50d4799861ccbfa4bdef98b3f285f4ba708"),
     (None, "verify-all --ell 9..10", 0,
      "ec6a91fd670c642d0e84f040c88f3c61bdeedd77f2ac51dc2fb1e5b42265cb05"),
-    (None, "verify-all --ell 3 --cap-vertices 6", 0,
+    (None, "verify-all --ell 3", 0,
      "e327365b9bfa0567586de0df904861ce198f1ee91cff1f38e5c48ecf4e2ef98b"),
-    (None, "verify-all --ell 6 --cap-states 7", 0,
-     "ae023a8188e627b7620b3064faece0b9cce475e5420b83a3ff636cbd6782ab97"),
-    (None, "chroma --ell 6 --cap-states 7", 0,
-     "94a0fc124184054cea2dbd25fed99123db43b84c9b7916ef291551b866492582"),
-    (None, "graph --ell 6 --cap-vertices 21", 0,
+    (None, "graph --ell 6", 0,
      "0c981be52ee07e1e66844c3570b7a3607cc1ed0c396a11ee20049fec71ba3a14"),
     (None, "words --r 3", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -190,15 +186,15 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (None, "nosuch", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (None, "graph --ell 6 --cap-vertices 5", 3,
+    (None, "graph --ell 6 --cap-vertices 5", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (None, "graph --ell 12", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (None, "graph --ell 11..12", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (None, "chroma --ell 7 --cap-states 5", 3,
+    (None, "chroma --ell 7 --cap-states 5", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (None, "chroma --ell 6..7 --cap-states 26", 3,
+    (None, "chroma --ell 6..7 --cap-states 26", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (None, "export --ell 12 --kind word-graph", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -221,14 +217,14 @@ GOLDEN = [
      "f2f58874c86d280c168f12c49075f8b650d34b2945316d6bee632b780c565fa0"),
     ({"kind": "word-graph", "format": "json"}, "export --ell 4", 0,
      "4d381f5497d498261f5571c1fd90080594e66ee0177e67103d20554eb7a96c57"),
-    ({"cap-vertices": 5}, "graph --ell 6", 3,
+    ({"cap-vertices": 5}, "graph --ell 6", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ({"degree_bound": 2, "format": "json"}, "identities --ell 5", 0,
      "13ea9f697b88a61b9cdd98ca156f9c600182e620965ecf89e1de96e8e536eaf7"),
-    ({"cap_states": 5}, "chroma --ell 7", 3,
+    ({"cap_states": 5}, "chroma --ell 7", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ({"cap_states": 5}, "verify-all --ell 7", 0,
-     "d05e0c31507e433eaa83d6806fb5b50d4799861ccbfa4bdef98b3f285f4ba708"),
+    ({"cap_states": 5}, "verify-all --ell 7", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ({"mystery": 1}, "words --r 4", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["format", "json"], "words --r 4", 2,
@@ -238,9 +234,32 @@ GOLDEN = [
 ]
 
 
+# (chroma.MAX_FRONTIER_STATES, argv, exit code, sha256 of stdout): the
+# state cap lowered, so that its skip and exit paths show at small lengths
+GOLDEN_AT_STATE_CAP = [
+    (5, "verify-all --ell 7", 0,
+     "d05e0c31507e433eaa83d6806fb5b50d4799861ccbfa4bdef98b3f285f4ba708"),
+    (7, "verify-all --ell 6", 0,
+     "ae023a8188e627b7620b3064faece0b9cce475e5420b83a3ff636cbd6782ab97"),
+    (7, "chroma --ell 6", 0,
+     "94a0fc124184054cea2dbd25fed99123db43b84c9b7916ef291551b866492582"),
+    (26, "chroma --ell 6..7", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
 def _case_id(case):
     config, argv = case[0], case[1]
     return argv if config is None else f"{argv} config={json.dumps(config)}"
+
+
+def _code_and_digest(args, capsys):
+    try:
+        code = main(args)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
@@ -251,10 +270,15 @@ def test_golden_output(case, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         args = ["--config", str(path), *args]
-    try:
-        code = main(args)
-    except SystemExit as e:
-        code = e.code
-    out = capsys.readouterr().out
-    assert code == want_code
-    assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+    assert _code_and_digest(args, capsys) == (want_code, want_sha)
+
+
+@pytest.mark.parametrize(
+    "case",
+    GOLDEN_AT_STATE_CAP,
+    ids=[f"{c[1]} states={c[0]}" for c in GOLDEN_AT_STATE_CAP],
+)
+def test_golden_output_at_a_lower_state_cap(case, monkeypatch, capsys):
+    cap, argv, want_code, want_sha = case
+    monkeypatch.setattr(chroma, "MAX_FRONTIER_STATES", cap)
+    assert _code_and_digest(argv.split(), capsys) == (want_code, want_sha)

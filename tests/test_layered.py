@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from iso_oracle import isomorphic_by_permutations
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.layered import (
@@ -64,6 +67,63 @@ def test_isomorphism_cap():
             build_layered_graph(staircase(8)),
             cap=10,
         )
+
+
+def test_isomorphism_cap_guards_only_the_search():
+    # past the cap, the counts and degree sequences still answer
+    path = SimpleGraph.from_edges(30, [(i, i + 1) for i in range(29)])
+    assert not is_isomorphic(path, SimpleGraph.from_edges(5, [(0, 1)]))
+    star = SimpleGraph.from_edges(30, [(0, i) for i in range(1, 30)])
+    assert not is_isomorphic(path, star)
+
+
+def _random_graph(rng: random.Random, n: int) -> SimpleGraph:
+    p = rng.choice((0.3, 0.5, 0.7))
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    return SimpleGraph.from_edges(n, edges)
+
+
+def _relabelled(g: SimpleGraph, rng: random.Random) -> SimpleGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SimpleGraph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def _double_edge_swap(g: SimpleGraph, rng: random.Random) -> SimpleGraph | None:
+    """a-b, c-d become a-d, c-b: the same degrees, perhaps another graph."""
+    edges = set(g.edges)
+    swaps = [
+        (e, f)
+        for e in g.edges
+        for f in g.edges
+        if len({*e, *f}) == 4
+        and tuple(sorted((e[0], f[1]))) not in edges
+        and tuple(sorted((f[0], e[1]))) not in edges
+    ]
+    if not swaps:
+        return None
+    (a, b), (c, d) = rng.choice(swaps)
+    return SimpleGraph.from_edges(g.n, (edges - {(a, b), (c, d)}) | {(a, d), (c, b)})
+
+
+def test_isomorphism_against_the_permutation_oracle():
+    rng = random.Random(7)
+    swap_answers = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        g = _random_graph(rng, n)
+        h = _relabelled(g, rng)
+        assert is_isomorphic(g, h) and isomorphic_by_permutations(g, h)
+        swapped = _double_edge_swap(g, rng)
+        if swapped is not None:
+            want = isomorphic_by_permutations(g, swapped)
+            assert is_isomorphic(g, swapped) == want
+            swap_answers.add(want)
+        other = _random_graph(rng, rng.choice([m for m in range(1, 8) if m != n]))
+        assert not is_isomorphic(g, other)
+        assert not isomorphic_by_permutations(g, other)
+    # the swaps give both isomorphic and non-isomorphic pairs
+    assert swap_answers == {True, False}
 
 
 def test_missing_edge_polynomial():

@@ -2,10 +2,7 @@ import random
 import time
 from math import comb
 
-import pytest
-
 from rwgraph_oracle import all_pairs_edges, detect_move, four_cycles_by_subsets
-from staircase.errors import ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.perm import staircase_permutation
 from staircase.report import MISMATCH
@@ -98,11 +95,6 @@ def test_census_at_large_lengths():
         assert g.braid_edge_count() == ell - 1
         assert count_four_cycles(g) == comb(ell - 1, 2)
     assert time.monotonic() - start < 5.0
-
-
-def test_vertex_cap():
-    with pytest.raises(ResourceLimitError):
-        build_word_graph(staircase_permutation(7), cap_vertices=10)
 
 
 def test_dot_is_deterministic():
