@@ -1,10 +1,25 @@
 """Binomial ideals, a Buchberger engine for them, and Hilbert data.
 
-The Groebner computation never leaves pure differences: S-pairs of
-binomials are binomials and reduction is monomial rewriting, so
-coefficients stay +1/-1 throughout.  Dimension and degree come from
-the Hilbert series of the initial ideal via the pivot-variable
-recursion, cross-checkable against direct standard-monomial counts.
+Two engines carry every dimension and degree row.
+
+Buchberger never leaves pure differences: S-pairs of binomials are
+binomials and reduction is monomial rewriting, so coefficients stay
++1/-1 throughout.  Pairs go smallest lcm first, and two criteria skip
+pairs that need no reduction: coprime leads, and Buchberger's chain
+criterion.  For a pair without coprime leads, the chain check tests
+each element already popped with both sides of the pair, O(|basis| *
+nvars) at most, before any reduction.
+
+The Hilbert numerator of the initial ideal comes from the
+pivot-variable recursion N(I) = N(I + (x)) + t*N(I : x), which splits
+an ideal whose generators fall into groups on disjoint variables into
+one factor per group.  Each node does O(gens^2 * nvars) work on
+exponents besides its coefficient arithmetic, and the number of nodes
+can grow exponentially with the generator count: MAX_HILBERT_VARS and
+MAX_HILBERT_GENS bound the input, not the nodes.
+``standard_monomial_counts`` counts the same series directly and shares
+no code with the recursion.
+
 Dimension always means the affine Krull dimension of the quotient.
 """
 
@@ -82,10 +97,20 @@ def _minimalize(gens) -> tuple[Expo, ...]:
 def groebner_basis(gens) -> tuple[Binomial, ...]:
     """Reduced grevlex Groebner basis of a binomial list, canonically sorted.
 
-    Pairs are processed smallest lcm first; the coprime-lead criterion
-    prunes.  The result is auto-reduced (minimal leads, irreducible
-    tails) so it is unique, independent of input order.  A basis that
-    grows past MAX_BASIS elements raises ResourceLimitError.
+    Pairs are popped smallest lcm first.  Two criteria skip a pair
+    (i, j) without reducing its S-binomial:
+
+    * coprime leads: the S-binomial reduces to zero (Buchberger's first
+      criterion);
+    * chain: some other element k has a lead dividing lcm(i, j), and
+      both (i, k) and (j, k) were popped already (Buchberger's second
+      criterion, in the form of Becker and Weispfenning).  Each element
+      keeps the set of elements it was popped with, and the check
+      tests the intersection of the pair's two sets.
+
+    The result is auto-reduced (minimal leads, irreducible tails) so it
+    is unique, independent of input order.  A basis that grows past
+    MAX_BASIS elements raises ResourceLimitError.
     """
     gen_list = list(gens)
     if not gen_list:
@@ -104,11 +129,17 @@ def groebner_basis(gens) -> tuple[Binomial, ...]:
         lcm = expo_lcm(basis[i].u, basis[j].u)
         heapq.heappush(queue, (sum(lcm), lcm, i, j))
 
+    # popped[i]: the elements k whose pair with i has left the queue
+    popped: list[set[int]] = [set() for _ in basis]
     while queue:
         _, lcm, i, j = heapq.heappop(queue)
+        popped[i].add(j)
+        popped[j].add(i)
         f, g = basis[i], basis[j]
         if all(not (x and y) for x, y in zip(f.u, g.u)):
             continue  # coprime leads: S-pair reduces to zero
+        if any(divides(basis[k].u, lcm) for k in popped[i] & popped[j]):
+            continue  # chain: (i, k) and (k, j) cover this pair
         s = s_binomial(f, g)
         if s is None:
             continue
@@ -117,6 +148,7 @@ def groebner_basis(gens) -> tuple[Binomial, ...]:
             continue
         h = h.oriented()
         basis.append(h)
+        popped.append(set())
         if len(basis) > MAX_BASIS:
             raise ResourceLimitError(
                 f"basis grew past {MAX_BASIS} elements"
@@ -164,8 +196,22 @@ class HilbertData:
 def hilbert(mi: MonomialIdeal) -> HilbertData:
     """Hilbert data of the quotient by a monomial ideal.
 
-    The numerator satisfies N(I) = N(I + (x)) + t*N(I : x) for any
-    pivot variable x; dimension is the pole order of N/(1-t)^nvars at
+    The series is N(t)/(1-t)^nvars.  The numerator N comes from the
+    recursion N(I) = N(I + (x)) + t*N(I : x) on the variable x that
+    divides the most generators, with two splitting steps (Bigatti,
+    J. Pure Appl. Algebra 119, 1997):
+
+    * generators that fall into groups on disjoint variables give the
+      product of the groups' numerators; one generator m gives
+      1 - t^deg(m);
+    * I + (x) is the generators x does not divide, plus x, and I : x
+      the generators x divides, lowered by x, plus those it does not
+      divide and no lowered one divides.  Both are minimal as built, so
+      no node minimalizes.
+
+    A cache, fresh for each call, keys on the generator tuple in the
+    order a node builds it, so one sub-ideal reached in two orders is
+    computed twice.  Dimension is the pole order of N/(1-t)^nvars at
     t = 1 and degree the reduced numerator there.  The zero ring (unit
     ideal) gets dimension -1.
 
@@ -181,8 +227,7 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
         raise ResourceLimitError(
             f"Hilbert recursion limited to {MAX_HILBERT_GENS} generators"
         )
-    cache: dict[tuple[Expo, ...], IntPolynomial] = {}
-    num = _hilbert_numerator(mi.gens, mi.nvars, cache)
+    num = IntPolynomial(_numerator(mi.gens, {}))
     if num.is_zero():
         return HilbertData(num, -1, 0)
     reduced = num
@@ -193,40 +238,72 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     return HilbertData(num, mi.nvars - multiplicity, reduced(1))
 
 
-def _hilbert_numerator(
-    gens: tuple[Expo, ...], nvars: int, cache: dict
-) -> IntPolynomial:
-    if not gens:
-        return IntPolynomial([1])
-    if any(not any(g) for g in gens):
-        return IntPolynomial()
+def _numerator(gens: tuple[Expo, ...], cache: dict) -> list[int]:
+    """Numerator coefficients of a minimal generator tuple, constant first.
+
+    The list may come from the cache, so callers must not mutate it.
+    """
+    if len(gens) <= 1:
+        if not gens:
+            return [1]
+        d = sum(gens[0])
+        return [1] + [0] * (d - 1) + [-1] if d else []
     got = cache.get(gens)
     if got is not None:
         return got
+    nvars = len(gens[0])
     counts = [0] * nvars
+    comps: list[tuple[int, list[Expo]]] = []
     for g in gens:
+        mask = 0
         for i, e in enumerate(g):
             if e:
+                mask |= 1 << i
                 counts[i] += 1
-    if max(counts) <= 1:
-        # pairwise disjoint supports: a regular sequence
-        out = IntPolynomial([1])
-        for g in gens:
-            out = out * IntPolynomial([1] + [0] * (sum(g) - 1) + [-1])
-        cache[gens] = out
-        return out
-    pivot = counts.index(max(counts))
-    unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-    plus = _minimalize(gens + (unit,))
-    colon = _minimalize(
-        tuple(
-            g[:pivot] + (max(g[pivot] - 1, 0),) + g[pivot + 1 :] for g in gens
+        joined = [g]
+        rest = []
+        for m, members in comps:
+            if m & mask:
+                mask |= m
+                joined += members
+            else:
+                rest.append((m, members))
+        rest.append((mask, joined))
+        comps = rest
+    if len(comps) > 1:
+        out = [1]
+        for _, members in comps:
+            out = _mul(out, _numerator(tuple(members), cache))
+    else:
+        # x divides at least two of these connected generators, so x
+        # itself is not one of them and no lowered generator is 1
+        x = counts.index(max(counts))
+        plus = tuple(g for g in gens if not g[x]) + (
+            tuple(1 if i == x else 0 for i in range(nvars)),
         )
-    )
-    out = _hilbert_numerator(plus, nvars, cache) + _hilbert_numerator(
-        colon, nvars, cache
-    ).shift(1)
+        lowered = tuple(
+            g[:x] + (g[x] - 1,) + g[x + 1 :] for g in gens if g[x]
+        )
+        colon = lowered + tuple(
+            g for g in gens if not g[x] and not any(divides(h, g) for h in lowered)
+        )
+        a = _numerator(plus, cache)
+        b = _numerator(colon, cache)
+        out = a + [0] * (len(b) + 1 - len(a))
+        for i, c in enumerate(b):
+            out[i + 1] += c
     cache[gens] = out
+    return out
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 

@@ -8,6 +8,7 @@ from staircase.binomial import Binomial, grevlex_greater, normal_form, s_binomia
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.identities import PartitionIdentity
 from staircase.partition import staircase
+from staircase.poly import IntPolynomial
 from staircase.toric import (
     MonomialIdeal,
     audit_quadric_chain_ideal,
@@ -22,7 +23,7 @@ from staircase.toric import (
     weight_chain_diagram,
 )
 
-from toric_oracle import brute_standard_monomial_counts
+from toric_oracle import brute_standard_monomial_counts, taylor_numerator
 
 
 def _sympy_groebner(gens: list[Binomial], nvars: int) -> set[tuple[tuple, tuple]]:
@@ -64,6 +65,26 @@ def test_completion_adds_one_element():
     assert _as_pairs(gb) == _sympy_groebner(gens, 4)
     # the new element keeps its x0 factor: the engine must not saturate
     assert Binomial((1, 0, 2, 0), (1, 1, 0, 1)) in gb
+
+
+def _random_pure_binomial(rng: random.Random, nvars: int) -> Binomial:
+    while True:
+        u = tuple(rng.randint(0, 2) for _ in range(nvars))
+        v = tuple(rng.randint(0, 2) for _ in range(nvars))
+        if u != v:
+            return Binomial(u, v)
+
+
+def test_groebner_basis_matches_sympy_on_random_ideals():
+    # sides may share variables or be 1; the basis must not depend on
+    # the generator order, which steers the pair queue and the criteria
+    rng = random.Random(1988)
+    for _ in range(120):
+        nvars = rng.randint(1, 5)
+        gens = [_random_pure_binomial(rng, nvars) for _ in range(rng.randint(2, 4))]
+        gb = groebner_basis(gens)
+        assert _as_pairs(gb) == _sympy_groebner(gens, nvars), gens
+        assert groebner_basis(rng.sample(gens, len(gens))) == gb, gens
 
 
 def test_groebner_all_s_pairs_reduce_to_zero():
@@ -112,7 +133,8 @@ def test_hilbert_zero_ring():
     unit = MonomialIdeal(3, ((0, 0, 0),))
     hd = hilbert(unit)
     assert hd.dimension == -1
-    assert hd.numerator.is_zero
+    assert hd.numerator.is_zero()
+    assert hd.degree == 0
 
 
 def test_hilbert_polynomial_ring():
@@ -168,6 +190,69 @@ def test_hilbert_prefix_matches_direct_count_on_random_ideals():
         assert hd.numerator.series_prefix(mi.nvars, 5) == standard_monomial_counts(
             mi, 5
         ), mi
+
+
+def test_hilbert_numerator_matches_taylor_on_random_ideals():
+    rng = random.Random(4021)
+    for _ in range(200):
+        mi = _random_monomial_ideal(rng)
+        assert hilbert(mi).numerator.coeffs == taylor_numerator(mi.gens, mi.nvars), mi
+
+
+def test_hilbert_numerator_matches_taylor_on_benchmark_shaped_ideals():
+    # 12 variables, 12 generators on 3 variables each, exponents 1..2;
+    # Taylor runs on the raw list, where one generator may divide another
+    rng = random.Random(5309)
+    for _ in range(24):
+        gens = []
+        for _ in range(12):
+            e = [0] * 12
+            for v in rng.sample(range(12), 3):
+                e[v] = rng.randint(1, 2)
+            gens.append(tuple(e))
+        hd = hilbert(MonomialIdeal(12, tuple(gens)))
+        assert hd.numerator.coeffs == taylor_numerator(tuple(gens), 12), gens
+
+
+def test_hilbert_numerator_is_a_product_over_disjoint_blocks():
+    blocks = [
+        ((2, 1, 0), (0, 1, 1), (1, 0, 2)),
+        ((2, 0), (1, 1)),
+        ((1, 2), (3, 0)),
+    ]
+    widths = [3, 2, 2]
+    for count in (2, 3):
+        nvars = sum(widths[:count])
+        gens, product, offset = [], IntPolynomial([1]), 0
+        for block, width in zip(blocks[:count], widths[:count]):
+            pad = nvars - offset - width
+            gens += [(0,) * offset + g + (0,) * pad for g in block]
+            product = product * hilbert(MonomialIdeal(width, block)).numerator
+            offset += width
+        hd = hilbert(MonomialIdeal(nvars, tuple(gens)))
+        assert hd.numerator.coeffs == taylor_numerator(tuple(gens), nvars)
+        assert hd.numerator == product
+
+
+def test_hilbert_numerator_of_pure_powers_and_partial_pivots():
+    powers = MonomialIdeal(3, ((3, 0, 0), (0, 2, 0), (0, 0, 4)))
+    hd = hilbert(powers)
+    assert hd.numerator == IntPolynomial([1, 0, 0, -1]) * IntPolynomial(
+        [1, 0, -1]
+    ) * IntPolynomial([1, 0, 0, 0, -1])
+    assert (hd.dimension, hd.degree) == (0, 24)
+    cases = [
+        # x0 divides the first two generators only; lowering them makes
+        # x2 divide the last one, which drops out of I : x0
+        ((2, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)),
+        # pure powers beside mixed generators on the same variables
+        ((2, 0, 0), (1, 1, 0), (0, 3, 0), (0, 1, 1)),
+        ((0, 0, 2, 0), (1, 1, 0, 0), (2, 0, 1, 0), (0, 2, 0, 1), (0, 0, 0, 3)),
+    ]
+    for gens in cases:
+        nvars = len(gens[0])
+        hd = hilbert(MonomialIdeal(nvars, gens))
+        assert hd.numerator.coeffs == taylor_numerator(gens, nvars), gens
 
 
 def test_hilbert_caps():

@@ -1,10 +1,11 @@
 """Independent oracles for the toric layer, for tests only.
 
-Both are the direct definitions: the monomial count lists every
-monomial of each degree and tests it against every generator, and the
-Graver scan compares each equal-weight pair with every other one.  They
-are exponential and quadratic respectively, so they check the fast
-versions only on small inputs.
+All three are the direct definitions: the monomial count lists every
+monomial of each degree and tests it against every generator, the
+Taylor numerator sums over every subset of the generators, and the
+Graver scan compares each equal-weight pair with every other one.  The
+first two are exponential and the last quadratic, so they check the
+fast versions only on small inputs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,27 @@ def brute_standard_monomial_counts(
                 count += 1
         out.append(count)
     return tuple(out)
+
+
+def taylor_numerator(gens: tuple[Expo, ...], nvars: int) -> tuple[int, ...]:
+    """Hilbert numerator by inclusion-exclusion over generator subsets.
+
+    N(t) = sum over subsets S of (-1)^|S| t^deg(lcm S), the alternating
+    sum of the Taylor resolution; it holds for any generator list,
+    minimal or not.  Coefficients constant term first, without trailing
+    zeros, as ``IntPolynomial.coeffs`` keeps them.
+    """
+    terms = [((0,) * nvars, 1)]
+    for g in gens:
+        terms += [
+            (tuple(max(x, y) for x, y in zip(lcm, g)), -sign) for lcm, sign in terms
+        ]
+    coeffs = [0] * (1 + max(sum(lcm) for lcm, _ in terms))
+    for lcm, sign in terms:
+        coeffs[sum(lcm)] += sign
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def brute_graver(weights: tuple[int, ...], degree_bound: int) -> list[tuple[Expo, Expo]]:
