@@ -3,7 +3,7 @@
 Vertices are 0..n-1, edges are (i, j) pairs with i < j.  The graph
 builders elsewhere in the package (reduced-word graphs, layered Ferrers
 graphs) convert to this form for anything structural: isomorphism,
-bipartiteness, chromatic recursion.
+bipartiteness, the chromatic frontier sweep.
 """
 
 from __future__ import annotations

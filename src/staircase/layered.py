@@ -10,6 +10,7 @@ inside a layer.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
@@ -116,12 +117,28 @@ def is_isomorphic(
     g2: WordGraph | LayeredGraph | SimpleGraph,
     cap: int = DEFAULT_ISO_CAP,
 ) -> bool:
-    """Backtracking isomorphism test with degree pruning.
+    """Isomorphism test: invariant checks, then a search along edges.
 
     Vertex and edge counts, degree sequences and neighbour-degree
     signatures settle most pairs; only a pair that agrees on all of them
     goes to the backtracking search, which refuses graphs above ``cap``
-    vertices.
+    vertices.  The search places the vertices of ``g1`` in breadth-first
+    order, each component from its rarest signature, so every vertex
+    after the first of its component has an already placed neighbour,
+    its anchor.  Such a vertex tries only the unused neighbours of its
+    anchor's image that share its signature, and each try costs
+    O(degree): the placed neighbours on either side must correspond.
+    The backtracking keeps a stack of candidate iterators, one per depth,
+    so its depth is not bounded by the interpreter's recursion limit.
+
+    Two triangles and a hexagon agree on every signature, so only the
+    search tells them apart:
+
+    >>> hexagon = SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    >>> zigzag = SimpleGraph.from_edges(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
+    >>> triangles = SimpleGraph.from_edges(6, [(i, (i + 2) % 6) for i in range(6)])
+    >>> is_isomorphic(hexagon, zigzag), is_isomorphic(hexagon, triangles)
+    (True, False)
     """
     a = g1 if isinstance(g1, SimpleGraph) else g1.as_simple()
     b = g2 if isinstance(g2, SimpleGraph) else g2.as_simple()
@@ -131,7 +148,7 @@ def is_isomorphic(
     if sorted(deg_a) != sorted(deg_b):
         return False
     adj_a, adj_b = a.adjacency(), b.adjacency()
-    # refine candidate sets by degree and neighbour-degree multiset
+    # a signature, the sorted neighbour degrees, also carries the degree
     sig_a = [tuple(sorted(deg_a[w] for w in adj_a[v])) for v in range(a.n)]
     sig_b = [tuple(sorted(deg_b[w] for w in adj_b[v])) for v in range(b.n)]
     if sorted(sig_a) != sorted(sig_b):
@@ -140,58 +157,83 @@ def is_isomorphic(
         raise ResourceLimitError(
             f"isomorphism search capped at {cap} vertices, got {a.n}"
         )
-    candidates = [
-        [u for u in range(b.n) if deg_b[u] == deg_a[v] and sig_b[u] == sig_a[v]]
-        for v in range(a.n)
-    ]
-    # match most-constrained vertices first
-    order = sorted(range(a.n), key=lambda v: (len(candidates[v]), -deg_a[v]))
-    return _extend(0, order, candidates, adj_a, adj_b, [None] * a.n, [False] * b.n)
-
-
-def _extend(
-    k: int,
-    order: list[int],
-    candidates: list[list[int]],
-    adj_a: list[set[int]],
-    adj_b: list[set[int]],
-    image: list[int | None],
-    used: list[bool],
-) -> bool:
-    """Map order[k:] given the partial map ``image``; backtracks in place.
-
-    A module-level function, not a recursive closure: a closure that
-    calls itself is a reference cycle, so the search state would live
-    until the cyclic collector happened to run.
-    """
-    n = len(order)
-    if k == n:
+    if a.n == 0:
         return True
-    v = order[k]
-    for u in candidates[v]:
-        if used[u]:
+    pool: dict[tuple[int, ...], list[int]] = {}
+    for u in range(b.n):
+        pool.setdefault(sig_b[u], []).append(u)
+    order, anchor = _breadth_first(adj_a, [len(pool[s]) for s in sig_a])
+    image, inverse = [-1] * a.n, [-1] * b.n
+
+    def fitting(v: int) -> Iterator[int]:
+        # Filtering lazily is sound: whenever the search asks for the next
+        # candidate, the placed vertices are those before v in the order,
+        # as when this generator was made.
+        s, p, nbrs_v = sig_a[v], anchor[v], adj_a[v]
+        for u in pool[s] if p < 0 else adj_b[image[p]]:
+            if (
+                inverse[u] < 0
+                and sig_b[u] == s
+                and _fits(nbrs_v, adj_b[u], image, inverse)
+            ):
+                yield u
+
+    stack = [fitting(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if image[v] >= 0:  # undo this depth's previous choice
+            inverse[image[v]] = -1
+        u = next(stack[-1], -1)
+        image[v] = u  # -1 when v's candidates are spent
+        if u < 0:
+            stack.pop()
             continue
-        ok = True
-        for w in adj_a[v]:
-            iw = image[w]
-            if iw is not None and iw not in adj_b[u]:
-                ok = False
-                break
-        if ok:
-            for w in range(n):
-                iw = image[w]
-                if iw is not None and w not in adj_a[v] and iw in adj_b[u]:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        image[v] = u
-        used[u] = True
-        if _extend(k + 1, order, candidates, adj_a, adj_b, image, used):
+        inverse[u] = v
+        if len(stack) == a.n:
             return True
-        image[v] = None
-        used[u] = False
+        stack.append(fitting(order[len(stack)]))
     return False
+
+
+def _fits(
+    nbrs_v: set[int], nbrs_u: set[int], image: list[int], inverse: list[int]
+) -> bool:
+    """Whether v may go to u: the placed neighbours of v land next to u,
+    and the placed neighbours of u come from next to v."""
+    for w in nbrs_v:
+        x = image[w]
+        if x >= 0 and x not in nbrs_u:
+            return False
+    for x in nbrs_u:
+        w = inverse[x]
+        if w >= 0 and w not in nbrs_v:
+            return False
+    return True
+
+
+def _breadth_first(
+    adj: list[set[int]], rarity: list[int]
+) -> tuple[list[int], list[int]]:
+    """Breadth-first order over all components, and each vertex's anchor.
+
+    Each component starts at its vertex of least ``rarity`` (then least
+    index) and that root's anchor is -1; every other vertex is anchored
+    at the neighbour it was reached from.
+    """
+    anchor = [-2] * len(adj)
+    order: list[int] = []
+    for root in sorted(range(len(adj)), key=rarity.__getitem__):
+        if anchor[root] != -2:
+            continue
+        anchor[root] = -1
+        component = [root]
+        for v in component:  # the list grows as the loop reads it
+            for w in adj[v]:
+                if anchor[w] == -2:
+                    anchor[w] = v
+                    component.append(w)
+        order += component
+    return order, anchor
 
 
 def missing_edge_polynomial(ell: int) -> IntPolynomial:

@@ -1,8 +1,8 @@
 """An independent isomorphism oracle, for tests only.
 
 It tries every bijection of the vertices, n! of them, with none of the
-degree pruning of ``is_isomorphic``, so it is for graphs of at most about
-eight vertices.
+invariant checks, signature classes or neighbour-driven search of
+``is_isomorphic``, so it is for graphs of at most about eight vertices.
 """
 
 from __future__ import annotations

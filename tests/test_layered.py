@@ -1,4 +1,6 @@
 import random
+import signal
+from math import comb
 
 import pytest
 
@@ -124,6 +126,144 @@ def test_isomorphism_against_the_permutation_oracle():
         assert not isomorphic_by_permutations(g, other)
     # the swaps give both isomorphic and non-isomorphic pairs
     assert swap_answers == {True, False}
+
+
+def _random_regular(rng: random.Random, n: int, k: int) -> SimpleGraph:
+    """A k-regular simple graph by the pairing model with restarts."""
+    while True:
+        points = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
+        if len(edges) == len(points) // 2 and all(a != b for a, b in edges):
+            return SimpleGraph.from_edges(n, edges)
+
+
+def _is_connected(g: SimpleGraph) -> bool:
+    adj = g.adjacency()
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == g.n
+
+
+def test_isomorphism_of_regular_graphs_against_the_oracle():
+    # every vertex of a regular graph has one signature, so nothing but
+    # the search tells these pairs apart
+    rng = random.Random(11)
+    connected, answers = set(), set()
+    for _ in range(40):
+        k = rng.choice((2, 3))
+        n = rng.choice((3, 4, 5, 6, 7, 8) if k == 2 else (4, 6, 8))
+        g = _random_regular(rng, n, k)
+        connected.add(_is_connected(g))
+        assert is_isomorphic(g, _relabelled(g, rng))
+        swapped = _double_edge_swap(g, rng)
+        others = [_random_regular(rng, n, k)] + ([swapped] if swapped else [])
+        for h in others:
+            want = isomorphic_by_permutations(g, h)
+            assert is_isomorphic(g, h) == want
+            assert is_isomorphic(_relabelled(h, rng), g) == want
+            answers.add(want)
+    assert connected == {True, False}
+    assert answers == {True, False}
+
+
+def _rook_4x4() -> SimpleGraph:
+    return SimpleGraph.from_edges(
+        16,
+        [(a, b) for a in range(16) for b in range(a + 1, 16)
+         if a // 4 == b // 4 or a % 4 == b % 4],
+    )
+
+
+def _shrikhande() -> SimpleGraph:
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return SimpleGraph.from_edges(
+        16,
+        [(a, b) for a in range(16) for b in range(a + 1, 16)
+         if ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4) in steps],
+    )
+
+
+def _cycles(*lengths: int) -> SimpleGraph:
+    edges, start = [], 0
+    for m in lengths:
+        edges += [(start + i, start + (i + 1) % m) for i in range(m)]
+        start += m
+    return SimpleGraph.from_edges(start, edges)
+
+
+def test_isomorphism_on_pairs_beyond_the_oracle():
+    rook, shrikhande = _rook_4x4(), _shrikhande()
+    # both strongly regular with parameters (16, 6, 2, 2)
+    assert rook.degrees() == shrikhande.degrees() == [6] * 16
+    assert not is_isomorphic(rook, shrikhande)
+    assert not is_isomorphic(shrikhande, rook)
+    assert is_isomorphic(rook, _relabelled(rook, random.Random(3)))
+    assert not is_isomorphic(_cycles(14, 14), _cycles(28))
+    assert not is_isomorphic(_cycles(7, 7, 7, 7), _cycles(28))
+    assert is_isomorphic(_cycles(7, 7, 7, 7), _relabelled(_cycles(7, 7, 7, 7), random.Random(5)))
+
+
+def _family_pair(ell: int):
+    words = build_word_graph(staircase_permutation(ell + 1), max_degree=ell + 1)
+    return words, build_layered_graph(staircase(ell))
+
+
+@pytest.mark.parametrize("ell", [15, 20, 30])
+def test_family_isomorphism_at_census_lengths(ell):
+    assert is_isomorphic(*_family_pair(ell), cap=comb(ell + 1, 2))
+
+
+def test_isomorphism_search_deeper_than_the_recursion_limit():
+    path = SimpleGraph.from_edges(1200, [(i, i + 1) for i in range(1199)])
+    shuffled = _relabelled(path, random.Random(1))
+    assert is_isomorphic(path, shuffled, cap=1200)
+    # 1,035 vertices
+    assert is_isomorphic(*_family_pair(45), cap=comb(46, 2))
+
+
+def _within(seconds: float, answer):
+    """answer(), or None if it takes longer than ``seconds``."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return answer()
+    except TimeoutError:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_isomorphism_refuses_a_wrong_choice_when_it_is_made():
+    # Root 0 has children w=1, v=2, eleven twin leaves and z=14; w-z,
+    # v-y and y-q are the other edges, so w, v and z share a signature.
+    # The second graph swaps the labels of v and z.  Candidates come in
+    # increasing label order, so vertex 2 is first tried at the other
+    # graph's vertex 2, which plays the other role: next to w's image
+    # when vertex 2 is v, not next to w when vertex 2 is z.  The reverse
+    # half of the check (placed neighbours of the image) refuses the
+    # first wrong choice at once, the forward half (placed neighbours of
+    # the vertex) the second.  Without that half the search places the
+    # leaves in all 11! orders before the mistake shows, which takes
+    # minutes, not milliseconds.
+    k = 11
+    v, z, y, q = 2, k + 3, k + 4, k + 5
+    edges = [(0, 1), (0, v), (0, z), (1, z), (v, y), (y, q)]
+    edges += [(0, leaf) for leaf in range(3, k + 3)]
+    swap = {v: z, z: v}
+    g = SimpleGraph.from_edges(k + 6, edges)
+    h = SimpleGraph.from_edges(k + 6, [(swap.get(a, a), swap.get(b, b)) for a, b in edges])
+    assert _within(2.0, lambda: is_isomorphic(g, h)) is True
+    assert _within(2.0, lambda: is_isomorphic(h, g)) is True
 
 
 def test_missing_edge_polynomial():
