@@ -1,7 +1,9 @@
 """Pure-difference binomials x^u - x^v and their monomial arithmetic.
 
 Exponent vectors are plain tuples of naturals, ordered by grevlex
-with variable 0 largest, the only monomial order.  Coefficients are
+with variable 0 largest, the only monomial order.  Their arithmetic is
+one ``map`` over an ``operator`` function or a builtin per call, so
+it runs in C, not in a generator expression.  Coefficients are
 always +1 and -1; the rewriting helpers check the invariants that
 keep it that way at every step (oriented divisors, strictly
 decreasing rewrites) and abort rather than silently leave the
@@ -11,6 +13,7 @@ binomial world.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .errors import DomainError
 
@@ -18,24 +21,24 @@ Expo = tuple[int, ...]
 
 
 def expo_mul(a: Expo, b: Expo) -> Expo:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def expo_div(a: Expo, b: Expo) -> Expo:
     """Divide monomial a by b; b must divide a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
+    out = tuple(map(sub, a, b))
+    if min(out, default=0) < 0:
         raise RuntimeError(f"monomial {b} does not divide {a}")
     return out
 
 
 def expo_lcm(a: Expo, b: Expo) -> Expo:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def divides(a: Expo, b: Expo) -> bool:
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def grevlex_greater(a: Expo, b: Expo) -> bool:
@@ -70,7 +73,7 @@ class Binomial:
         u, v = tuple(self.u), tuple(self.v)
         if len(u) != len(v):
             raise DomainError(f"side lengths differ: {len(u)} vs {len(v)}")
-        if any(x < 0 for x in u + v):
+        if min(u + v, default=0) < 0:
             raise DomainError("exponents must be naturals")
         if u == v:
             raise DomainError("the zero binomial is not representable")
@@ -157,15 +160,17 @@ def reduce_monomial(m: Expo, basis: list[Binomial] | tuple[Binomial, ...]) -> Ex
     Each basis element must be oriented.  Every step replaces a
     monomial by a strictly smaller monomial, which is what keeps the
     arithmetic inside single monomials; a step that fails to decrease
-    aborts because it would break termination and binomiality.
+    aborts because it would break termination and binomiality.  Each
+    step scans the basis in order for the first lead that divides, one
+    C-level comparison per element, with no helper call.
     """
     current = m
     changed = True
     while changed:
         changed = False
         for g in basis:
-            if divides(g.u, current):
-                nxt = expo_mul(expo_div(current, g.u), g.v)
+            if all(map(le, g.u, current)):  # divides(g.u, current), inlined
+                nxt = tuple(map(add, map(sub, current, g.u), g.v))
                 if not grevlex_greater(current, nxt):
                     raise RuntimeError(
                         f"rewriting {current} -> {nxt} does not decrease; "

@@ -119,26 +119,32 @@ def is_isomorphic(
 ) -> bool:
     """Isomorphism test: invariant checks, then a search along edges.
 
-    Vertex and edge counts, degree sequences and neighbour-degree
-    signatures settle most pairs; only a pair that agrees on all of them
-    goes to the backtracking search, which refuses graphs above ``cap``
-    vertices.  The search places the vertices of ``g1`` in breadth-first
-    order, each component from its rarest signature, so every vertex
-    after the first of its component has an already placed neighbour,
-    its anchor.  Such a vertex tries only the unused neighbours of its
-    anchor's image that share its signature, and each try costs
-    O(degree): the placed neighbours on either side must correspond.
-    The backtracking keeps a stack of candidate iterators, one per depth,
-    so its depth is not bounded by the interpreter's recursion limit.
+    Vertex and edge counts, degree sequences, neighbour-degree
+    signatures and sorted component sizes settle most pairs; only a pair
+    that agrees on all of them goes to the backtracking search, which
+    refuses graphs above ``cap`` vertices.  The search places the
+    vertices of ``g1`` in breadth-first order, each component from its
+    rarest signature, so every vertex after the first of its component
+    has an already placed neighbour, its anchor.  Such a vertex tries
+    only the unused neighbours of its anchor's image that share its
+    signature, and each try costs O(degree): the placed neighbours on
+    either side must correspond.  The backtracking keeps a stack of
+    candidate iterators, one per depth, so its depth is not bounded by
+    the interpreter's recursion limit.
 
-    Two triangles and a hexagon agree on every signature, so only the
-    search tells them apart:
+    Two triangles and a hexagon agree on every signature but not on
+    component sizes.  K_{3,3} and the triangular prism are both
+    connected and 3-regular, so only the search tells them apart:
 
     >>> hexagon = SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     >>> zigzag = SimpleGraph.from_edges(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
     >>> triangles = SimpleGraph.from_edges(6, [(i, (i + 2) % 6) for i in range(6)])
+    >>> k33 = SimpleGraph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    >>> prism = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
     >>> is_isomorphic(hexagon, zigzag), is_isomorphic(hexagon, triangles)
     (True, False)
+    >>> is_isomorphic(k33, prism)
+    False
     """
     a = g1 if isinstance(g1, SimpleGraph) else g1.as_simple()
     b = g2 if isinstance(g2, SimpleGraph) else g2.as_simple()
@@ -153,16 +159,18 @@ def is_isomorphic(
     sig_b = [tuple(sorted(deg_b[w] for w in adj_b[v])) for v in range(b.n)]
     if sorted(sig_a) != sorted(sig_b):
         return False
+    pool: dict[tuple[int, ...], list[int]] = {}
+    for u in range(b.n):
+        pool.setdefault(sig_b[u], []).append(u)
+    order, anchor, sizes_a = _breadth_first(adj_a, [len(pool[s]) for s in sig_a])
+    if sorted(sizes_a) != sorted(_breadth_first(adj_b, [0] * b.n)[2]):
+        return False
     if a.n > cap:
         raise ResourceLimitError(
             f"isomorphism search capped at {cap} vertices, got {a.n}"
         )
     if a.n == 0:
         return True
-    pool: dict[tuple[int, ...], list[int]] = {}
-    for u in range(b.n):
-        pool.setdefault(sig_b[u], []).append(u)
-    order, anchor = _breadth_first(adj_a, [len(pool[s]) for s in sig_a])
     image, inverse = [-1] * a.n, [-1] * b.n
 
     def fitting(v: int) -> Iterator[int]:
@@ -213,8 +221,9 @@ def _fits(
 
 def _breadth_first(
     adj: list[set[int]], rarity: list[int]
-) -> tuple[list[int], list[int]]:
-    """Breadth-first order over all components, and each vertex's anchor.
+) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first order over all components, each vertex's anchor,
+    and the component sizes in the order the walk meets them.
 
     Each component starts at its vertex of least ``rarity`` (then least
     index) and that root's anchor is -1; every other vertex is anchored
@@ -222,6 +231,7 @@ def _breadth_first(
     """
     anchor = [-2] * len(adj)
     order: list[int] = []
+    sizes: list[int] = []
     for root in sorted(range(len(adj)), key=rarity.__getitem__):
         if anchor[root] != -2:
             continue
@@ -233,7 +243,8 @@ def _breadth_first(
                     anchor[w] = v
                     component.append(w)
         order += component
-    return order, anchor
+        sizes.append(len(component))
+    return order, anchor, sizes
 
 
 def missing_edge_polynomial(ell: int) -> IntPolynomial:

@@ -13,9 +13,10 @@ nvars) at most, before any reduction.
 The Hilbert numerator of the initial ideal comes from the
 pivot-variable recursion N(I) = N(I + (x)) + t*N(I : x), which splits
 an ideal whose generators fall into groups on disjoint variables into
-one factor per group.  Each node does O(gens^2 * nvars) work on
-exponents besides its coefficient arithmetic, and the number of nodes
-can grow exponentially with the generator count: MAX_HILBERT_VARS and
+one factor per group, and stops at two generators, whose numerator
+is a closed form.  Each node does O(gens^2 * nvars) work on exponents
+besides its coefficient arithmetic, and the number of nodes can grow
+exponentially with the generator count: MAX_HILBERT_VARS and
 MAX_HILBERT_GENS bound the input, not the nodes.
 ``standard_monomial_counts`` counts the same series directly and shares
 no code with the recursion.
@@ -202,16 +203,20 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     J. Pure Appl. Algebra 119, 1997):
 
     * generators that fall into groups on disjoint variables give the
-      product of the groups' numerators; one generator m gives
-      1 - t^deg(m);
+      product of the groups' numerators;
     * I + (x) is the generators x does not divide, plus x, and I : x
       the generators x divides, lowered by x, plus those it does not
       divide and no lowered one divides.  Both are minimal as built, so
       no node minimalizes.
 
-    A cache, fresh for each call, keys on the generator tuple in the
-    order a node builds it, so one sub-ideal reached in two orders is
-    computed twice.  Dimension is the pole order of N/(1-t)^nvars at
+    The recursion stops at two generators.  No generator gives 1, one
+    generator m gives 1 - t^deg(m), and two generators g and h, neither
+    dividing the other, give 1 - t^deg(g) - t^deg(h) + t^deg(lcm(g, h)).
+
+    A cache, fresh for each call, holds the nodes of three or more
+    generators.  It keys on the generator tuple in the order a node
+    builds it, so one sub-ideal reached in two orders is computed
+    twice.  Dimension is the pole order of N/(1-t)^nvars at
     t = 1 and degree the reduced numerator there.  The zero ring (unit
     ideal) gets dimension -1.
 
@@ -243,11 +248,20 @@ def _numerator(gens: tuple[Expo, ...], cache: dict) -> list[int]:
 
     The list may come from the cache, so callers must not mutate it.
     """
-    if len(gens) <= 1:
-        if not gens:
-            return [1]
+    if not gens:
+        return [1]
+    if len(gens) == 1:
         d = sum(gens[0])
         return [1] + [0] * (d - 1) + [-1] if d else []
+    if len(gens) == 2:
+        # 1 - t^|g| - t^|h| + t^|lcm|: neither divides the other, so the
+        # lcm is of larger degree than both, and the two may be equal
+        g, h = gens
+        out = [0] * (sum(map(max, g, h)) + 1)
+        out[0] = out[-1] = 1
+        out[sum(g)] -= 1
+        out[sum(h)] -= 1
+        return out
     got = cache.get(gens)
     if got is not None:
         return got

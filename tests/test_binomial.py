@@ -3,7 +3,9 @@ import pytest
 from staircase.binomial import (
     Binomial,
     divides,
+    expo_div,
     expo_lcm,
+    expo_mul,
     grevlex_greater,
     normal_form,
     reduce_monomial,
@@ -87,3 +89,49 @@ def test_normal_form_zero_and_nonzero():
 def test_divides():
     assert divides((1, 0, 1), (2, 0, 1))
     assert not divides((1, 0, 1), (0, 1, 2))
+
+
+def test_helpers_on_zero_variables():
+    assert divides((), ())
+    assert expo_mul((), ()) == ()
+    assert expo_lcm((), ()) == ()
+    assert expo_div((), ()) == ()
+
+
+def test_divides_itself():
+    for a in ((0, 0, 0), (2, 0, 1), (1, 3)):
+        assert divides(a, a)
+    assert divides((0, 0), (1, 2))
+    assert not divides((1, 0, 2), (1, 0, 1))
+
+
+def test_expo_mul_and_lcm_values():
+    assert expo_mul((1, 0, 2), (0, 3, 1)) == (1, 3, 3)
+    assert expo_mul((0, 0), (0, 0)) == (0, 0)
+    assert expo_lcm((1, 0, 2), (0, 3, 1)) == (1, 3, 2)
+    assert expo_lcm((2, 2), (2, 2)) == (2, 2)
+
+
+def test_expo_div():
+    assert expo_div((3, 1, 2), (1, 1, 0)) == (2, 0, 2)
+    assert expo_div((1, 2), (1, 2)) == (0, 0)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        expo_div((1, 0), (0, 1))
+    # only the last coordinate fails
+    with pytest.raises(RuntimeError, match="does not divide"):
+        expo_div((2, 2, 0), (1, 1, 1))
+
+
+def test_binomial_rejects_a_negative_exponent_on_either_side():
+    with pytest.raises(DomainError, match="naturals"):
+        Binomial((0, 1), (1, -1))
+    with pytest.raises(DomainError, match="naturals"):
+        Binomial((1, 0, -2), (0, 0, 0))
+
+
+def test_reduce_monomial_rejects_an_unoriented_element():
+    # x1 - x0^2 rewrites x1 to the larger x0^2
+    unoriented = Binomial((0, 1), (2, 0))
+    assert unoriented.oriented() != unoriented
+    with pytest.raises(RuntimeError, match="does not decrease"):
+        reduce_monomial((0, 3), (unoriented,))

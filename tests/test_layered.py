@@ -266,6 +266,24 @@ def test_isomorphism_refuses_a_wrong_choice_when_it_is_made():
     assert _within(2.0, lambda: is_isomorphic(h, g)) is True
 
 
+def _disjoint_cycles(lengths: list[int]) -> SimpleGraph:
+    edges, offset = [], 0
+    for k in lengths:
+        edges += [(offset + i, offset + (i + 1) % k) for i in range(k)]
+        offset += k
+    return SimpleGraph.from_edges(offset, edges)
+
+
+def test_isomorphism_compares_component_sizes_before_searching():
+    # 24 vertices each, every signature (2, 2): the search would map the
+    # eight triangles onto the five in every order and rotation first,
+    # which took the better part of a minute
+    g = _disjoint_cycles([3] * 8)
+    h = _disjoint_cycles([3] * 5 + [9])
+    assert _within(2.0, lambda: is_isomorphic(g, h)) is False
+    assert _within(2.0, lambda: is_isomorphic(h, g)) is False
+
+
 def test_missing_edge_polynomial():
     p = missing_edge_polynomial(5)
     assert p.coeffs == (1, 2, 3, 4, 5)

@@ -199,19 +199,24 @@ def test_hilbert_numerator_matches_taylor_on_random_ideals():
         assert hilbert(mi).numerator.coeffs == taylor_numerator(mi.gens, mi.nvars), mi
 
 
+def _benchmark_shaped_gens(rng: random.Random) -> tuple:
+    # 12 variables, 12 generators on 3 variables each, exponents 1..2
+    gens = []
+    for _ in range(12):
+        e = [0] * 12
+        for v in rng.sample(range(12), 3):
+            e[v] = rng.randint(1, 2)
+        gens.append(tuple(e))
+    return tuple(gens)
+
+
 def test_hilbert_numerator_matches_taylor_on_benchmark_shaped_ideals():
-    # 12 variables, 12 generators on 3 variables each, exponents 1..2;
     # Taylor runs on the raw list, where one generator may divide another
     rng = random.Random(5309)
     for _ in range(24):
-        gens = []
-        for _ in range(12):
-            e = [0] * 12
-            for v in rng.sample(range(12), 3):
-                e[v] = rng.randint(1, 2)
-            gens.append(tuple(e))
-        hd = hilbert(MonomialIdeal(12, tuple(gens)))
-        assert hd.numerator.coeffs == taylor_numerator(tuple(gens), 12), gens
+        gens = _benchmark_shaped_gens(rng)
+        hd = hilbert(MonomialIdeal(12, gens))
+        assert hd.numerator.coeffs == taylor_numerator(gens, 12), gens
 
 
 def test_hilbert_numerator_is_a_product_over_disjoint_blocks():
@@ -253,6 +258,87 @@ def test_hilbert_numerator_of_pure_powers_and_partial_pivots():
         nvars = len(gens[0])
         hd = hilbert(MonomialIdeal(nvars, gens))
         assert hd.numerator.coeffs == taylor_numerator(gens, nvars), gens
+
+
+def _check_two_generators(gens: tuple) -> IntPolynomial:
+    nvars = len(gens[0])
+    mi = MonomialIdeal(nvars, gens)
+    assert len(mi.gens) == 2, gens
+    hd = hilbert(mi)
+    assert hd.numerator.coeffs == taylor_numerator(gens, nvars), gens
+    assert hd.numerator.series_prefix(nvars, 8) == standard_monomial_counts(
+        mi, 8
+    ), gens
+    return hd.numerator
+
+
+def test_hilbert_two_generators_in_closed_form():
+    # equal degrees: the two -t^2 terms add up
+    assert _check_two_generators(((2, 0, 0), (0, 1, 1))) == IntPolynomial(
+        [1, 0, -2, 0, 1]
+    )
+    assert _check_two_generators(((1, 1, 0), (0, 1, 1))) == IntPolynomial(
+        [1, 0, -2, 1]
+    )
+    # disjoint supports: the product (1 - t^2)(1 - t^3)
+    assert _check_two_generators(((1, 1, 0, 0), (0, 0, 2, 1))) == IntPolynomial(
+        [1, 0, -1, -1, 0, 1]
+    )
+    # one shared variable
+    assert _check_two_generators(((2, 1, 0), (0, 1, 2))) == IntPolynomial(
+        [1, 0, 0, -2, 0, 1]
+    )
+    # one generator a pure power
+    assert _check_two_generators(((3, 0, 0), (1, 1, 1))) == IntPolynomial(
+        [1, 0, 0, -2, 0, 1]
+    )
+    assert _check_two_generators(((0, 4), (1, 1))) == IntPolynomial(
+        [1, 0, -1, 0, -1, 1]
+    )
+
+
+def test_hilbert_two_generators_on_random_pairs():
+    rng = random.Random(7193)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 6)
+        gens = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(2))
+        if len(MonomialIdeal(n, gens).gens) == 2:
+            _check_two_generators(gens)
+            checked += 1
+
+
+def _counting(monkeypatch, name: str) -> list[int]:
+    # rebinds the module global, so recursive calls are counted too
+    calls, inner = [0], getattr(toric, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(toric, name, counted)
+    return calls
+
+
+def test_engine_work_counts_are_pinned(monkeypatch):
+    # Counts, not timings: a lost base case of the Hilbert recursion or a
+    # lost Buchberger criterion changes them on any machine.
+    nodes = _counting(monkeypatch, "_numerator")
+    rng = random.Random(6151)
+    for _ in range(24):
+        hilbert(MonomialIdeal(12, _benchmark_shaped_gens(rng)))
+    reductions = _counting(monkeypatch, "normal_form")
+    rng = random.Random(6151)
+    for _ in range(64):
+        gens = []
+        while len(gens) < 3:
+            u, v = (
+                tuple(int(rng.random() < 0.5) for _ in range(5)) for _ in range(2)
+            )
+            if u != v:
+                gens.append(Binomial(u, v))
+        groebner_basis(gens)
+    assert (nodes[0], reductions[0]) == (3820, 480)
 
 
 def test_hilbert_caps():
