@@ -6,6 +6,7 @@ from .chroma import (
     balance_bound_check,
     chromatic_number,
     chromatic_polynomial,
+    class_sizes_closed_form,
     closed_form_report,
     colour_separation,
     layered_closed_form,
@@ -28,7 +29,7 @@ from .identities import (
     is_primitive,
     parity_split,
     primitive_subidentities,
-    proper_subidentities,
+    primitive_subidentity_count,
     subidentity_report,
 )
 from .layered import (

@@ -259,6 +259,18 @@ def colour_separation(p: Partition) -> ColourSeparation:
     return ColourSeparation(mu, kappa)
 
 
+def class_sizes_closed_form(ell: int) -> tuple[int, int]:
+    """(mu, kappa) at length ell in closed form, with h = ell // 2.
+
+    >>> class_sizes_closed_form(5), class_sizes_closed_form(6)
+    ((9, 6), (12, 9))
+    """
+    if ell < 1:
+        raise DomainError(f"need a positive length, got {ell}")
+    h = ell // 2
+    return ((h + 1) ** 2, h * (h + 1)) if ell % 2 else (h * (h + 1), h * h)
+
+
 def balance_bound_check(ell_max: int) -> Report:
     """Balance against the ceiling bound, length by length.
 

@@ -17,6 +17,7 @@ from math import comb
 
 from .chroma import (
     chromatic_number,
+    class_sizes_closed_form,
     closed_form_report,
     colour_separation,
     balance_bound_check,
@@ -341,20 +342,9 @@ def cmd_separation(args) -> tuple[str, int]:
     for ell in range(lo, hi + 1):
         sep = colour_separation(staircase(ell))
         rep = Report(f"colour separation at length {ell}")
-        half_up, half_down = (ell + 1) // 2, ell // 2
-        if ell % 2 == 1:
-            claimed = (half_up * half_up, half_down * (half_down + 1))
-        else:
-            claimed = (half_down * (half_down + 1), half_down * half_down)
-        rep.add(
-            check(
-                "class sizes (mu, kappa)",
-                (sep.mu, sep.kappa),
-                claimed,
-                kind=INVARIANT,
-                note="closed forms from the layer sums",
-            )
-        )
+        rep.add(check("class sizes (mu, kappa)", (sep.mu, sep.kappa),
+                      class_sizes_closed_form(ell), kind=INVARIANT,
+                      note="closed forms from the layer sums"))
         if ell % 2 == 0:
             k = ell // 2
             rep.add(

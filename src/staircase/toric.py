@@ -358,20 +358,12 @@ def standard_monomial_counts(mi: MonomialIdeal, upto: int) -> tuple[int, ...]:
 def identity_binomial(ident: PartitionIdentity, weights) -> Binomial:
     """The relation x-multiset = y-multiset as a binomial over weights."""
     ws = tuple(weights)
-    index = {w: i for i, w in enumerate(ws)}
-    if len(index) != len(ws):
+    if len(set(ws)) != len(ws):
         raise DomainError("weights must be distinct")
-    u = [0] * len(ws)
-    v = [0] * len(ws)
-    for part in ident.lhs:
-        if part not in index:
+    for part in ident.lhs + ident.rhs:
+        if part not in ws:
             raise DomainError(f"part {part} is not a weight")
-        u[index[part]] += 1
-    for part in ident.rhs:
-        if part not in index:
-            raise DomainError(f"part {part} is not a weight")
-        v[index[part]] += 1
-    return Binomial(tuple(u), tuple(v))
+    return Binomial(tuple(map(ident.lhs.count, ws)), tuple(map(ident.rhs.count, ws)))
 
 
 def separation_ideal(p: Partition) -> BinomialIdeal:

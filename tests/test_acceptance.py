@@ -167,7 +167,7 @@ def test_criterion_10_identity_audit(capsys):
         ident = colour_separation_identity(staircase(ell))
         ok = ok and len(set(ident.lhs + ident.rhs)) == len(ident.lhs + ident.rhs)
         ok = ok and not is_primitive(ident)
-        prims = primitive_subidentities(ident)
+        prims = list(primitive_subidentities(ident))
         splits = parity_split(staircase(ell))
         ok = ok and all(s in prims for s in splits)
         ok = ok and sum(1 for p in prims if p in splits) == 2

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from staircase import chroma
+from staircase import chroma, cli
 from staircase.cli import main
 
 
@@ -290,3 +290,26 @@ def test_identities_command(capsys):
     assert code == 0
     assert "graver:" in out
     assert run(capsys, "identities", "--ell", "4")[0] == 2
+
+
+def test_identities_lists_the_first_witnesses_and_counts_the_rest(capsys):
+    code, out, _ = run(capsys, "identities", "--ell", "11")
+    assert code == 0
+    assert out.count("note: primitive: ") == 100
+    assert out.count("note: and ") == 1
+    assert "  note: and 36 more\n" in out
+    assert "primitive subidentity count" in out and "observed=136 " in out
+
+
+def test_identities_past_twenty_parts(capsys):
+    # both parity splits sort after the first 100 witnesses here
+    code, out, _ = run(capsys, "identities", "--ell", "19")
+    assert code == 0
+    for row in (
+        "parity splits among the primitive subidentities  observed=True  claimed=True  MATCH",
+        "subidentities equal to a parity split            observed=2  claimed=2  MATCH",
+    ):
+        assert row in out
+    rep = cli._AUDITS["subidentities"].run(19)
+    assert not any(row.verdict == "SKIPPED" for row in rep.rows)
+    assert not rep.invariant_failures()

@@ -17,11 +17,16 @@ from staircase.identities import (
     is_primitive,
     parity_split,
     primitive_subidentities,
-    proper_subidentities,
+    primitive_subidentity_count,
     subidentity_report,
 )
 from staircase.partition import staircase
 
+from identities_oracle import (
+    brute_is_primitive,
+    brute_primitive_subidentities,
+    proper_subidentities,
+)
 from toric_oracle import brute_graver
 
 
@@ -61,9 +66,71 @@ def test_multiset_subidentities():
     assert not is_primitive(wider)
 
 
+def _random_parts(rng: random.Random, most: int) -> tuple[int, ...]:
+    return tuple(rng.randint(1, 7) for _ in range(rng.randint(1, most)))
+
+
+def test_is_primitive_matches_the_oracle():
+    rng = random.Random(4127)
+    verdicts = []
+    for _ in range(2500):
+        lhs = _random_parts(rng, 6)
+        rhs, left = [], sum(lhs)
+        while left:
+            rhs.append(rng.randint(1, min(left, 9)))
+            left -= rhs[-1]
+        ident = PartitionIdentity(lhs, tuple(rhs), max(lhs + tuple(rhs)))
+        verdicts.append(is_primitive(ident))
+        assert verdicts[-1] == brute_is_primitive(ident), ident
+    # both verdicts are exercised
+    assert 200 < sum(verdicts) < 2300
+
+
+def test_family_witnesses_match_the_oracle():
+    counts = []
+    for ell in range(5, 15):
+        ident = colour_separation_identity(staircase(ell))
+        want = brute_primitive_subidentities(ident)
+        assert list(primitive_subidentities(ident)) == want, ell
+        assert primitive_subidentity_count(ident) == len(want), ell
+        counts.append(len(want))
+    assert counts == [6, 10, 16, 26, 44, 78, 136, 242, 430, 778]
+
+
+def test_two_part_identities_match_the_oracle():
+    rng = random.Random(6301)
+    equal = 0
+    for _ in range(600):
+        lhs = _random_parts(rng, 8)
+        total = sum(lhs)
+        if total < 2:
+            continue
+        first = total // 2 if rng.random() < 0.3 else rng.randint(1, total - 1)
+        ident = PartitionIdentity(lhs, (first, total - first), total)
+        equal += first == total - first
+        want = brute_primitive_subidentities(ident)
+        assert list(primitive_subidentities(ident)) == want, ident
+        assert primitive_subidentity_count(ident) == len(want), ident
+    assert equal > 50
+
+
+def test_one_right_part_has_no_proper_subidentity():
+    ident = PartitionIdentity((1, 2, 2, 3), (8,), 8)
+    assert list(primitive_subidentities(ident)) == []
+    assert primitive_subidentity_count(ident) == 0
+
+
+def test_witness_search_needs_at_most_two_right_parts():
+    ident = PartitionIdentity((6, 4), (5, 3, 2), 6)
+    with pytest.raises(DomainError, match="at most two right parts"):
+        primitive_subidentities(ident)
+    with pytest.raises(DomainError, match="at most two right parts"):
+        primitive_subidentity_count(ident)
+
+
 def test_cspi_5_primitive_census():
     ident = colour_separation_identity(staircase(5))
-    prims = primitive_subidentities(ident)
+    prims = list(primitive_subidentities(ident))
     assert len(prims) == 6
     shapes = {str(p) for p in prims}
     assert shapes == {
@@ -78,7 +145,7 @@ def test_cspi_5_primitive_census():
 
 def test_cspi_6_primitive_census():
     ident = colour_separation_identity(staircase(6))
-    assert len(primitive_subidentities(ident)) == 10
+    assert len(list(primitive_subidentities(ident))) == 10
 
 
 def test_parity_split():
@@ -94,7 +161,7 @@ def test_parity_split():
 def test_parity_splits_are_primitive_through_9():
     for ell in range(5, 10):
         ident = colour_separation_identity(staircase(ell))
-        prims = primitive_subidentities(ident)
+        prims = list(primitive_subidentities(ident))
         hits = [p for p in parity_split(staircase(ell)) if p in prims]
         assert len(hits) == 2
         matches = [p for p in prims if p in parity_split(staircase(ell))]
@@ -110,12 +177,6 @@ def test_subidentity_report_rows():
     assert by_name["primitive subidentity count"].observed == 6
     assert by_name["subidentities equal to a parity split"].verdict == "MATCH"
     assert not rep.invariant_failures()
-
-
-def test_part_count_guard():
-    ident = PartitionIdentity(tuple(range(1, 22)), (sum(range(1, 22)),), 300)
-    with pytest.raises(ResourceLimitError):
-        proper_subidentities(ident)
 
 
 def test_graver_basis_tiny():
