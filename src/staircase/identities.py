@@ -190,7 +190,7 @@ def subidentity_report(p: Partition) -> Report:
                   note="the parity splits always exist"))
     count = primitive_subidentity_count(ident)
     rep.add(check("primitive subidentity count", count, 2,
-                  note="claimed count; exhaustive search finds every primitive one"))
+                  note="claimed count; a subset-sum knapsack counts every one"))
     # tested split by split: a split's largest part is near the length,
     # so from length 11 on it sorts after the listed witnesses
     found = [
@@ -252,11 +252,9 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
             seen.add(nxt)
             states += 1
             if states > MAX_GRAVER_STATES:
-                err = ResourceLimitError(
-                    f"monomial enumeration exceeded {MAX_GRAVER_STATES} states"
+                raise ResourceLimitError(
+                    f"monomial enumeration exceeded {MAX_GRAVER_STATES} states", ()
                 )
-                err.partial = ()
-                raise err
             frontier.append(nxt)
             by_weight.setdefault(sum(x * w for x, w in zip(nxt, ws)), []).append(nxt)
 
@@ -265,11 +263,10 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
         for a, b in combinations(group, 2):
             states += 1
             if states > MAX_GRAVER_STATES:
-                err = ResourceLimitError(
-                    f"pair enumeration exceeded {MAX_GRAVER_STATES} states"
+                raise ResourceLimitError(
+                    f"pair enumeration exceeded {MAX_GRAVER_STATES} states",
+                    _canonical_graver(candidates),
                 )
-                err.partial = _canonical_graver(candidates)
-                raise err
             if any(x and y for x, y in zip(a, b)):
                 continue
             if a > b:

@@ -22,7 +22,7 @@ from .rwgraph import WordGraph
 
 VertexId = tuple[int, int]  # (layer, index within layer)
 
-DEFAULT_ISO_CAP = 28
+MAX_ISO_NODES = 200_000  # vertex placements of one isomorphism search
 MAX_SERIES_ROWS = 10_000
 
 
@@ -115,14 +115,14 @@ def build_layered_graph(p: Partition) -> LayeredGraph:
 def is_isomorphic(
     g1: WordGraph | LayeredGraph | SimpleGraph,
     g2: WordGraph | LayeredGraph | SimpleGraph,
-    cap: int = DEFAULT_ISO_CAP,
+    cap: int | None = None,
 ) -> bool:
     """Isomorphism test: invariant checks, then a search along edges.
 
     Vertex and edge counts, degree sequences, neighbour-degree
     signatures and sorted component sizes settle most pairs; only a pair
-    that agrees on all of them goes to the backtracking search, which
-    refuses graphs above ``cap`` vertices.  The search places the
+    that agrees on all of them goes to the backtracking search, capped at
+    ``MAX_ISO_NODES`` placements and, if given, ``cap`` vertices.  It places the
     vertices of ``g1`` in breadth-first order, each component from its
     rarest signature, so every vertex after the first of its component
     has an already placed neighbour, its anchor.  Such a vertex tries
@@ -165,13 +165,11 @@ def is_isomorphic(
     order, anchor, sizes_a = _breadth_first(adj_a, [len(pool[s]) for s in sig_a])
     if sorted(sizes_a) != sorted(_breadth_first(adj_b, [0] * b.n)[2]):
         return False
-    if a.n > cap:
-        raise ResourceLimitError(
-            f"isomorphism search capped at {cap} vertices, got {a.n}"
-        )
+    if cap is not None and a.n > cap:
+        raise ResourceLimitError(f"isomorphism search capped at {cap} vertices, got {a.n}")
     if a.n == 0:
         return True
-    image, inverse = [-1] * a.n, [-1] * b.n
+    image, inverse, placed = [-1] * a.n, [-1] * b.n, 0
 
     def fitting(v: int) -> Iterator[int]:
         # Filtering lazily is sound: whenever the search asks for the next
@@ -197,6 +195,11 @@ def is_isomorphic(
             stack.pop()
             continue
         inverse[u] = v
+        placed += 1
+        if placed > MAX_ISO_NODES:
+            raise ResourceLimitError(
+                f"{placed} isomorphism search placements exceed the cap {MAX_ISO_NODES}"
+            )
         if len(stack) == a.n:
             return True
         stack.append(fitting(order[len(stack)]))

@@ -11,7 +11,7 @@ entries in positions i and i+1 (positions are 1-based), so a word
 A word for w is reduced when its letter count equals the inversion
 number of w.  ``enumerate_reduced_words`` peels descents: every reduced
 word of w ends in a descent position i, and chopping that letter leaves
-a reduced word of w t_i.
+a reduced word of w t_i; MAX_REDUCED_LETTERS caps the letters memoized.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .errors import DomainError, MalformedPermutationError, ResourceLimitError
 
 Word = tuple[int, ...]
 
-# Reduced-word enumeration is exponential in the degree; refuse silly
-# inputs unless the caller raises the cap explicitly.
-DEFAULT_MAX_DEGREE = 12
+MAX_REDUCED_LETTERS = 20_000_000  # letters of the words stored across the memo
 
 
 def check_permutation(seq: Sequence[int]) -> tuple[int, ...]:
@@ -73,9 +71,7 @@ def apply_transposition(w: Sequence[int], i: int) -> tuple[int, ...]:
     w = check_permutation(w)
     if not 1 <= i <= len(w) - 1:
         raise DomainError(f"transposition index {i} out of range for degree {len(w)}")
-    out = list(w)
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
+    return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
 
 
 def apply_word(word: Sequence[int], n: int) -> tuple[int, ...]:
@@ -109,9 +105,9 @@ def staircase_permutation(r: int) -> tuple[int, ...]:
 
 
 def enumerate_reduced_words(
-    w: Sequence[int], max_degree: int = DEFAULT_MAX_DEGREE
+    w: Sequence[int], max_degree: int | None = None
 ) -> tuple[Word, ...]:
-    """All reduced words of w, sorted lexicographically.
+    """All reduced words of w in lexicographic order; ``max_degree`` caps the degree.
 
     >>> enumerate_reduced_words((3, 5, 1, 2, 4))[0]
     (2, 1, 4, 3, 2)
@@ -119,35 +115,36 @@ def enumerate_reduced_words(
     6
     """
     w = check_permutation(w)
-    if len(w) > max_degree:
+    if max_degree is not None and len(w) > max_degree:
         raise ResourceLimitError(
             f"degree {len(w)} exceeds the cap {max_degree}; pass max_degree to raise it"
         )
-    return tuple(sorted(_words_of(w, {})))
-
-
-def _words_of(
-    u: tuple[int, ...], cache: dict[tuple[int, ...], tuple[Word, ...]]
-) -> tuple[Word, ...]:
-    # A module-level function with the cache passed in, not a recursive
-    # closure: a closure that calls itself is a reference cycle, so its
-    # cache would live until the cyclic collector happened to run.
-    got = cache.get(u)
-    if got is not None:
-        return got
-    ds = [i + 1 for i in range(len(u) - 1) if u[i] > u[i + 1]]
-    if not ds:
-        out: tuple[Word, ...] = ((),)
-    else:
-        acc = []
-        for i in ds:
-            shorter = list(u)
-            shorter[i - 1], shorter[i] = shorter[i], shorter[i - 1]
-            for word in _words_of(tuple(shorter), cache):
-                acc.append(word + (i,))
-        out = tuple(acc)
-    cache[u] = out
-    return out
+    # An explicit stack, as its depth is the inversion number of w: a permutation
+    # pushes its lower neighbours, then, once they are done, stores its words.
+    memo: dict[tuple[int, ...], list[Word]] = {}
+    pending: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    letters, stack = 0, [w]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+        elif u not in pending:
+            below = pending[u] = [
+                (i, u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :])
+                for i in range(1, len(u)) if u[i - 1] > u[i]
+            ]
+            stack += [v for _, v in below if v not in memo]
+        else:
+            stack.pop()
+            below = pending.pop(u)
+            out = [word + (i,) for i, v in below for word in memo[v]] if below else [()]
+            letters += len(out) * len(out[0])
+            if letters > MAX_REDUCED_LETTERS:
+                raise ResourceLimitError(
+                    f"{letters} stored reduced-word letters exceed the cap {MAX_REDUCED_LETTERS}"
+                )
+            memo[u] = out
+    return tuple(sorted(memo[w]))
 
 
 def word_to_str(word: Sequence[int]) -> str:

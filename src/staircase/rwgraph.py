@@ -14,7 +14,6 @@ from math import comb
 from .errors import DomainError
 from .graphs import SimpleGraph
 from .perm import (
-    DEFAULT_MAX_DEGREE,
     Word,
     check_permutation,
     enumerate_reduced_words,
@@ -70,7 +69,7 @@ class WordGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_word_graph(w, max_degree: int = DEFAULT_MAX_DEGREE) -> WordGraph:
+def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
     """Move graph on the reduced words of w.
 
     Edge indices refer to the lexicographically sorted word list, each

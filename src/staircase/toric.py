@@ -16,8 +16,8 @@ an ideal whose generators fall into groups on disjoint variables into
 one factor per group, and stops at two generators, whose numerator
 is a closed form.  Each node does O(gens^2 * nvars) work on exponents
 besides its coefficient arithmetic, and the number of nodes can grow
-exponentially with the generator count: MAX_HILBERT_VARS and
-MAX_HILBERT_GENS bound the input, not the nodes.
+exponentially with the generator count: MAX_HILBERT_ENTRIES bounds
+the exponent entries of the nodes a call starts, MAX_HILBERT_DEPTH their nesting.
 ``standard_monomial_counts`` counts the same series directly and shares
 no code with the recursion.
 
@@ -46,8 +46,8 @@ from .poly import IntPolynomial
 from .report import INVARIANT, Report, check
 
 MAX_BASIS = 256
-MAX_HILBERT_VARS = 16
-MAX_HILBERT_GENS = 64
+MAX_HILBERT_ENTRIES = 20_000_000  # exponent entries of the nodes one call starts
+MAX_HILBERT_DEPTH = 500  # nested nodes of three or more generators
 
 
 @dataclass(frozen=True)
@@ -216,23 +216,16 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     A cache, fresh for each call, holds the nodes of three or more
     generators.  It keys on the generator tuple in the order a node
     builds it, so one sub-ideal reached in two orders is computed
-    twice.  Dimension is the pole order of N/(1-t)^nvars at
-    t = 1 and degree the reduced numerator there.  The zero ring (unit
-    ideal) gets dimension -1.
+    twice.  A node missing from it adds its exponent entries to a
+    running count and checks that and its depth before it recurses.
+    Dimension is the pole order of N/(1-t)^nvars at t = 1 and degree
+    the reduced numerator there.  The zero ring gets dimension -1.
 
     >>> hd = hilbert(MonomialIdeal(4, ((1, 0, 1, 0), (0, 1, 0, 1))))
     >>> hd.dimension, hd.degree
     (2, 4)
     """
-    if mi.nvars > MAX_HILBERT_VARS:
-        raise ResourceLimitError(
-            f"Hilbert recursion limited to {MAX_HILBERT_VARS} variables"
-        )
-    if len(mi.gens) > MAX_HILBERT_GENS:
-        raise ResourceLimitError(
-            f"Hilbert recursion limited to {MAX_HILBERT_GENS} generators"
-        )
-    num = IntPolynomial(_numerator(mi.gens, {}))
+    num = IntPolynomial(_numerator(mi.gens, {}, [0], 1))
     if num.is_zero():
         return HilbertData(num, -1, 0)
     reduced = num
@@ -243,7 +236,9 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     return HilbertData(num, mi.nvars - multiplicity, reduced(1))
 
 
-def _numerator(gens: tuple[Expo, ...], cache: dict) -> list[int]:
+def _numerator(
+    gens: tuple[Expo, ...], cache: dict, entries: list[int], depth: int
+) -> list[int]:
     """Numerator coefficients of a minimal generator tuple, constant first.
 
     The list may come from the cache, so callers must not mutate it.
@@ -266,6 +261,15 @@ def _numerator(gens: tuple[Expo, ...], cache: dict) -> list[int]:
     if got is not None:
         return got
     nvars = len(gens[0])
+    entries[0] += len(gens) * nvars
+    if entries[0] > MAX_HILBERT_ENTRIES:
+        raise ResourceLimitError(
+            f"{entries[0]} Hilbert exponent entries exceed the cap {MAX_HILBERT_ENTRIES}"
+        )
+    if depth > MAX_HILBERT_DEPTH:
+        raise ResourceLimitError(
+            f"{depth} nested Hilbert nodes exceed the cap {MAX_HILBERT_DEPTH}"
+        )
     counts = [0] * nvars
     comps: list[tuple[int, list[Expo]]] = []
     for g in gens:
@@ -287,7 +291,7 @@ def _numerator(gens: tuple[Expo, ...], cache: dict) -> list[int]:
     if len(comps) > 1:
         out = [1]
         for _, members in comps:
-            out = _mul(out, _numerator(tuple(members), cache))
+            out = _mul(out, _numerator(tuple(members), cache, entries, depth + 1))
     else:
         # x divides at least two of these connected generators, so x
         # itself is not one of them and no lowered generator is 1
@@ -301,8 +305,8 @@ def _numerator(gens: tuple[Expo, ...], cache: dict) -> list[int]:
         colon = lowered + tuple(
             g for g in gens if not g[x] and not any(divides(h, g) for h in lowered)
         )
-        a = _numerator(plus, cache)
-        b = _numerator(colon, cache)
+        a = _numerator(plus, cache, entries, depth + 1)
+        b = _numerator(colon, cache, entries, depth + 1)
         out = a + [0] * (len(b) + 1 - len(a))
         for i, c in enumerate(b):
             out[i + 1] += c

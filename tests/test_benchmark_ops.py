@@ -15,6 +15,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
+from staircase import layered, perm, rwgraph, toric  # noqa: E402
+from staircase.partition import staircase  # noqa: E402
+
 
 def _run(ops) -> None:
     results = {}
@@ -33,3 +36,32 @@ def test_tiny_workload_ops_pass_their_checks(workload, traced):
             _run(ops)
     else:
         _run(ops)
+
+
+def test_benchmark_inputs_use_under_one_percent_of_each_cap(monkeypatch):
+    # A cap cut to a hundredth of its value must still pass every
+    # benchmark-shaped input, so a later cut cannot quietly make the
+    # benchmark's operations fail.  Measured use: 1,038 placements for
+    # the family at length 45, at most 520 per random isomorphism pair,
+    # words of 141,700 letters stored for the family at length 30 (the
+    # benchmark's longest), at most 15,144 Hilbert exponent entries per
+    # random ideal.  The Hilbert depth cap must stay under Python's
+    # recursion limit, so it gets a tenth: random ideals nest 19 deep.
+    words45 = rwgraph.family_word_graph(45)
+    for module, name, cut in (
+        (perm, "MAX_REDUCED_LETTERS", 100),
+        (layered, "MAX_ISO_NODES", 100),
+        (toric, "MAX_HILBERT_ENTRIES", 100),
+        (toric, "MAX_HILBERT_DEPTH", 10),
+    ):
+        monkeypatch.setattr(module, name, getattr(module, name) // cut)
+    assert layered.is_isomorphic(words45, layered.build_layered_graph(staircase(45)))
+    assert len(perm.enumerate_reduced_words(perm.staircase_permutation(31))) == 465
+    # the calls alone: the tiny workloads above check the answers
+    results = {}
+    for op in workloads.census_scale(7, False):
+        results[op.name] = op.call(results)
+    for seed in (7, 53, 83):
+        for op in workloads.random_engines(seed, False):
+            if op.name.startswith(("is_isomorphic", "hilbert")):
+                op.call(results)

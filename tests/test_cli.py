@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from staircase import chroma, cli
+from staircase import chroma, cli, layered, perm, toric
 from staircase.cli import main
 
 
@@ -56,27 +56,62 @@ def test_resource_limit_exits_3(capsys, monkeypatch):
     assert err == "resource limit: 6 frontier states exceed the cap 5\n"
 
 
-def test_word_degree_cap_is_a_resource_limit(capsys):
-    # length 12 needs permutations of degree 13, past the default cap of 12
+def test_word_cap_is_a_resource_limit(capsys, monkeypatch):
+    # the family stores words of 4,026 letters in all at length 11 and
+    # of 5,407 at length 12
+    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 5000)
     code, out, err = run(capsys, "graph", "--ell", "12")
-    assert code == 3
-    assert out == ""
-    assert "degree 13 exceeds the cap 12" in err
+    assert (code, out) == (3, "")
+    assert err == "resource limit: 5407 stored reduced-word letters exceed the cap 5000\n"
 
 
-def test_verify_all_skips_the_census_at_the_degree_cap(capsys):
+def test_long_words_stop_at_the_word_cap(capsys):
+    # staircase_permutation(1000) has 1,001 inversions, more than Python's
+    # default recursion limit; the cap, not the stack, ends both commands
+    for argv in (("words", "--r", "1000"), ("graph", "--ell", "999")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("resource limit: ") and err.endswith(
+            " stored reduced-word letters exceed the cap 20000000\n"
+        ), argv
+
+
+def test_verify_all_skips_the_census_at_the_word_cap(capsys, monkeypatch):
+    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 5000)
     code, out, _ = run(capsys, "verify-all", "--ell", "11..12")
     assert code == 0
     assert "move-graph census at ell = 11\n  vertices " in out
     census = out.split("move-graph census at ell = 12\n")[1]
-    assert census.startswith("  audit  observed=-  claimed=-  SKIPPED")
-    assert "resource limit: degree 13 exceeds the cap 12" in census
-    layered = out.split("layered checks at length 12\n")[1]
-    assert layered.startswith(
+    assert census.startswith(
+        "  audit  observed=-  claimed=-  SKIPPED\n"
+        "    note: resource limit: 5407 stored reduced-word letters exceed the cap 5000\n"
+    )
+    at12 = out.split("layered checks at length 12\n")[1]
+    assert at12.startswith(
         "  isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n"
-        "    note: degree 13 exceeds the cap 12"
+        "    note: 5407 stored reduced-word letters exceed the cap 5000\n"
     )
     assert out.endswith("claim mismatches do not fail the run without --strict\n")
+
+
+def test_word_cap_leaves_room_for_long_lengths(capsys):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "graph", "--ell", "3..30")
+    assert time.monotonic() - start < 5.0
+    assert code == 0
+    at30 = out.split("move-graph census at ell = 30\n")[1].splitlines()
+    assert at30[0].split() == ["vertices", "observed=465", "claimed=465", "MATCH"]
+    code, out, _ = run(capsys, "verify-all", "--ell", "11..12")
+    assert code == 0
+    census = out.split("move-graph census at ell = 12\n")[1].splitlines()
+    assert census[0].split() == ["vertices", "observed=78", "claimed=78", "MATCH"]
+    at12 = out.split("layered checks at length 12\n")[1]
+    assert at12.startswith(
+        "  isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH\n"
+    )
+    # the only SKIPPED rows are the toric audits' fixed length ranges
+    assert out.count("SKIPPED") == 4
+    assert "resource limit" not in out
 
 
 @pytest.mark.parametrize(
@@ -158,20 +193,39 @@ def test_closed_form_audit_skips_at_the_state_cap(capsys, monkeypatch):
     assert closed.startswith("  audit  observed=-  claimed=-  SKIPPED")
 
 
-def test_layered_isomorphism_row_at_every_length(capsys):
-    code, out, _ = run(capsys, "layered", "--ell", "7..8")
-    assert code == 0
-    at7, at8 = out.split("layered graph at length 8\n")
-    assert "isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH" in at7
-    assert "isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n" in at8
-    assert "note: isomorphism search capped at 28 vertices, got 36" in at8
-    # past the reduced-word degree cap the row is SKIPPED, not the command
-    code, out, _ = run(capsys, "layered", "--ell", "12")
-    assert code == 0
-    assert (
+def test_layered_isomorphism_row_at_the_placement_cap(capsys, monkeypatch):
+    # the search places 33 vertices at length 7 and 36 at length 8
+    skipped = (
         "isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n"
-        "    note: degree 13 exceeds the cap 12"
-    ) in out
+        "    note: 36 isomorphism search placements exceed the cap 35\n"
+    )
+    with monkeypatch.context() as m:
+        m.setattr(layered, "MAX_ISO_NODES", 35)
+        code, out, _ = run(capsys, "layered", "--ell", "7..8")
+        assert code == 0
+        at7, at8 = out.split("layered graph at length 8\n")
+        assert "isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH" in at7
+        assert skipped in at8
+        code, out, _ = run(capsys, "verify-all", "--ell", "8")
+        assert code == 0
+        assert out.split("layered checks at length 8\n")[1].startswith("  " + skipped)
+    # the default cap answers the row at every length the command line runs
+    code, out, _ = run(capsys, "layered", "--ell", "8")
+    assert code == 0
+    assert "isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH" in out
+
+
+def test_toric_audit_skips_at_the_hilbert_entry_cap(capsys, monkeypatch):
+    # the quadric-chain ideal at length 5 starts one Hilbert node, of 24
+    # exponent entries
+    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 0)
+    code, out, _ = run(capsys, "conjectures", "--ell", "5", "--which", "c2")
+    assert code == 0
+    assert out.startswith(
+        "consecutive-quadric ideal audit at length 5\n"
+        "  audit  observed=-  claimed=-  SKIPPED\n"
+        "    note: resource limit: 24 Hilbert exponent entries exceed the cap 0\n"
+    )
 
 
 def test_series_rows_are_capped(capsys):

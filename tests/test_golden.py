@@ -31,11 +31,11 @@ GOLDEN = [
     (None, "separation --ell 1..10 --format text", 0,
      "19e069d95917eeb3bd6a2e56d4854b69d51e4ca2877b2e5a02ffd2b4e6c988ef"),
     (None, "identities --ell 5..9 --degree-bound 3 --format text", 0,
-     "b5438f87882c561facd304ff36ff7c4f4da49b254611a2b7e42c732859bdc146"),
+     "11376b47a02de9c27f536d2827cf997222ad3e9d1df5b4f847d20a9341ac1122"),
     (None, "conjectures --ell 5..10 --format text", 0,
      "7c3c0a7cb8de3f4b1f4c5bcff662dab897c77d3b008936f7f0f760d3dfefacaf"),
     (None, "verify-all --ell 3..6 --format text", 0,
-     "873d05e7102c094cf9d7a77401f48df03e68c10587fc7b2c552e32b623418914"),
+     "ddf60853e39ee80b2e6cffa504c9f9d9761ab0d4cea5ab5f6df092ad9d7b9574"),
     (None, "words --r 4..6 --format json", 0,
      "fbff440e56c71564624ce6207a64e8d08ea657a611fc51aa6d16d34ddb32b551"),
     (None, "graph --ell 3..7 --format json", 0,
@@ -47,11 +47,11 @@ GOLDEN = [
     (None, "separation --ell 1..10 --format json", 0,
      "711a19af3bc025100c7abf1a5a059e0731feda16e2dbdca209bb9b824eccedaa"),
     (None, "identities --ell 5..9 --degree-bound 3 --format json", 0,
-     "3eb8438033b1eacca49ff1f1608ffd823089d2da9a654282e07d6e7ba27aa760"),
+     "a1834392ed39ec4281d6e9e4aae020ac8d6dd421dee2fe9bf9218556987272e3"),
     (None, "conjectures --ell 5..10 --format json", 0,
      "c75c49d0dadd91c057ed62c717c9a47988606ba9ffb73b60375d9bbf42e03791"),
     (None, "verify-all --ell 3..6 --format json", 0,
-     "2c541cb2080afe3aed464beb7a0dec52d6f17e4254dcb08e29435429d4cedbfb"),
+     "7961b3cac717877066ff1cda4242e557630b95c8b063c47cc26736abfa853218"),
     (None, "words --r 4..6 --format markdown", 0,
      "5b97b88d0af55ff720ae2487de499b6a70a340bd54da3a63d41851a17df97790"),
     (None, "graph --ell 3..7 --format markdown", 0,
@@ -63,11 +63,11 @@ GOLDEN = [
     (None, "separation --ell 1..10 --format markdown", 0,
      "0a7435566ceb526d733e4e33156f67fe6840aac28531d6ee1087842311420392"),
     (None, "identities --ell 5..9 --degree-bound 3 --format markdown", 0,
-     "7b360bbd87e3c66c5eb38825f13087864a11d4972689c67be697b40dd35c4667"),
+     "961ca4938d8383bca180a71762b201409da448bf25ea99b41af38abaf45a2613"),
     (None, "conjectures --ell 5..10 --format markdown", 0,
      "6d32cc613caf9871378bd4b2ccdc6b9984d2b04aa9e96e0d9744b0135f6eb791"),
     (None, "verify-all --ell 3..6 --format markdown", 0,
-     "878c08f5b6ec2ab8eab501d7dbd4402d41d007ce965b75e5c0a9a398206c8716"),
+     "89a6f6f0baee928e6aa1cba99bff438957e49ef9073a803014ca84509a23fe35"),
     (None, "words --r 4", 0,
      "1b23d5076a4c06e1cde16bbbe0658188edb54f57641d81e9fbd690fbb06ce066"),
     (None, "graph --ell 5", 0,
@@ -79,11 +79,11 @@ GOLDEN = [
     (None, "separation --ell 5..6", 0,
      "35ec9170f7644d39adb9126e58ab4399ee346a41c60efc2448de85ff7e5627ee"),
     (None, "identities --ell 5..9 --degree-bound 3", 0,
-     "b5438f87882c561facd304ff36ff7c4f4da49b254611a2b7e42c732859bdc146"),
+     "11376b47a02de9c27f536d2827cf997222ad3e9d1df5b4f847d20a9341ac1122"),
     (None, "identities --ell 5..7", 0,
-     "163e2fc40b207ffc1cf39493d6af67642019877f6fa3e3b146a7df25dbe454e5"),
+     "15e9bd2a14cf2146ec23199c9bb4c15ce613ffc4610340a5aeaec82b2694da65"),
     (None, "identities --ell 5..7 --degree-bound 4 --format markdown", 0,
-     "cd8436411f76ab9eaf947e90e1c93c8aef8f14685f5b798cb0a3c1af001afb23"),
+     "4b43950660f4c989090bdc0c22f1db6d3bfa1e0bbe2fd7f038309b8f59d83f42"),
     (None, "graph --ell 5 --format dot", 0,
      "c086479e0e854d974dede3eb8cbf34175b83b896d0a60e7ab805d4ff5c6c7ff9"),
     (None, "layered --ell 4 --format dot", 0,
@@ -123,17 +123,17 @@ GOLDEN = [
     (None, "conjectures --ell 5", 0,
      "363db43b760c557e6060a89c8449048810d8262d04e513311bf801d6decf713f"),
     (None, "verify-all --ell 3..6", 0,
-     "873d05e7102c094cf9d7a77401f48df03e68c10587fc7b2c552e32b623418914"),
+     "ddf60853e39ee80b2e6cffa504c9f9d9761ab0d4cea5ab5f6df092ad9d7b9574"),
     (None, "verify-all --ell 3..8", 0,
-     "470f9b7f7e0f609b3a6959cb38596ad78f93cf92f0ceac60b4b2604ac7055280"),
+     "57a615e24689b8e4eb5d63b56531cdaf73fb5868cef410502b4e5d239f23d468"),
     (None, "verify-all --ell 3..8 --format json", 0,
-     "5131f11d827d4659c7bb51e387161735250259466dce4aab45b7cb331e25adea"),
+     "6d3b6521e26bbda7cb79b398d3cc80b491cb55cf0410fbb471a3f0b12201f03d"),
     (None, "verify-all --ell 3..5 --strict", 1,
-     "5663ac7fda2f04d6426d3609a9a06e64fe47b44742b69dddf5b3df4aa26960d8"),
+     "1e632f583a0d8026cc98fdcd09d31d63bad0b81ad5ad6e725afaea8d9f8e49ac"),
     (None, "verify-all --ell 3..4 --strict --format json", 1,
      "8c44c5b1e80e70e70aa54fcc035646a1e00c5fdcd9ab8dced6222eda04303c5a"),
     (None, "verify-all --ell 9..10", 0,
-     "ec6a91fd670c642d0e84f040c88f3c61bdeedd77f2ac51dc2fb1e5b42265cb05"),
+     "759f18d14f79f8048e1c9678a998ac264eb919bbda66c339be75cf87aac92d1b"),
     (None, "verify-all --ell 3", 0,
      "e327365b9bfa0567586de0df904861ce198f1ee91cff1f38e5c48ecf4e2ef98b"),
     (None, "graph --ell 6", 0,
@@ -188,16 +188,16 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (None, "graph --ell 6 --cap-vertices 5", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (None, "graph --ell 12", 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (None, "graph --ell 11..12", 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (None, "graph --ell 12", 0,
+     "fcc25013738506d98ed3e5c712ae52bbd3a2743bbe6f06944305fa9e135a59a6"),
+    (None, "graph --ell 11..12", 0,
+     "a937480f94b3b13e48d13957181ca96f92a0b62f715a8d5c107e66541243cf18"),
     (None, "chroma --ell 7 --cap-states 5", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (None, "chroma --ell 6..7 --cap-states 26", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (None, "export --ell 12 --kind word-graph", 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (None, "export --ell 12 --kind word-graph", 0,
+     "8978ca44ade220e6b8deb52dc9a08028ff0fbd0af323469c73ebcbdee1aefc80"),
     ({"format": "json"}, "words --r 4", 0,
      "db08c6e84091318f3d7374032ac773d5034c633028ab79c2d6f8dbda5f93fb61"),
     ({"format": "json"}, "words --r 4 --format text", 0,
@@ -220,7 +220,7 @@ GOLDEN = [
     ({"cap-vertices": 5}, "graph --ell 6", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ({"degree_bound": 2, "format": "json"}, "identities --ell 5", 0,
-     "13ea9f697b88a61b9cdd98ca156f9c600182e620965ecf89e1de96e8e536eaf7"),
+     "86839547c5c16ed145fe561038b67a593c2a959d921a555e259ee1d75cf83550"),
     ({"cap_states": 5}, "chroma --ell 7", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ({"cap_states": 5}, "verify-all --ell 7", 2,
@@ -238,9 +238,9 @@ GOLDEN = [
 # state cap lowered, so that its skip and exit paths show at small lengths
 GOLDEN_AT_STATE_CAP = [
     (5, "verify-all --ell 7", 0,
-     "d05e0c31507e433eaa83d6806fb5b50d4799861ccbfa4bdef98b3f285f4ba708"),
+     "ce4a65c5a7bc058cdc3718d4b61eed10df629ae521f6a5638b8655275237faae"),
     (7, "verify-all --ell 6", 0,
-     "ae023a8188e627b7620b3064faece0b9cce475e5420b83a3ff636cbd6782ab97"),
+     "34c61459147cfd5518ec072f3c1e565e6eca7338a23204701898cbc99113ec04"),
     (7, "chroma --ell 6", 0,
      "94a0fc124184054cea2dbd25fed99123db43b84c9b7916ef291551b866492582"),
     (26, "chroma --ell 6..7", 3,

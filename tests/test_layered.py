@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from iso_oracle import isomorphic_by_permutations
+from staircase import layered
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.layered import (
@@ -282,6 +283,42 @@ def test_isomorphism_compares_component_sizes_before_searching():
     h = _disjoint_cycles([3] * 5 + [9])
     assert _within(2.0, lambda: is_isomorphic(g, h)) is False
     assert _within(2.0, lambda: is_isomorphic(h, g)) is False
+
+
+def _union(*parts: list[tuple[int, int]]) -> SimpleGraph:
+    # disjoint copies of six-vertex graphs
+    edges = [(a + 6 * k, b + 6 * k) for k, part in enumerate(parts) for a, b in part]
+    return SimpleGraph.from_edges(6 * len(parts), edges)
+
+
+def test_isomorphism_search_stops_at_the_placement_cap():
+    # 24 vertices, every signature (3, 3, 3): from the first graph the
+    # search maps the K_{3,3} components onto the second's in every
+    # order and automorphism before the extra one fails, which took 27 s
+    k33 = [(i, j) for i in range(3) for j in range(3, 6)]
+    prism = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    g = _union(prism, k33, k33, k33)
+    h = _union(prism, prism, k33, k33)
+
+    def refused():
+        with pytest.raises(ResourceLimitError, match="placements exceed the cap"):
+            is_isomorphic(g, h)
+        return True
+
+    assert _within(2.0, refused) is True
+    assert _within(2.0, lambda: is_isomorphic(h, g)) is False
+
+
+def test_isomorphism_placement_cap(monkeypatch):
+    # the family search places 36 vertices at length 8, one per vertex
+    g8 = build_layered_graph(staircase(8))
+    monkeypatch.setattr(layered, "MAX_ISO_NODES", 36)
+    assert is_isomorphic(g8, g8)
+    monkeypatch.setattr(layered, "MAX_ISO_NODES", 35)
+    with pytest.raises(
+        ResourceLimitError, match="36 isomorphism search placements exceed the cap 35"
+    ):
+        is_isomorphic(g8, g8)
 
 
 def test_missing_edge_polynomial():

@@ -1,7 +1,9 @@
+import time
 from math import comb
 
 import pytest
 
+from staircase import perm
 from staircase.errors import DomainError, MalformedPermutationError, ResourceLimitError
 from staircase.perm import (
     apply_word,
@@ -69,8 +71,40 @@ def test_identity_has_one_empty_word():
     assert enumerate_reduced_words((1, 2, 3)) == ((),)
 
 
-def test_degree_cap_is_a_resource_limit():
+def test_word_cap_is_a_resource_limit(monkeypatch):
     w = staircase_permutation(13)
+    # no degree cap by default; an explicit one still refuses at once
+    assert len(enumerate_reduced_words(w)) == comb(13, 2)
     with pytest.raises(ResourceLimitError, match="degree 13 exceeds the cap 12"):
-        enumerate_reduced_words(w)
+        enumerate_reduced_words(w, max_degree=12)
     assert len(enumerate_reduced_words(w, max_degree=13)) == comb(13, 2)
+    # the family at length 12 stores words of 5,407 letters across the memo
+    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 5406)
+    with pytest.raises(
+        ResourceLimitError, match="5407 stored reduced-word letters exceed the cap 5406"
+    ):
+        enumerate_reduced_words(w)
+    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 5407)
+    assert len(enumerate_reduced_words(w)) == comb(13, 2)
+
+
+def test_word_cap_stops_the_longest_element_of_s7():
+    # 292,864 words of the longest element of S_6 (Stanley's hook-length
+    # count), 14,539,947 letters stored across the memo, fit under the
+    # cap; those of S_7 number 1,100,742,656 and would exhaust memory
+    # long before the enumeration ended
+    assert len(enumerate_reduced_words(tuple(range(6, 0, -1)))) == 292_864
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="stored reduced-word letters exceed the cap"):
+        enumerate_reduced_words(tuple(range(7, 0, -1)))
+    assert time.monotonic() - start < 5.0
+
+
+def test_word_cap_stops_a_long_word_without_recursing():
+    # 1,001 inversions: a recursion peeling one descent per level would
+    # pass Python's default limit of 1,000 frames before storing a word
+    w = staircase_permutation(1000)
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="stored reduced-word letters exceed the cap"):
+        enumerate_reduced_words(w)
+    assert time.monotonic() - start < 5.0

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 import sympy
@@ -341,19 +342,73 @@ def test_engine_work_counts_are_pinned(monkeypatch):
     assert (nodes[0], reductions[0]) == (3820, 480)
 
 
-def test_hilbert_caps():
-    with pytest.raises(ResourceLimitError, match="limited to 16 variables"):
-        hilbert(MonomialIdeal(17, ()))
-    # 65 distinct squarefree quadrics in 12 variables: an antichain
-    quadrics = [
+def _quadrics() -> MonomialIdeal:
+    # the 65 squarefree quadrics x_i x_j in 12 variables but x10 x11: an
+    # antichain whose standard monomials are the powers of one variable
+    # and the monomials on x10, x11 alone
+    mi = MonomialIdeal(12, tuple(
         tuple(1 if k in (i, j) else 0 for k in range(12))
         for i in range(12)
         for j in range(i + 1, 12)
-    ][:65]
-    mi = MonomialIdeal(12, tuple(quadrics))
+    )[:65])
     assert len(mi.gens) == 65
-    with pytest.raises(ResourceLimitError, match="limited to 64 generators"):
+    return mi
+
+
+def test_hilbert_without_input_caps():
+    hd = hilbert(MonomialIdeal(17, ()))
+    assert (hd.numerator, hd.dimension, hd.degree) == (IntPolynomial([1]), 17, 1)
+    hd = hilbert(_quadrics())
+    assert hd.numerator.series_prefix(12, 6) == (1, 12, 13, 14, 15, 16, 17)
+    assert (hd.dimension, hd.degree) == (2, 1)
+
+
+def test_hilbert_entry_cap(monkeypatch):
+    # The quadrics' nodes of three or more generators hold 6,660
+    # exponent entries in all; each counts them when it starts.
+    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 6660)
+    assert hilbert(_quadrics()).dimension == 2
+    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 6659)
+    with pytest.raises(
+        ResourceLimitError, match="6660 Hilbert exponent entries exceed the cap 6659"
+    ):
+        hilbert(_quadrics())
+
+
+def _path(n: int) -> MonomialIdeal:
+    # the edge ideal of the path x_0 - x_1 - ... - x_{n-1}
+    return MonomialIdeal(n, tuple(
+        tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)
+    ))
+
+
+def test_hilbert_entry_cap_stops_a_long_path_ideal():
+    # dimension: a largest independent set of P_100 has 50 vertices;
+    # degree: P_100 has 51 of them
+    hd = hilbert(_path(100))
+    assert (hd.dimension, hd.degree) == (50, 51)
+    # a node of P_300 holds up to 89,700 entries, so the cap stops the
+    # recursion after a few hundred nodes
+    mi = _path(300)
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="Hilbert exponent entries exceed the cap"):
         hilbert(mi)
+    assert time.monotonic() - start < 5.0
+
+
+def test_hilbert_depth_cap(monkeypatch):
+    # (x^N y^N, y^N z^N, x^N z^N) lowers one exponent per level, so its
+    # nodes nest N deep: three axes, each of multiplicity N^2
+    def ideal(n: int) -> MonomialIdeal:
+        return MonomialIdeal(3, ((n, n, 0), (0, n, n), (n, 0, n)))
+
+    hd = hilbert(ideal(300))
+    assert (hd.dimension, hd.degree) == (1, 3 * 300**2)
+    with pytest.raises(ResourceLimitError, match="501 nested Hilbert nodes exceed the cap 500"):
+        hilbert(ideal(2000))
+    monkeypatch.setattr(toric, "MAX_HILBERT_DEPTH", 299)
+    with pytest.raises(ResourceLimitError, match="300 nested Hilbert nodes exceed the cap 299"):
+        hilbert(ideal(300))
 
 
 def test_basis_size_cap(monkeypatch):
