@@ -8,18 +8,20 @@ binomials and reduction is monomial rewriting, so coefficients stay
 pairs that need no reduction: coprime leads, and Buchberger's chain
 criterion.  For a pair without coprime leads, the chain check tests
 each element already popped with both sides of the pair, O(|basis| *
-nvars) at most, before any reduction.
+nvars) at most, before any reduction.  A pair that passes costs two
+rewrites of exponent tuples; only a new element becomes a Binomial.
 
 The Hilbert numerator of the initial ideal comes from the
-pivot-variable recursion N(I) = N(I + (x)) + t*N(I : x), which splits
-an ideal whose generators fall into groups on disjoint variables into
-one factor per group, and stops at two generators, whose numerator
-is a closed form.  Each node does O(gens^2 * nvars) work on exponents
-besides its coefficient arithmetic, and the number of nodes can grow
-exponentially with the generator count: MAX_HILBERT_ENTRIES bounds
-the exponent entries of the nodes a call starts, MAX_HILBERT_DEPTH their nesting.
-``standard_monomial_counts`` counts the same series directly and shares
-no code with the recursion.
+pivot-variable recursion N(I) = (1 - t)*N(J) + t*N(I : x), J the
+generators x does not divide, which splits an ideal whose generators
+fall into groups on disjoint variables into one factor per group, and
+stops at two generators, whose numerator is a closed form.  A pivot
+node has two children.  Each node does O(gens^2 * nvars) work on
+exponents besides its coefficient arithmetic; the number of nodes can
+grow exponentially with the generator count.  MAX_HILBERT_ENTRIES bounds
+the exponent entries of the nodes a call starts, MAX_HILBERT_DEPTH their
+nesting.  ``standard_monomial_counts`` counts the same series directly
+and shares no code with the recursion.
 
 Dimension always means the affine Krull dimension of the quotient.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, sub
 
 from .binomial import (
     Binomial,
@@ -36,7 +39,6 @@ from .binomial import (
     expo_lcm,
     normal_form,
     reduce_monomial,
-    s_binomial,
 )
 from .chroma import colour_separation
 from .errors import DomainError, ResourceLimitError
@@ -72,7 +74,11 @@ class BinomialIdeal:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Minimal monomial generators, kept as an antichain under division."""
+    """Minimal monomial generators, kept as an antichain under division.
+
+    >>> MonomialIdeal(2, ((1, 2), (1, 1), (0, 3))).gens
+    ((1, 1), (0, 3))
+    """
 
     nvars: int
     gens: tuple[Expo, ...]
@@ -87,12 +93,14 @@ class MonomialIdeal:
 
 
 def _minimalize(gens) -> tuple[Expo, ...]:
+    # h divides g only if h's support mask lies inside g's: one int test
     uniq = sorted(set(tuple(g) for g in gens), key=lambda g: (sum(g), g))
-    out: list[Expo] = []
+    out: list[tuple[int, Expo]] = []
     for g in uniq:
-        if not any(divides(h, g) for h in out):
-            out.append(g)
-    return tuple(out)
+        m = sum(1 << i for i, e in enumerate(g) if e)
+        if not any(not hm & ~m and divides(h, g) for hm, h in out):
+            out.append((m, g))
+    return tuple(g for _, g in out)
 
 
 def groebner_basis(gens) -> tuple[Binomial, ...]:
@@ -109,9 +117,11 @@ def groebner_basis(gens) -> tuple[Binomial, ...]:
       keeps the set of elements it was popped with, and the check
       tests the intersection of the pair's two sets.
 
-    The result is auto-reduced (minimal leads, irreducible tails) so it
-    is unique, independent of input order.  A basis that grows past
-    MAX_BASIS elements raises ResourceLimitError.
+    S-pair sides lcm - u + v are reduced as exponent tuples; only an
+    element that joins the basis becomes a ``Binomial``.  The result is
+    auto-reduced (minimal leads, each tail reduced once: normal forms
+    modulo a Groebner basis are unique) so it is unique, independent of
+    input order.  A basis past MAX_BASIS elements raises ResourceLimitError.
     """
     gen_list = list(gens)
     if not gen_list:
@@ -137,17 +147,18 @@ def groebner_basis(gens) -> tuple[Binomial, ...]:
         popped[i].add(j)
         popped[j].add(i)
         f, g = basis[i], basis[j]
-        if all(not (x and y) for x, y in zip(f.u, g.u)):
+        if not any(map(min, f.u, g.u)):
             continue  # coprime leads: S-pair reduces to zero
         if any(divides(basis[k].u, lcm) for k in popped[i] & popped[j]):
             continue  # chain: (i, k) and (k, j) cover this pair
-        s = s_binomial(f, g)
-        if s is None:
+        p = tuple(map(add, map(sub, lcm, f.u), f.v))
+        q = tuple(map(add, map(sub, lcm, g.u), g.v))
+        if p == q:
+            continue  # the S-binomial cancels
+        p, q = reduce_monomial(p, basis), reduce_monomial(q, basis)
+        if p == q:
             continue
-        h = normal_form(s, basis)
-        if h is None:
-            continue
-        h = h.oriented()
+        h = Binomial(p, q).oriented()
         basis.append(h)
         popped.append(set())
         if len(basis) > MAX_BASIS:
@@ -159,25 +170,13 @@ def groebner_basis(gens) -> tuple[Binomial, ...]:
             lcm2 = expo_lcm(basis[i2].u, h.u)
             heapq.heappush(queue, (sum(lcm2), lcm2, i2, k))
 
-    return _autoreduce(basis)
-
-
-def _autoreduce(basis: list[Binomial]) -> tuple[Binomial, ...]:
-    ordered = sorted(basis, key=lambda g: (sum(g.u), g.u, g.v))
     minimal: list[Binomial] = []
-    for g in ordered:
+    for g in sorted(basis, key=lambda g: (sum(g.u), g.u, g.v)):
         if not any(divides(h.u, g.u) for h in minimal):
             minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1 :]
-            tail = reduce_monomial(g.v, others)
-            if tail != g.v:
-                minimal[i] = Binomial(g.u, tail)
-                changed = True
-    return tuple(sorted(minimal, key=lambda g: (sum(g.u), g.u, g.v)))
+    # g's own lead divides no monomial below it, so g may stay in the list
+    reduced = [Binomial(g.u, reduce_monomial(g.v, minimal)) for g in minimal]
+    return tuple(sorted(reduced, key=lambda g: (sum(g.u), g.u, g.v)))
 
 
 def initial_ideal(gb, nvars: int) -> MonomialIdeal:
@@ -204,10 +203,10 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
 
     * generators that fall into groups on disjoint variables give the
       product of the groups' numerators;
-    * I + (x) is the generators x does not divide, plus x, and I : x
-      the generators x divides, lowered by x, plus those it does not
-      divide and no lowered one divides.  Both are minimal as built, so
-      no node minimalizes.
+    * I + (x) is no node: x divides none of the generators J it does not
+      divide, so N(I + (x)) = (1 - t)*N(J).  I : x is the generators x
+      divides, lowered by x, plus those of J that no lowered one divides.
+      Both J and I : x are minimal as built, so no node minimalizes.
 
     The recursion stops at two generators.  No generator gives 1, one
     generator m gives 1 - t^deg(m), and two generators g and h, neither
@@ -296,18 +295,19 @@ def _numerator(
         # x divides at least two of these connected generators, so x
         # itself is not one of them and no lowered generator is 1
         x = counts.index(max(counts))
-        plus = tuple(g for g in gens if not g[x]) + (
-            tuple(1 if i == x else 0 for i in range(nvars)),
-        )
+        free = tuple(g for g in gens if not g[x])
         lowered = tuple(
             g[:x] + (g[x] - 1,) + g[x + 1 :] for g in gens if g[x]
         )
+        # only a lowered generator without x can divide one without x
+        bare = [h for h in lowered if not h[x]]
         colon = lowered + tuple(
-            g for g in gens if not g[x] and not any(divides(h, g) for h in lowered)
+            g for g in free if not any(divides(h, g) for h in bare)
         )
-        a = _numerator(plus, cache, entries, depth + 1)
+        a = _numerator(free, cache, entries, depth + 1)
         b = _numerator(colon, cache, entries, depth + 1)
-        out = a + [0] * (len(b) + 1 - len(a))
+        out = _mul(a, [1, -1])  # N(I + (x)): x divides no free generator
+        out += [0] * (len(b) + 1 - len(out))
         for i, c in enumerate(b):
             out[i + 1] += c
     cache[gens] = out

@@ -88,6 +88,20 @@ def test_groebner_basis_matches_sympy_on_random_ideals():
         assert groebner_basis(rng.sample(gens, len(gens))) == gb, gens
 
 
+def test_groebner_basis_ignores_repeated_and_swapped_generators():
+    rng = random.Random(2203)
+    for _ in range(40):
+        nvars = rng.randint(2, 5)
+        gens = [_random_pure_binomial(rng, nvars) for _ in range(rng.randint(2, 4))]
+        gb = groebner_basis(gens)
+        assert _as_pairs(gb) == _sympy_groebner(gens, nvars), gens
+        swapped = [g.flipped() for g in gens]
+        assert groebner_basis(swapped) == gb, gens
+        padded = gens + gens + swapped
+        assert groebner_basis(padded) == gb, gens
+        assert groebner_basis(rng.sample(padded, len(padded))) == gb, gens
+
+
 def test_groebner_all_s_pairs_reduce_to_zero():
     gens = [Binomial((1, 0, 1, 0), (0, 2, 0, 0)), Binomial((1, 0, 0, 1), (0, 1, 1, 0))]
     gb = groebner_basis(gens)
@@ -261,6 +275,30 @@ def test_hilbert_numerator_of_pure_powers_and_partial_pivots():
         assert hd.numerator.coeffs == taylor_numerator(gens, nvars), gens
 
 
+def test_hilbert_pivot_dividing_all_or_all_but_one_generator(monkeypatch):
+    # x0 divides the most generators.  When it divides all of them the
+    # generators it does not divide are none, and I + (x0) gives 1 - t;
+    # when it divides all but one, that one alone is the other child.
+    children, inner = [], toric._numerator
+
+    def spied(gens, *args):
+        children.append(gens)
+        return inner(gens, *args)
+
+    monkeypatch.setattr(toric, "_numerator", spied)
+    cases = [
+        (((2, 1, 0, 0), (1, 0, 2, 0), (1, 1, 0, 1)), ()),
+        (((2, 1, 0, 0), (1, 0, 2, 0), (1, 1, 0, 1), (0, 0, 1, 2)), ((0, 0, 1, 2),)),
+    ]
+    for gens, free in cases:
+        children.clear()
+        mi = MonomialIdeal(4, gens)
+        hd = hilbert(mi)
+        assert children[0] == mi.gens and free in children[1:], gens
+        assert hd.numerator.coeffs == taylor_numerator(gens, 4), gens
+        assert hd.numerator.series_prefix(4, 8) == standard_monomial_counts(mi, 8)
+
+
 def _check_two_generators(gens: tuple) -> IntPolynomial:
     nvars = len(gens[0])
     mi = MonomialIdeal(nvars, gens)
@@ -328,7 +366,7 @@ def test_engine_work_counts_are_pinned(monkeypatch):
     rng = random.Random(6151)
     for _ in range(24):
         hilbert(MonomialIdeal(12, _benchmark_shaped_gens(rng)))
-    reductions = _counting(monkeypatch, "normal_form")
+    reductions = _counting(monkeypatch, "reduce_monomial")
     rng = random.Random(6151)
     for _ in range(64):
         gens = []
@@ -339,7 +377,7 @@ def test_engine_work_counts_are_pinned(monkeypatch):
             if u != v:
                 gens.append(Binomial(u, v))
         groebner_basis(gens)
-    assert (nodes[0], reductions[0]) == (3820, 480)
+    assert (nodes[0], reductions[0]) == (2903, 1289)
 
 
 def _quadrics() -> MonomialIdeal:
@@ -364,13 +402,13 @@ def test_hilbert_without_input_caps():
 
 
 def test_hilbert_entry_cap(monkeypatch):
-    # The quadrics' nodes of three or more generators hold 6,660
+    # The quadrics' nodes of three or more generators hold 4,032
     # exponent entries in all; each counts them when it starts.
-    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 6660)
+    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 4032)
     assert hilbert(_quadrics()).dimension == 2
-    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 6659)
+    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 4031)
     with pytest.raises(
-        ResourceLimitError, match="6660 Hilbert exponent entries exceed the cap 6659"
+        ResourceLimitError, match="4032 Hilbert exponent entries exceed the cap 4031"
     ):
         hilbert(_quadrics())
 
@@ -380,6 +418,14 @@ def _path(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(
         tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)
     ))
+
+
+def test_path_ideal_on_1000_variables_minimalizes_quickly():
+    # support masks settle most pairs of sparse generators without a
+    # full-length divisibility test
+    start = time.monotonic()
+    assert len(_path(1000).gens) == 999
+    assert time.monotonic() - start < 5.0
 
 
 def test_hilbert_entry_cap_stops_a_long_path_ideal():
