@@ -1,6 +1,6 @@
 """Staircase permutation words, layered graphs, and toric ideal audits."""
 
-from .binomial import Binomial, grevlex_greater, normal_form, s_binomial
+from .binomial import Binomial, grevlex_greater, normal_form
 from .chroma import (
     ColourSeparation,
     balance_bound_check,

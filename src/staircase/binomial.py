@@ -20,18 +20,6 @@ from .errors import DomainError
 Expo = tuple[int, ...]
 
 
-def expo_mul(a: Expo, b: Expo) -> Expo:
-    return tuple(map(add, a, b))
-
-
-def expo_div(a: Expo, b: Expo) -> Expo:
-    """Divide monomial a by b; b must divide a."""
-    out = tuple(map(sub, a, b))
-    if min(out, default=0) < 0:
-        raise RuntimeError(f"monomial {b} does not divide {a}")
-    return out
-
-
 def expo_lcm(a: Expo, b: Expo) -> Expo:
     return tuple(map(max, a, b))
 
@@ -60,10 +48,10 @@ class Binomial:
     Kernel relations and Graver elements always come with disjoint
     supports; intermediate Groebner elements may legitimately carry a
     common factor, and cancelling it there would change the ideal, so
-    cancellation is the explicit ``primitive_part`` and never implicit.
+    the sides keep it:
 
-    >>> Binomial((2, 1, 0), (0, 2, 1)).primitive_part()
-    Binomial(u=(2, 0, 0), v=(0, 1, 1))
+    >>> Binomial((2, 1, 0), (0, 2, 1))
+    Binomial(u=(2, 1, 0), v=(0, 2, 1))
     """
 
     u: Expo
@@ -83,16 +71,6 @@ class Binomial:
     @property
     def nvars(self) -> int:
         return len(self.u)
-
-    def has_disjoint_supports(self) -> bool:
-        return not any(x and y for x, y in zip(self.u, self.v))
-
-    def primitive_part(self) -> Binomial:
-        """Cancel the common monomial factor of the two sides."""
-        common = tuple(min(x, y) for x, y in zip(self.u, self.v))
-        if not any(common):
-            return self
-        return Binomial(expo_div(self.u, common), expo_div(self.v, common))
 
     def degree(self) -> int:
         return max(sum(self.u), sum(self.v))
@@ -137,21 +115,6 @@ def format_monomial(e: Expo, names: list[str]) -> str:
         elif x > 1:
             parts.append(f"{name}^{x}")
     return "*".join(parts)
-
-
-def s_binomial(f: Binomial, g: Binomial) -> Binomial | None:
-    """S-polynomial of two oriented binomials; None when it cancels.
-
-    Both inputs must already have their leading side in ``u``.  The
-    result is x^(L-u_f+v_f) - x^(L-u_g+v_g) for L = lcm of the leads,
-    again a pure difference, so no trinomial can appear here.
-    """
-    lcm = expo_lcm(f.u, g.u)
-    a = expo_mul(expo_div(lcm, f.u), f.v)
-    b = expo_mul(expo_div(lcm, g.u), g.v)
-    if a == b:
-        return None
-    return Binomial(a, b)
 
 
 def reduce_monomial(m: Expo, basis: list[Binomial] | tuple[Binomial, ...]) -> Expo:

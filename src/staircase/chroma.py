@@ -114,9 +114,7 @@ def _accumulate(
     acc = states.get(labels)
     if acc is None:
         if len(states) >= MAX_FRONTIER_STATES:
-            raise ResourceLimitError(
-                f"{len(states) + 1} frontier states exceed the cap {MAX_FRONTIER_STATES}"
-            )
+            raise ResourceLimitError(len(states) + 1, MAX_FRONTIER_STATES, "frontier states")
         states[labels] = weight
         return
     if len(acc) < len(weight):

@@ -22,10 +22,13 @@ class InvalidIdentityError(DomainError):
 class ResourceLimitError(StaircaseError, RuntimeError):
     """A size or search cap of an engine was exceeded.
 
-    ``partial`` carries whatever was computed before the cap hit, when the
-    operation can say something useful about it; otherwise it is None.
+    Every cap says the same thing: ``count`` units of ``what`` (a plural
+    noun) went past ``cap``, as in "10001 frontier states exceed the cap
+    10000".  ``partial`` carries whatever was computed before the cap
+    hit, when the operation can say something useful about it;
+    otherwise it is None.
     """
 
-    def __init__(self, message: str, partial: object = None):
-        super().__init__(message)
+    def __init__(self, count: int, cap: int, what: str, partial: object = None):
+        super().__init__(f"{count} {what} exceed the cap {cap}")
         self.partial = partial

@@ -252,9 +252,7 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
             seen.add(nxt)
             states += 1
             if states > MAX_GRAVER_STATES:
-                raise ResourceLimitError(
-                    f"monomial enumeration exceeded {MAX_GRAVER_STATES} states", ()
-                )
+                raise ResourceLimitError(states, MAX_GRAVER_STATES, "Graver states", ())
             frontier.append(nxt)
             by_weight.setdefault(sum(x * w for x, w in zip(nxt, ws)), []).append(nxt)
 
@@ -264,8 +262,7 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
             states += 1
             if states > MAX_GRAVER_STATES:
                 raise ResourceLimitError(
-                    f"pair enumeration exceeded {MAX_GRAVER_STATES} states",
-                    _canonical_graver(candidates),
+                    states, MAX_GRAVER_STATES, "Graver states", _canonical_graver(candidates)
                 )
             if any(x and y for x, y in zip(a, b)):
                 continue

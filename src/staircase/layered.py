@@ -10,6 +10,7 @@ inside a layer.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -119,18 +120,22 @@ def is_isomorphic(
 ) -> bool:
     """Isomorphism test: invariant checks, then a search along edges.
 
-    Vertex and edge counts, degree sequences, neighbour-degree
-    signatures and sorted component sizes settle most pairs; only a pair
-    that agrees on all of them goes to the backtracking search, capped at
-    ``MAX_ISO_NODES`` placements and, if given, ``cap`` vertices.  It places the
-    vertices of ``g1`` in breadth-first order, each component from its
-    rarest signature, so every vertex after the first of its component
-    has an already placed neighbour, its anchor.  Such a vertex tries
-    only the unused neighbours of its anchor's image that share its
-    signature, and each try costs O(degree): the placed neighbours on
-    either side must correspond.  The backtracking keeps a stack of
-    candidate iterators, one per depth, so its depth is not bounded by
-    the interpreter's recursion limit.
+    Vertex and edge counts, degree sequences and neighbour-degree
+    signatures settle most pairs.  A pair that agrees on all of them is
+    matched component by component: each component of ``g1`` goes to
+    the first unmatched component of ``g2`` of its size that it maps
+    onto.  Isomorphism of components is an equivalence relation, so
+    this greedy matching is exact, and it costs one search per pair of
+    components.  The searches share one count, capped at
+    ``MAX_ISO_NODES`` placements; ``cap``, if given, caps the vertices.
+    A search places the vertices of a component in breadth-first order
+    from its rarest signature, so every vertex after the first has an
+    already placed neighbour, its anchor.  Such a vertex tries only the
+    unused neighbours of its anchor's image that share its signature,
+    and each try costs O(degree): the placed neighbours on either side
+    must correspond.  The backtracking keeps a stack of candidate
+    iterators, one per depth, so its depth is not bounded by the
+    interpreter's recursion limit.
 
     Two triangles and a hexagon agree on every signature but not on
     component sizes.  K_{3,3} and the triangular prism are both
@@ -159,51 +164,56 @@ def is_isomorphic(
     sig_b = [tuple(sorted(deg_b[w] for w in adj_b[v])) for v in range(b.n)]
     if sorted(sig_a) != sorted(sig_b):
         return False
-    pool: dict[tuple[int, ...], list[int]] = {}
-    for u in range(b.n):
-        pool.setdefault(sig_b[u], []).append(u)
-    order, anchor, sizes_a = _breadth_first(adj_a, [len(pool[s]) for s in sig_a])
-    if sorted(sizes_a) != sorted(_breadth_first(adj_b, [0] * b.n)[2]):
-        return False
     if cap is not None and a.n > cap:
-        raise ResourceLimitError(f"isomorphism search capped at {cap} vertices, got {a.n}")
-    if a.n == 0:
-        return True
+        raise ResourceLimitError(a.n, cap, "isomorphism search vertices")
+    rarity = Counter(sig_b)
+    parts, anchor = _breadth_first(adj_a, [rarity[s] for s in sig_a])
+    comps_b = _breadth_first(adj_b, [0] * b.n)[0]
     image, inverse, placed = [-1] * a.n, [-1] * b.n, 0
 
     def fitting(v: int) -> Iterator[int]:
         # Filtering lazily is sound: whenever the search asks for the next
         # candidate, the placed vertices are those before v in the order,
         # as when this generator was made.
-        s, p, nbrs_v = sig_a[v], anchor[v], adj_a[v]
-        for u in pool[s] if p < 0 else adj_b[image[p]]:
-            if (
-                inverse[u] < 0
-                and sig_b[u] == s
-                and _fits(nbrs_v, adj_b[u], image, inverse)
-            ):
+        s, nbrs_v = sig_a[v], adj_a[v]
+        for u in adj_b[image[anchor[v]]]:
+            if inverse[u] < 0 and sig_b[u] == s and _fits(nbrs_v, adj_b[u], image, inverse):
                 yield u
 
-    stack = [fitting(order[0])]
-    while stack:
-        v = order[len(stack) - 1]
-        if image[v] >= 0:  # undo this depth's previous choice
-            inverse[image[v]] = -1
-        u = next(stack[-1], -1)
-        image[v] = u  # -1 when v's candidates are spent
-        if u < 0:
-            stack.pop()
-            continue
-        inverse[u] = v
-        placed += 1
-        if placed > MAX_ISO_NODES:
-            raise ResourceLimitError(
-                f"{placed} isomorphism search placements exceed the cap {MAX_ISO_NODES}"
-            )
-        if len(stack) == a.n:
-            return True
-        stack.append(fitting(order[len(stack)]))
-    return False
+    def embed(part: list[int], comp: list[int]) -> bool:
+        """Map the component ``part`` of a, in breadth-first order, onto
+        the component ``comp`` of b; a failed search leaves nothing placed."""
+        nonlocal placed
+        size, s = len(part), sig_a[part[0]]
+        # the root has no placed neighbour, so any free vertex of comp
+        # with its signature fits
+        stack = [iter([u for u in comp if sig_b[u] == s])]
+        while stack:
+            v = part[len(stack) - 1]
+            if image[v] >= 0:  # undo this depth's previous choice
+                inverse[image[v]] = -1
+            u = next(stack[-1], -1)
+            image[v] = u  # -1 when v's candidates are spent
+            if u < 0:
+                stack.pop()
+                continue
+            inverse[u] = v
+            placed += 1
+            if placed > MAX_ISO_NODES:
+                raise ResourceLimitError(placed, MAX_ISO_NODES, "isomorphism search placements")
+            if len(stack) == size:
+                return True
+            stack.append(fitting(part[len(stack)]))
+        return False
+
+    for part in parts:
+        for c, comp in enumerate(comps_b):
+            if len(comp) == len(part) and embed(part, comp):
+                comps_b[c] = []  # matched; no component is empty
+                break
+        else:
+            return False
+    return True
 
 
 def _fits(
@@ -224,17 +234,15 @@ def _fits(
 
 def _breadth_first(
     adj: list[set[int]], rarity: list[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first order over all components, each vertex's anchor,
-    and the component sizes in the order the walk meets them.
+) -> tuple[list[list[int]], list[int]]:
+    """The components, each in breadth-first order, and each vertex's anchor.
 
     Each component starts at its vertex of least ``rarity`` (then least
     index) and that root's anchor is -1; every other vertex is anchored
     at the neighbour it was reached from.
     """
     anchor = [-2] * len(adj)
-    order: list[int] = []
-    sizes: list[int] = []
+    components: list[list[int]] = []
     for root in sorted(range(len(adj)), key=rarity.__getitem__):
         if anchor[root] != -2:
             continue
@@ -245,9 +253,8 @@ def _breadth_first(
                 if anchor[w] == -2:
                     anchor[w] = v
                     component.append(w)
-        order += component
-        sizes.append(len(component))
-    return order, anchor, sizes
+        components.append(component)
+    return components, anchor
 
 
 def missing_edge_polynomial(ell: int) -> IntPolynomial:
@@ -277,9 +284,7 @@ def family_series_report(n: int) -> Report:
     if n < 1:
         raise DomainError(f"need a positive truncation order, got {n}")
     if n * (n + 1) > MAX_SERIES_ROWS:
-        raise ResourceLimitError(
-            f"order {n} needs {n * (n + 1)} series rows, past the cap {MAX_SERIES_ROWS}"
-        )
+        raise ResourceLimitError(n * (n + 1), MAX_SERIES_ROWS, "series rows")
     # closed form: z * (sum_q e^q) * (sum_j (j+1) e^j z^j), truncated
     closed: dict[tuple[int, int], int] = {}
     for j in range(n):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .poly import IntPolynomial
 from .report import Report, check
 
 
@@ -110,12 +111,7 @@ def triangular_gf_report() -> Report:
     closed form both vanish there, so it carries no information.
     """
     upto = 10
-    # 1/(1-z)^3 expanded by three rounds of prefix sums, then one shift.
-    series = [1] * (upto + 1)
-    for _ in range(2):
-        for i in range(1, upto + 1):
-            series[i] += series[i - 1]
-    coeffs = [0] + series[:upto]
+    coeffs = IntPolynomial.variable().series_prefix(3, upto)
 
     rep = Report(f"triangular generating function through index {upto}")
     for r in range(upto + 1):

@@ -107,7 +107,7 @@ def staircase_permutation(r: int) -> tuple[int, ...]:
 def enumerate_reduced_words(
     w: Sequence[int], max_degree: int | None = None
 ) -> tuple[Word, ...]:
-    """All reduced words of w in lexicographic order; ``max_degree`` caps the degree.
+    """All reduced words of w in lexicographic order; ``max_degree`` caps w's entries.
 
     >>> enumerate_reduced_words((3, 5, 1, 2, 4))[0]
     (2, 1, 4, 3, 2)
@@ -116,9 +116,7 @@ def enumerate_reduced_words(
     """
     w = check_permutation(w)
     if max_degree is not None and len(w) > max_degree:
-        raise ResourceLimitError(
-            f"degree {len(w)} exceeds the cap {max_degree}; pass max_degree to raise it"
-        )
+        raise ResourceLimitError(len(w), max_degree, "permutation entries")
     # An explicit stack, as its depth is the inversion number of w: a permutation
     # pushes its lower neighbours, then, once they are done, stores its words.
     memo: dict[tuple[int, ...], list[Word]] = {}
@@ -140,9 +138,7 @@ def enumerate_reduced_words(
             out = [word + (i,) for i, v in below for word in memo[v]] if below else [()]
             letters += len(out) * len(out[0])
             if letters > MAX_REDUCED_LETTERS:
-                raise ResourceLimitError(
-                    f"{letters} stored reduced-word letters exceed the cap {MAX_REDUCED_LETTERS}"
-                )
+                raise ResourceLimitError(letters, MAX_REDUCED_LETTERS, "stored reduced-word letters")
             memo[u] = out
     return tuple(sorted(memo[w]))
 

@@ -113,12 +113,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def shift(self, k: int) -> IntPolynomial:
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def divide_by_one_minus_x(self) -> IntPolynomial:
         """Exact division by (1 - x); requires self(1) == 0."""
         if self(1) != 0:

@@ -12,10 +12,11 @@ nvars) at most, before any reduction.  A pair that passes costs two
 rewrites of exponent tuples; only a new element becomes a Binomial.
 
 The Hilbert numerator of the initial ideal comes from the
-pivot-variable recursion N(I) = (1 - t)*N(J) + t*N(I : x), J the
-generators x does not divide, which splits an ideal whose generators
-fall into groups on disjoint variables into one factor per group, and
-stops at two generators, whose numerator is a closed form.  A pivot
+pivot-variable recursion N(I) = (1 - t^e)*N(J) + t^e*N(I : x^e), J the
+generators x does not divide and e the least positive exponent of x
+among the others.  It splits an ideal whose generators fall into
+groups on disjoint variables into one factor per group, and stops at
+two generators, whose numerator is a closed form.  A pivot
 node has two children.  Each node does O(gens^2 * nvars) work on
 exponents besides its coefficient arithmetic; the number of nodes can
 grow exponentially with the generator count.  MAX_HILBERT_ENTRIES bounds
@@ -162,9 +163,7 @@ def groebner_basis(gens) -> tuple[Binomial, ...]:
         basis.append(h)
         popped.append(set())
         if len(basis) > MAX_BASIS:
-            raise ResourceLimitError(
-                f"basis grew past {MAX_BASIS} elements"
-            )
+            raise ResourceLimitError(len(basis), MAX_BASIS, "basis elements")
         k = len(basis) - 1
         for i2 in range(k):
             lcm2 = expo_lcm(basis[i2].u, h.u)
@@ -197,16 +196,18 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     """Hilbert data of the quotient by a monomial ideal.
 
     The series is N(t)/(1-t)^nvars.  The numerator N comes from the
-    recursion N(I) = N(I + (x)) + t*N(I : x) on the variable x that
-    divides the most generators, with two splitting steps (Bigatti,
-    J. Pure Appl. Algebra 119, 1997):
+    recursion N(I) = N(I + (x^e)) + t^e*N(I : x^e) on the variable x
+    that divides the most generators, e its least positive exponent
+    among them, with two splitting steps (Bigatti, J. Pure Appl.
+    Algebra 119, 1997):
 
     * generators that fall into groups on disjoint variables give the
       product of the groups' numerators;
-    * I + (x) is no node: x divides none of the generators J it does not
-      divide, so N(I + (x)) = (1 - t)*N(J).  I : x is the generators x
-      divides, lowered by x, plus those of J that no lowered one divides.
-      Both J and I : x are minimal as built, so no node minimalizes.
+    * I + (x^e) is no node: x^e divides every generator x divides, and
+      x divides none of the others, J, so N(I + (x^e)) =
+      (1 - t^e)*N(J).  I : x^e is the generators x divides, lowered by
+      x^e, plus those of J that no lowered one divides.  Both J and
+      I : x^e are minimal as built, so no node minimalizes.
 
     The recursion stops at two generators.  No generator gives 1, one
     generator m gives 1 - t^deg(m), and two generators g and h, neither
@@ -262,13 +263,9 @@ def _numerator(
     nvars = len(gens[0])
     entries[0] += len(gens) * nvars
     if entries[0] > MAX_HILBERT_ENTRIES:
-        raise ResourceLimitError(
-            f"{entries[0]} Hilbert exponent entries exceed the cap {MAX_HILBERT_ENTRIES}"
-        )
+        raise ResourceLimitError(entries[0], MAX_HILBERT_ENTRIES, "Hilbert exponent entries")
     if depth > MAX_HILBERT_DEPTH:
-        raise ResourceLimitError(
-            f"{depth} nested Hilbert nodes exceed the cap {MAX_HILBERT_DEPTH}"
-        )
+        raise ResourceLimitError(depth, MAX_HILBERT_DEPTH, "nested Hilbert nodes")
     counts = [0] * nvars
     comps: list[tuple[int, list[Expo]]] = []
     for g in gens:
@@ -292,12 +289,14 @@ def _numerator(
         for _, members in comps:
             out = _mul(out, _numerator(tuple(members), cache, entries, depth + 1))
     else:
-        # x divides at least two of these connected generators, so x
-        # itself is not one of them and no lowered generator is 1
+        # x divides at least two of these connected generators, and x^e,
+        # e its least positive exponent, divides each of them, so x^e is
+        # not one of them and no lowered generator is 1
         x = counts.index(max(counts))
+        e = min(g[x] for g in gens if g[x])
         free = tuple(g for g in gens if not g[x])
         lowered = tuple(
-            g[:x] + (g[x] - 1,) + g[x + 1 :] for g in gens if g[x]
+            g[:x] + (g[x] - e,) + g[x + 1 :] for g in gens if g[x]
         )
         # only a lowered generator without x can divide one without x
         bare = [h for h in lowered if not h[x]]
@@ -306,10 +305,11 @@ def _numerator(
         )
         a = _numerator(free, cache, entries, depth + 1)
         b = _numerator(colon, cache, entries, depth + 1)
-        out = _mul(a, [1, -1])  # N(I + (x)): x divides no free generator
-        out += [0] * (len(b) + 1 - len(out))
+        # N(I + (x^e)) = (1 - t^e)*N(J): x divides no free generator
+        out = _mul(a, [1] + [0] * (e - 1) + [-1])
+        out += [0] * (len(b) + e - len(out))
         for i, c in enumerate(b):
-            out[i + 1] += c
+            out[i + e] += c
     cache[gens] = out
     return out
 

@@ -232,12 +232,13 @@ def test_series_rows_are_capped(capsys):
     code, out, _ = run(capsys, "layered", "--ell", "3", "--series", "99")
     assert code == 0
     assert out.count("coefficient of z^") == 99 * 100
-    for order in ("100", "600"):
+    for order in (100, 600):
         start = time.monotonic()
-        code, out, err = run(capsys, "layered", "--ell", "3", "--series", order)
+        code, out, err = run(capsys, "layered", "--ell", "3", "--series", str(order))
         assert time.monotonic() - start < 1.0
         assert (code, out) == (3, "")
-        assert "series rows, past the cap 10000" in err
+        rows = order * (order + 1)
+        assert err == f"resource limit: {rows} series rows exceed the cap 10000\n"
 
 
 def test_readme_examples_run(capsys):

@@ -291,22 +291,19 @@ def _union(*parts: list[tuple[int, int]]) -> SimpleGraph:
     return SimpleGraph.from_edges(6 * len(parts), edges)
 
 
-def test_isomorphism_search_stops_at_the_placement_cap():
-    # 24 vertices, every signature (3, 3, 3): from the first graph the
-    # search maps the K_{3,3} components onto the second's in every
-    # order and automorphism before the extra one fails, which took 27 s
+def test_isomorphism_matches_components_one_at_a_time():
+    # 24 vertices, every signature (3, 3, 3): a search over the whole
+    # graph mapped the K_{3,3} components onto the second's in every
+    # order and automorphism before the extra one failed, which took
+    # 27 s; matched component by component, the third K_{3,3} finds no
+    # partner at once
     k33 = [(i, j) for i in range(3) for j in range(3, 6)]
     prism = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
     g = _union(prism, k33, k33, k33)
     h = _union(prism, prism, k33, k33)
-
-    def refused():
-        with pytest.raises(ResourceLimitError, match="placements exceed the cap"):
-            is_isomorphic(g, h)
-        return True
-
-    assert _within(2.0, refused) is True
+    assert _within(2.0, lambda: is_isomorphic(g, h)) is False
     assert _within(2.0, lambda: is_isomorphic(h, g)) is False
+    assert _within(2.0, lambda: is_isomorphic(g, _union(k33, k33, prism, k33))) is True
 
 
 def test_isomorphism_placement_cap(monkeypatch):

@@ -75,7 +75,7 @@ def test_word_cap_is_a_resource_limit(monkeypatch):
     w = staircase_permutation(13)
     # no degree cap by default; an explicit one still refuses at once
     assert len(enumerate_reduced_words(w)) == comb(13, 2)
-    with pytest.raises(ResourceLimitError, match="degree 13 exceeds the cap 12"):
+    with pytest.raises(ResourceLimitError, match="^13 permutation entries exceed the cap 12$"):
         enumerate_reduced_words(w, max_degree=12)
     assert len(enumerate_reduced_words(w, max_degree=13)) == comb(13, 2)
     # the family at length 12 stores words of 5,407 letters across the memo

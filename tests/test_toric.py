@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from staircase import toric
-from staircase.binomial import Binomial, grevlex_greater, normal_form, s_binomial
+from staircase.binomial import Binomial, grevlex_greater, normal_form
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.identities import PartitionIdentity
 from staircase.partition import staircase
@@ -24,7 +24,7 @@ from staircase.toric import (
     weight_chain_diagram,
 )
 
-from toric_oracle import brute_standard_monomial_counts, taylor_numerator
+from toric_oracle import brute_standard_monomial_counts, s_binomial, taylor_numerator
 
 
 def _sympy_groebner(gens: list[Binomial], nvars: int) -> set[tuple[tuple, tuple]]:
@@ -377,7 +377,7 @@ def test_engine_work_counts_are_pinned(monkeypatch):
             if u != v:
                 gens.append(Binomial(u, v))
         groebner_basis(gens)
-    assert (nodes[0], reductions[0]) == (2903, 1289)
+    assert (nodes[0], reductions[0]) == (2747, 1289)
 
 
 def _quadrics() -> MonomialIdeal:
@@ -443,25 +443,39 @@ def test_hilbert_entry_cap_stops_a_long_path_ideal():
 
 
 def test_hilbert_depth_cap(monkeypatch):
-    # (x^N y^N, y^N z^N, x^N z^N) lowers one exponent per level, so its
-    # nodes nest N deep: three axes, each of multiplicity N^2
+    # The staircase ideal (x y^N, x^2 y^(N-1), ..., x^N y) loses one
+    # generator per level, so its nodes nest about N deep: two axes,
+    # each of multiplicity 1
+    def ideal(n: int) -> MonomialIdeal:
+        return MonomialIdeal(2, tuple((i, n + 1 - i) for i in range(1, n + 1)))
+
+    hd = hilbert(ideal(400))
+    assert (hd.dimension, hd.degree) == (1, 2)
+    with pytest.raises(ResourceLimitError, match="501 nested Hilbert nodes exceed the cap 500"):
+        hilbert(ideal(502))
+    monkeypatch.setattr(toric, "MAX_HILBERT_DEPTH", 299)
+    with pytest.raises(ResourceLimitError, match="300 nested Hilbert nodes exceed the cap 299"):
+        hilbert(ideal(400))
+
+
+def test_hilbert_pivots_on_a_power_of_the_variable():
+    # (x^N y^N, y^N z^N, x^N z^N): the pivot x^N leaves two generators,
+    # so the recursion stops at once where pivoting on x nested N deep;
+    # three axes, each of multiplicity N^2
     def ideal(n: int) -> MonomialIdeal:
         return MonomialIdeal(3, ((n, n, 0), (0, n, n), (n, 0, n)))
 
-    hd = hilbert(ideal(300))
-    assert (hd.dimension, hd.degree) == (1, 3 * 300**2)
-    with pytest.raises(ResourceLimitError, match="501 nested Hilbert nodes exceed the cap 500"):
-        hilbert(ideal(2000))
-    monkeypatch.setattr(toric, "MAX_HILBERT_DEPTH", 299)
-    with pytest.raises(ResourceLimitError, match="300 nested Hilbert nodes exceed the cap 299"):
-        hilbert(ideal(300))
+    for n in (1, 2, 300, 2000):
+        hd = hilbert(ideal(n))
+        assert (hd.dimension, hd.degree) == (1, 3 * n**2)
+        assert hd.numerator.series_prefix(3, 8) == standard_monomial_counts(ideal(n), 8)
 
 
 def test_basis_size_cap(monkeypatch):
     # completion adds a third element to these two generators
     gens = [Binomial((1, 0, 1, 0), (0, 2, 0, 0)), Binomial((1, 0, 0, 1), (0, 1, 1, 0))]
     monkeypatch.setattr(toric, "MAX_BASIS", 2)
-    with pytest.raises(ResourceLimitError, match="basis grew past 2 elements"):
+    with pytest.raises(ResourceLimitError, match="^3 basis elements exceed the cap 2$"):
         groebner_basis(gens)
 
 

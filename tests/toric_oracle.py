@@ -5,12 +5,16 @@ monomial of each degree and tests it against every generator, the
 Taylor numerator sums over every subset of the generators, and the
 Graver scan compares each equal-weight pair with every other one.  The
 first two are exponential and the last quadratic, so they check the
-fast versions only on small inputs.
+fast versions only on small inputs.  ``s_binomial`` builds an S-pair
+the way a textbook writes it, as a ``Binomial``, for checking that a
+Groebner basis leaves no S-pair unreduced.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+
+from staircase.binomial import Binomial
 
 Expo = tuple[int, ...]
 
@@ -90,3 +94,16 @@ def brute_graver(weights: tuple[int, ...], degree_bound: int) -> list[tuple[Expo
         if not dominated:
             primitive.append((u, v))
     return sorted(primitive, key=lambda p: (max(sum(p[0]), sum(p[1])), p[0], p[1]))
+
+
+def s_binomial(f: Binomial, g: Binomial) -> Binomial | None:
+    """S-polynomial of two oriented binomials; None when it cancels.
+
+    Both inputs must already have their leading side in ``u``.  The
+    result is x^(L-u_f+v_f) - x^(L-u_g+v_g) for L = lcm of the leads,
+    again a pure difference, so no trinomial can appear here.
+    """
+    lcm = [max(x, y) for x, y in zip(f.u, g.u)]
+    a = tuple(m - x + y for m, x, y in zip(lcm, f.u, f.v))
+    b = tuple(m - x + y for m, x, y in zip(lcm, g.u, g.v))
+    return None if a == b else Binomial(a, b)
