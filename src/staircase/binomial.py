@@ -144,13 +144,3 @@ def reduce_monomial(m: Expo, basis: list[Binomial] | tuple[Binomial, ...]) -> Ex
                 break
     return current
 
-
-def normal_form(
-    b: Binomial, basis: list[Binomial] | tuple[Binomial, ...]
-) -> Binomial | None:
-    """Normal form of a binomial modulo oriented binomials; None if zero."""
-    p = reduce_monomial(b.u, basis)
-    q = reduce_monomial(b.v, basis)
-    if p == q:
-        return None
-    return Binomial(p, q)

@@ -5,12 +5,11 @@ from staircase.binomial import (
     divides,
     expo_lcm,
     grevlex_greater,
-    normal_form,
     reduce_monomial,
 )
 from staircase.errors import DomainError
 
-from toric_oracle import s_binomial
+from toric_oracle import normal_form, s_binomial
 
 
 def test_grevlex_order():

@@ -109,8 +109,8 @@ def test_word_cap_leaves_room_for_long_lengths(capsys):
     assert at12.startswith(
         "  isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH\n"
     )
-    # the only SKIPPED rows are the toric audits' fixed length ranges
-    assert out.count("SKIPPED") == 4
+    # the toric audits run at every length from their floors on
+    assert "SKIPPED" not in out
     assert "resource limit" not in out
 
 
@@ -287,6 +287,23 @@ def test_conjectures_skip_out_of_range(capsys):
     code, out, _ = run(capsys, "conjectures", "--ell", "3", "--which", "c1")
     assert code == 0
     assert "SKIPPED" in out
+
+
+def test_conjectures_run_past_the_old_length_windows(capsys):
+    # c1 used to stop at length 10 and c2 at 8; both now run to any length
+    start = time.monotonic()
+    code, out, _ = run(capsys, "conjectures", "--ell", "11..30", "--format", "json")
+    assert time.monotonic() - start < 5.0
+    assert code == 0
+    rows = [row for rep in json.loads(out) for row in rep["rows"]]
+    assert not [row for row in rows if row["verdict"] == "SKIPPED"]
+    assert not [
+        row for row in rows if row["kind"] == "invariant" and row["verdict"] != "MATCH"
+    ]
+    kernel = [
+        row for row in rows if row["name"] == "the two relations generate the weight kernel"
+    ]
+    assert len(kernel) == 20
 
 
 def test_config_file_defaults(tmp_path, capsys):

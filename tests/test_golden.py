@@ -33,9 +33,9 @@ GOLDEN = [
     (None, "identities --ell 5..9 --degree-bound 3 --format text", 0,
      "11376b47a02de9c27f536d2827cf997222ad3e9d1df5b4f847d20a9341ac1122"),
     (None, "conjectures --ell 5..10 --format text", 0,
-     "7c3c0a7cb8de3f4b1f4c5bcff662dab897c77d3b008936f7f0f760d3dfefacaf"),
+     "ddd8d443b589a09d61db6aaed60283bb7cabff921d5927b5d55c05547850c088"),
     (None, "verify-all --ell 3..6 --format text", 0,
-     "ddf60853e39ee80b2e6cffa504c9f9d9761ab0d4cea5ab5f6df092ad9d7b9574"),
+     "b0b35e315c72c8b2657629ac806b094c3d5bd0a8cf7aa0826911cf578a3f058c"),
     (None, "words --r 4..6 --format json", 0,
      "fbff440e56c71564624ce6207a64e8d08ea657a611fc51aa6d16d34ddb32b551"),
     (None, "graph --ell 3..7 --format json", 0,
@@ -49,9 +49,9 @@ GOLDEN = [
     (None, "identities --ell 5..9 --degree-bound 3 --format json", 0,
      "a1834392ed39ec4281d6e9e4aae020ac8d6dd421dee2fe9bf9218556987272e3"),
     (None, "conjectures --ell 5..10 --format json", 0,
-     "c75c49d0dadd91c057ed62c717c9a47988606ba9ffb73b60375d9bbf42e03791"),
+     "5c2b64815879482c211b08ae07eb6be843e3f06f4a21d187bbfe58a7b3cac002"),
     (None, "verify-all --ell 3..6 --format json", 0,
-     "7961b3cac717877066ff1cda4242e557630b95c8b063c47cc26736abfa853218"),
+     "c0786e796912ab40bf0e31b3cfa5bd5da73130de9fa06afde80aa2dbd4e9dc26"),
     (None, "words --r 4..6 --format markdown", 0,
      "5b97b88d0af55ff720ae2487de499b6a70a340bd54da3a63d41851a17df97790"),
     (None, "graph --ell 3..7 --format markdown", 0,
@@ -65,9 +65,9 @@ GOLDEN = [
     (None, "identities --ell 5..9 --degree-bound 3 --format markdown", 0,
      "961ca4938d8383bca180a71762b201409da448bf25ea99b41af38abaf45a2613"),
     (None, "conjectures --ell 5..10 --format markdown", 0,
-     "6d32cc613caf9871378bd4b2ccdc6b9984d2b04aa9e96e0d9744b0135f6eb791"),
+     "990d73cff0c4d3ae6931b175da0b9fd63860d81232b0f5b89e248d1c79fe90ef"),
     (None, "verify-all --ell 3..6 --format markdown", 0,
-     "89a6f6f0baee928e6aa1cba99bff438957e49ef9073a803014ca84509a23fe35"),
+     "389f3677c72964906e379cdd6fc0701cd03d59aaec1ef50b58debe93c741483a"),
     (None, "words --r 4", 0,
      "1b23d5076a4c06e1cde16bbbe0658188edb54f57641d81e9fbd690fbb06ce066"),
     (None, "graph --ell 5", 0,
@@ -113,29 +113,29 @@ GOLDEN = [
     (None, "export --ell 3 --format json", 0,
      "19e56a8db4060228366262f9e74b64a84d11f06fd0007879d64a050ae434c10c"),
     (None, "conjectures --ell 1..11 --which c1", 0,
-     "1f1c6626d8a66a7085908dd277a7861e749c83cc46a7e12ff6d0d18c0e4a7331"),
+     "c22d9a3aa89700e011f06c2a6167f5e108c7aae9871819bdb153171849036e09"),
     (None, "conjectures --ell 1..11 --which c2", 0,
-     "1fc89406e7ca7d6f63c00737bb833fa56e79c4f32e8fe57da5ffa9d39fd352c1"),
+     "9d55cab86e8158d97440b1f8c2e3ac7c72d49f8325691fc33617852de20a2771"),
     (None, "conjectures --ell 1..11 --which both", 0,
-     "1e9e46b9643422a2b8aea9aa4ebafe8a1f6287f6936b8e7498055e836258983b"),
+     "196639c1d7f5348293508d774ebb59bc0382a18e475494e08e223e53a9fe5e49"),
     (None, "conjectures --ell 1..11", 0,
-     "1e9e46b9643422a2b8aea9aa4ebafe8a1f6287f6936b8e7498055e836258983b"),
+     "196639c1d7f5348293508d774ebb59bc0382a18e475494e08e223e53a9fe5e49"),
     (None, "conjectures --ell 5", 0,
-     "363db43b760c557e6060a89c8449048810d8262d04e513311bf801d6decf713f"),
+     "d732f5835438080edf1dcf89a229913c859e2f817cb26cbab2e2ef5e3e1345a0"),
     (None, "verify-all --ell 3..6", 0,
-     "ddf60853e39ee80b2e6cffa504c9f9d9761ab0d4cea5ab5f6df092ad9d7b9574"),
+     "b0b35e315c72c8b2657629ac806b094c3d5bd0a8cf7aa0826911cf578a3f058c"),
     (None, "verify-all --ell 3..8", 0,
-     "57a615e24689b8e4eb5d63b56531cdaf73fb5868cef410502b4e5d239f23d468"),
+     "df98b6c1b9362f0fefa1711e7cb2f3da23815449559258aa3a7b1dc9cca3c3b5"),
     (None, "verify-all --ell 3..8 --format json", 0,
-     "6d3b6521e26bbda7cb79b398d3cc80b491cb55cf0410fbb471a3f0b12201f03d"),
+     "70aa220fc69dfa32c45712033781d3024c1ef407c9f557132f03ba669fceb15f"),
     (None, "verify-all --ell 3..5 --strict", 1,
-     "1e632f583a0d8026cc98fdcd09d31d63bad0b81ad5ad6e725afaea8d9f8e49ac"),
+     "dc560084de87565853acdadd2695c0a37f2227939c19680d3668fd78633551f1"),
     (None, "verify-all --ell 3..4 --strict --format json", 1,
-     "8c44c5b1e80e70e70aa54fcc035646a1e00c5fdcd9ab8dced6222eda04303c5a"),
+     "e5a14abf2157c85cc0e36de6d182bcbeb07b93313fcb362507187a4680c46af1"),
     (None, "verify-all --ell 9..10", 0,
-     "759f18d14f79f8048e1c9678a998ac264eb919bbda66c339be75cf87aac92d1b"),
+     "38e902f1c98882ba49cd632456fff0f12ce7a1e288adff6831410cf6909072fb"),
     (None, "verify-all --ell 3", 0,
-     "e327365b9bfa0567586de0df904861ce198f1ee91cff1f38e5c48ecf4e2ef98b"),
+     "57e5096404e2aa0d118940c6571b28dcf2fb216c1bb12780f77c0b7e1c76c3d7"),
     (None, "graph --ell 6", 0,
      "0c981be52ee07e1e66844c3570b7a3607cc1ed0c396a11ee20049fec71ba3a14"),
     (None, "words --r 3", 2,
@@ -206,11 +206,11 @@ GOLDEN = [
       "strict": True}, "words --r 4", 0,
      "50a0f75bc980717f2d999a288b37145a11c42f3681577a6b45e4f7b264114c08"),
     ({"strict": True}, "verify-all --ell 3..4", 1,
-     "f4dacd0acda1db4f4439f4ec0e1258b5c51e229584dbb0d5793238cdb2cf3cd0"),
+     "a604cc287bcc1e4b5d1f3cac932fdc1a5dc1a81ef4fd457cad3573f01a66486a"),
     ({"strict": False}, "verify-all --ell 3..4", 0,
-     "65965d311d4643bb79136a8e8b2f935fe222bf2dc8ce5e0800b9f698b197b1bf"),
+     "d1f610d56ed8a869cd7cf67e52e75e46245b4be31e327a0609062b7d1812978c"),
     ({"strict": False}, "verify-all --ell 3..4 --strict", 1,
-     "f4dacd0acda1db4f4439f4ec0e1258b5c51e229584dbb0d5793238cdb2cf3cd0"),
+     "a604cc287bcc1e4b5d1f3cac932fdc1a5dc1a81ef4fd457cad3573f01a66486a"),
     ({"series": 3}, "layered --ell 3", 0,
      "5b21170bce19f4390140145691c60a06eb7df6da790d67a367e51d6e59a25698"),
     ({"which": "c2"}, "conjectures --ell 3..5", 0,
@@ -238,9 +238,9 @@ GOLDEN = [
 # state cap lowered, so that its skip and exit paths show at small lengths
 GOLDEN_AT_STATE_CAP = [
     (5, "verify-all --ell 7", 0,
-     "ce4a65c5a7bc058cdc3718d4b61eed10df629ae521f6a5638b8655275237faae"),
+     "d5aa7a2ff96605bfd1cb0378085a56ad3199d8ca3a1982266045078a2a7ff7ff"),
     (7, "verify-all --ell 6", 0,
-     "34c61459147cfd5518ec072f3c1e565e6eca7338a23204701898cbc99113ec04"),
+     "57e12feda7c42e4091e0d274bd599c52022c13931ba6923cd30747b9286c34e3"),
     (7, "chroma --ell 6", 0,
      "94a0fc124184054cea2dbd25fed99123db43b84c9b7916ef291551b866492582"),
     (26, "chroma --ell 6..7", 3,

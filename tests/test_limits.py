@@ -56,6 +56,10 @@ LIMITS = {
     "Hilbert depth": (
         toric, "MAX_HILBERT_DEPTH", 1, lambda: toric.hilbert(STAIRCASE_IDEAL), None
     ),
+    "monomial-count masks": (
+        toric, "MAX_COUNT_MASKS", 1,
+        lambda: toric.standard_monomial_counts(MonomialIdeal(2, ((1, 1),)), 3), None
+    ),
 }
 
 

@@ -5,12 +5,13 @@ import pytest
 import sympy
 
 from staircase import toric
-from staircase.binomial import Binomial, grevlex_greater, normal_form
+from staircase.binomial import Binomial, grevlex_greater
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.identities import PartitionIdentity
 from staircase.partition import staircase
 from staircase.poly import IntPolynomial
 from staircase.toric import (
+    BinomialIdeal,
     MonomialIdeal,
     audit_quadric_chain_ideal,
     audit_separation_ideal,
@@ -22,9 +23,15 @@ from staircase.toric import (
     separation_ideal,
     standard_monomial_counts,
     weight_chain_diagram,
+    weight_kernel_row,
 )
 
-from toric_oracle import brute_standard_monomial_counts, s_binomial, taylor_numerator
+from toric_oracle import (
+    brute_standard_monomial_counts,
+    normal_form,
+    s_binomial,
+    taylor_numerator,
+)
 
 
 def _sympy_groebner(gens: list[Binomial], nvars: int) -> set[tuple[tuple, tuple]]:
@@ -178,12 +185,35 @@ def _random_monomial_ideal(rng: random.Random) -> MonomialIdeal:
 
 
 def test_standard_monomial_counts_match_brute_force():
-    rng = random.Random(4021)
+    # Beside each random ideal: the same generators cut off after a
+    # random variable, so that many end early and drop out of the masks
+    # there, and the unit ideal on the same variables, which leaves nothing.
+    rng, cuts = random.Random(4021), random.Random(4022)
     for _ in range(200):
         mi = _random_monomial_ideal(rng)
-        assert standard_monomial_counts(mi, 5) == brute_standard_monomial_counts(
-            mi.nvars, mi.gens, 5
-        ), mi
+        n = mi.nvars
+        ends = [cuts.randint(1, n) for _ in mi.gens]
+        early = MonomialIdeal(
+            n, tuple(g[:c] + (0,) * (n - c) for g, c in zip(mi.gens, ends))
+        )
+        unit = MonomialIdeal(n, mi.gens + ((0,) * n,))
+        for ideal in (mi, early, unit):
+            assert standard_monomial_counts(
+                ideal, 5
+            ) == brute_standard_monomial_counts(n, ideal.gens, 5), ideal
+
+
+def test_standard_monomial_counts_on_the_quadric_chain(monkeypatch):
+    # The initial ideal is the squares of the inner variables.  Each
+    # square ends where it starts, so no generator straddles a variable
+    # and one mask stays live, where unpruned masks grew to 2^(l-1).
+    monkeypatch.setattr(toric, "MAX_COUNT_MASKS", 1)
+    for ell in range(8, 17):
+        ideal = consecutive_quadric_ideal(ell)
+        mi = initial_ideal(groebner_basis(ideal.generators), ideal.nvars)
+        assert standard_monomial_counts(mi, 8) == hilbert(
+            mi
+        ).numerator.series_prefix(mi.nvars, 8), ell
 
 
 def test_standard_monomial_counts_edge_cases():
@@ -502,13 +532,31 @@ def test_audit_separation_ideal_5():
     by_name = {r.name: r for r in rep.rows}
     assert by_name["dimension"].observed == 5
     assert by_name["degree"].observed == 6
-    probe = by_name["kernel probe x1^2 - x2 reduces to zero"]
-    assert probe.observed is False
-    assert "normal form" in probe.note
+    kernel = by_name["the two relations generate the weight kernel"]
+    assert (kernel.observed, kernel.verdict) == (False, "MISMATCH")
+    assert kernel.note == (
+        "6 of 6 kernel generators lie outside; first x1^2 - x2, x1^3 - x3"
+    )
+
+
+def test_weight_kernel_row_reads_true_on_the_whole_kernel():
+    # x2 - x1^2 and x3 - x1*x2 generate the kernel of x_w -> t^w on
+    # weights (1, 2, 3); the first alone misses x3 - x1^3
+    gens = (Binomial((0, 1, 0), (2, 0, 0)), Binomial((0, 0, 1), (1, 1, 0)))
+    whole = BinomialIdeal(3, gens, (1, 2, 3))
+    row = weight_kernel_row(whole, groebner_basis(whole.generators))
+    assert (row.observed, row.verdict) == (True, "MATCH")
+    assert row.note == "0 of 2 kernel generators lie outside"
+    part = BinomialIdeal(3, gens[:1], (1, 2, 3))
+    row = weight_kernel_row(part, groebner_basis(part.generators))
+    assert (row.observed, row.verdict) == (False, "MISMATCH")
+    assert row.note == "1 of 2 kernel generators lie outside; first x1^3 - x3"
+    with pytest.raises(DomainError):
+        weight_kernel_row(BinomialIdeal(3, gens, (2, 3, 4)), ())
 
 
 def test_audit_separation_ideal_6():
-    # the audit has no length range of its own; 11 and 14 lie past the CLI's
+    # the command line runs this audit at every length from 5 on, 11 and 14 too
     for ell, degree in ((6, 9), (11, 30), (14, 49)):
         rep = audit_separation_ideal(ell)
         assert not rep.invariant_failures()

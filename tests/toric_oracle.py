@@ -6,15 +6,16 @@ Taylor numerator sums over every subset of the generators, and the
 Graver scan compares each equal-weight pair with every other one.  The
 first two are exponential and the last quadratic, so they check the
 fast versions only on small inputs.  ``s_binomial`` builds an S-pair
-the way a textbook writes it, as a ``Binomial``, for checking that a
-Groebner basis leaves no S-pair unreduced.
+the way a textbook writes it, as a ``Binomial``, and ``normal_form``
+reduces it, for checking that a Groebner basis leaves no S-pair
+unreduced.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from staircase.binomial import Binomial
+from staircase.binomial import Binomial, reduce_monomial
 
 Expo = tuple[int, ...]
 
@@ -107,3 +108,14 @@ def s_binomial(f: Binomial, g: Binomial) -> Binomial | None:
     a = tuple(m - x + y for m, x, y in zip(lcm, f.u, f.v))
     b = tuple(m - x + y for m, x, y in zip(lcm, g.u, g.v))
     return None if a == b else Binomial(a, b)
+
+
+def normal_form(
+    b: Binomial, basis: list[Binomial] | tuple[Binomial, ...]
+) -> Binomial | None:
+    """Normal form of a binomial modulo oriented binomials; None if zero."""
+    p = reduce_monomial(b.u, basis)
+    q = reduce_monomial(b.v, basis)
+    if p == q:
+        return None
+    return Binomial(p, q)
