@@ -72,9 +72,6 @@ class Binomial:
     def nvars(self) -> int:
         return len(self.u)
 
-    def degree(self) -> int:
-        return max(sum(self.u), sum(self.v))
-
     def in_kernel(self, weights: tuple[int, ...] | list[int]) -> bool:
         """Whether the binomial vanishes under x_i -> t^(weights[i]).
 

@@ -78,9 +78,7 @@ def is_primitive(ident: PartitionIdentity) -> bool:
     >>> is_primitive(PartitionIdentity((1, 2, 3, 4, 5), (9, 6), 9))
     False
     """
-    left = _proper_divisor_weights((1,) * len(ident.lhs), ident.lhs)
-    right = _proper_divisor_weights((1,) * len(ident.rhs), ident.rhs)
-    return not left & right
+    return not _proper_sub_sums(ident.lhs) & _proper_sub_sums(ident.rhs)
 
 
 def _right_parts(ident: PartitionIdentity) -> list[int]:
@@ -220,9 +218,10 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
 
     MAX_GRAVER_STATES bounds the monomials plus the pairs enumerated.  A
     candidate u - v is primitive when no proper divisor of x^u has the
-    weight of a proper divisor of x^v, so the primitivity step costs
-    candidates * (|div u| + |div v|), at most 2^degree_bound divisors
-    a side.
+    weight of a proper divisor of x^v.  Each monomial carries its support
+    and its divisor weights as bitmasks, built from its parent's with a
+    few integer operations, so each equal-weight pair costs two ANDs:
+    one for disjoint supports, one for primitivity.
 
     >>> [b.format() for b in graver_basis((1, 2), 2)]
     ['x0^2 - x1']
@@ -237,15 +236,18 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     if degree_bound < 1:
         raise DomainError(f"degree bound must be positive, got {degree_bound}")
 
+    # Each monomial carries its degree, weight, support bits and the
+    # weights of its divisors as a bitmask, all from its parent's in one
+    # step: the divisors of x^(e + e_i) are those of x^e and x_i times them.
     n = len(ws)
     states = 0
-    by_weight: dict[int, list[tuple[int, ...]]] = {}
-    frontier = [(0,) * n]
-    seen = {frontier[0]}
-    for e in frontier:
-        if sum(e) >= degree_bound:
+    by_weight: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+    frontier = [((0,) * n, 0, 0, 0, 1)]
+    seen = {frontier[0][0]}
+    for e, degree, weight, support, divisors in frontier:
+        if degree >= degree_bound:
             continue
-        for i in range(n):
+        for i, w in enumerate(ws):
             nxt = e[:i] + (e[i] + 1,) + e[i + 1 :]
             if nxt in seen:
                 continue
@@ -253,47 +255,40 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
             states += 1
             if states > MAX_GRAVER_STATES:
                 raise ResourceLimitError(states, MAX_GRAVER_STATES, "Graver states", ())
-            frontier.append(nxt)
-            by_weight.setdefault(sum(x * w for x, w in zip(nxt, ws)), []).append(nxt)
-
-    candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for _, group in sorted(by_weight.items()):
-        for a, b in combinations(group, 2):
-            states += 1
-            if states > MAX_GRAVER_STATES:
-                raise ResourceLimitError(
-                    states, MAX_GRAVER_STATES, "Graver states", _canonical_graver(candidates)
-                )
-            if any(x and y for x, y in zip(a, b)):
-                continue
-            if a > b:
-                candidates.append((a, b))
-            else:
-                candidates.append((b, a))
+            wt, bits, divs = weight + w, support | 1 << i, divisors | divisors << w
+            frontier.append((nxt, degree + 1, wt, bits, divs))
+            # the proper divisors are all but 1 and x^nxt itself
+            by_weight.setdefault(wt, []).append((nxt, bits, divs & ~(1 | 1 << wt)))
 
     # The weights are positive, so a relation a - b with a | u and b | v
     # other than u - v itself has a and b proper divisors.  Such a pair
     # keeps the disjoint supports and the degree bound, so it is itself a
     # candidate: this is the dominance test over all candidates.
-    primitive = [
-        (u, v)
-        for u, v in candidates
-        if not _proper_divisor_weights(u, ws) & _proper_divisor_weights(v, ws)
-    ]
+    candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    primitive = []
+    for _, group in sorted(by_weight.items()):
+        for (a, sa, pa), (b, sb, pb) in combinations(group, 2):
+            states += 1
+            if states > MAX_GRAVER_STATES:
+                raise ResourceLimitError(
+                    states, MAX_GRAVER_STATES, "Graver states", _canonical_graver(candidates)
+                )
+            if sa & sb:
+                continue
+            pair = (a, b) if a > b else (b, a)
+            candidates.append(pair)
+            if not pa & pb:
+                primitive.append(pair)
     return _canonical_graver(primitive)
 
 
-def _proper_divisor_weights(e: tuple[int, ...], ws: tuple[int, ...]) -> int:
-    """Weights of the divisors of x^e other than 1 and x^e itself, as a
-    bitmask: bit s is set when one of them has weight s.
-
-    With e all ones these are the proper sub-sums of the multiset ws.
-    """
+def _proper_sub_sums(parts: tuple[int, ...]) -> int:
+    """Sums of the sub-multisets of parts other than the empty one and
+    the whole, as a bitmask: bit s is set when one of them sums to s."""
     mask = 1
-    for x, w in zip(e, ws):
-        for _ in range(x):
-            mask |= mask << w
-    return mask & ~(1 | 1 << sum(x * w for x, w in zip(e, ws)))
+    for part in parts:
+        mask |= mask << part
+    return mask & ~(1 | 1 << sum(parts))
 
 
 def _canonical_graver(

@@ -47,10 +47,6 @@ def test_in_kernel():
     assert not Binomial((2, 0), (0, 1)).in_kernel((1, 3))
 
 
-def test_degree_is_max_side():
-    assert Binomial((3, 0), (0, 1)).degree() == 3
-
-
 def test_format():
     b = Binomial((1, 0, 1, 0), (0, 2, 0, 0))
     assert b.format(["a", "b", "c", "d"]) == "a*c - b^2"

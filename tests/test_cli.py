@@ -169,11 +169,12 @@ def test_config_file_before_the_command(tmp_path, capsys):
 
 
 def test_graver_listing_finishes_quickly(capsys):
-    start = time.monotonic()
-    code, out, _ = run(capsys, "identities", "--ell", "9", "--degree-bound", "4")
-    assert time.monotonic() - start < 5.0
-    assert code == 0
-    assert out.count("graver: ") == 1994
+    for ell, elements in (("9", 1994), ("14", 15210)):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "identities", "--ell", ell, "--degree-bound", "4")
+        assert time.monotonic() - start < 5.0
+        assert code == 0
+        assert out.count("graver: ") == elements
 
 
 def test_closed_form_audit_skips_at_the_state_cap(capsys, monkeypatch):

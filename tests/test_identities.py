@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -234,7 +237,32 @@ def test_graver_basis_matches_the_dominance_scan_on_the_family():
     for ell in range(5, 9):
         sep = colour_separation(staircase(ell))
         weights = tuple(range(1, ell + 1)) + (sep.mu, sep.kappa)
-        assert _pairs(graver_basis(weights, 3)) == brute_graver(weights, 3), ell
+        # the pairwise dominance scan takes seconds at bound 4 past ell = 6
+        for bound in (3, 4) if ell <= 6 else (3,):
+            assert _pairs(graver_basis(weights, bound)) == brute_graver(weights, bound), (
+                ell,
+                bound,
+            )
+
+
+def test_graver_states_are_the_monomials_plus_the_equal_weight_pairs(monkeypatch):
+    sep = colour_separation(staircase(6))
+    weights = tuple(range(1, 7)) + (sep.mu, sep.kappa)
+    n, bound = len(weights), 3
+    groups = Counter(
+        sum(weights[i] for i in combo)
+        for d in range(1, bound + 1)
+        for combo in combinations_with_replacement(range(n), d)
+    )
+    count = comb(n + bound, bound) - 1 + sum(comb(k, 2) for k in groups.values())
+    basis = graver_basis(weights, bound)
+    monkeypatch.setattr(identities, "MAX_GRAVER_STATES", count)
+    assert graver_basis(weights, bound) == basis
+    monkeypatch.setattr(identities, "MAX_GRAVER_STATES", count - 1)
+    with pytest.raises(
+        ResourceLimitError, match=f"^{count} Graver states exceed the cap {count - 1}$"
+    ):
+        graver_basis(weights, bound)
 
 
 def test_graver_basis_matches_the_dominance_scan_on_random_weights():
@@ -246,4 +274,11 @@ def test_graver_basis_matches_the_dominance_scan_on_random_weights():
             weights,
             bound,
         )
+    for _ in range(60):
+        weights = tuple(rng.sample(range(1, 25), rng.randint(1, 5)))
+        for bound in (4, 5):
+            assert _pairs(graver_basis(weights, bound)) == brute_graver(weights, bound), (
+                weights,
+                bound,
+            )
 
