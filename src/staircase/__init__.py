@@ -11,8 +11,6 @@ from .chroma import (
     colour_separation,
     layered_closed_form,
     shared_balance_check,
-    square_chain,
-    square_chain_closed_form,
 )
 from .errors import (
     DomainError,
@@ -21,7 +19,7 @@ from .errors import (
     ResourceLimitError,
     StaircaseError,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, WeightChain, weight_chain_diagram
 from .identities import (
     PartitionIdentity,
     colour_separation_identity,
@@ -39,14 +37,12 @@ from .layered import (
     build_layered_graph,
     family_series_report,
     is_isomorphic,
-    is_subgraph_order,
     missing_edge_polynomial,
     parity_pair_report,
     vertex_parity_report,
 )
 from .partition import (
     Partition,
-    checkerboard,
     distinct_odd_parts,
     is_staircase,
     staircase,
@@ -71,7 +67,6 @@ from .toric import (
     BinomialIdeal,
     HilbertData,
     MonomialIdeal,
-    WeightChain,
     audit_quadric_chain_ideal,
     audit_separation_ideal,
     consecutive_quadric_ideal,
@@ -81,7 +76,6 @@ from .toric import (
     initial_ideal,
     separation_ideal,
     standard_monomial_counts,
-    weight_chain_diagram,
 )
 
 __version__ = "0.1.0"

@@ -1,32 +1,27 @@
-"""Pure-difference binomials x^u - x^v and their monomial arithmetic.
+"""Pure-difference binomials x^u - x^v and packed exponent words.
 
-Exponent vectors are plain tuples of naturals, ordered by grevlex
-with variable 0 largest, the only monomial order.  Their arithmetic is
-one ``map`` over an ``operator`` function or a builtin per call, so
-it runs in C, not in a generator expression.  Coefficients are
-always +1 and -1; the rewriting helpers check the invariants that
-keep it that way at every step (oriented divisors, strictly
-decreasing rewrites) and abort rather than silently leave the
-binomial world.
+Exponent vectors are plain tuples of naturals, ordered by grevlex with
+variable 0 largest, the only monomial order.  The engines work on
+``Words`` instead: one int per monomial, one field per variable,
+variable 0 in the most significant field, so comparing words as ints
+compares their vectors lexicographically.  Fields are whole bytes whose
+top bit is a guard that stays zero, and a call takes the fewest bytes
+that hold its largest value below the guard; divisibility, lcm, support
+and the reverse-lex tie-break are then a few integer operations on the
+whole word.  Coefficients are always +1 and -1; ``reduce_monomial``
+checks the invariants that keep it that way at every step (strictly
+decreasing rewrites, no field past its guard) and aborts rather than
+silently leave the binomial world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, sub
 
 from .errors import DomainError
 
 Expo = tuple[int, ...]
-
-
-def expo_lcm(a: Expo, b: Expo) -> Expo:
-    return tuple(map(max, a, b))
-
-
-def divides(a: Expo, b: Expo) -> bool:
-    """True when monomial a divides monomial b."""
-    return all(map(le, a, b))
+Pair = tuple[int, int, int, int]  # lead word, trail word, their degrees
 
 
 def grevlex_greater(a: Expo, b: Expo) -> bool:
@@ -39,6 +34,115 @@ def grevlex_greater(a: Expo, b: Expo) -> bool:
         if d:
             return d < 0
     return False
+
+
+class Words:
+    """Exponent vectors of ``nvars`` variables packed into ints.
+
+    Each field is ``width`` bits, a multiple of 8, and holds values
+    below 2^(width-1); the bit above them is its guard.  With G the
+    word of all guards, a divides b exactly when ((b | G) - a) & G is
+    G: each field subtracts on its own, and keeps its guard only when
+    it does not borrow.
+
+    >>> w = Words.holding(3, 5)
+    >>> a, b = w.pack((1, 0, 2)), w.pack((0, 3, 1))
+    >>> hex(a), w.width, w.unpack(w.lcm(a, b)), w.divides(a, w.lcm(a, b))
+    ('0x10002', 8, (1, 3, 2), True)
+    """
+
+    __slots__ = ("nvars", "width", "ones", "guards")
+
+    def __init__(self, nvars: int, width: int) -> None:
+        self.nvars, self.width = nvars, width
+        self.ones = sum(1 << width * i for i in range(nvars))  # lowest bit of each field
+        self.guards = self.ones << width - 1
+
+    @classmethod
+    def holding(cls, nvars: int, top: int) -> Words:
+        """The narrowest byte fields whose values reach ``top``."""
+        return cls(nvars, 8 * (top.bit_length() // 8 + 1))
+
+    def pack(self, e: Expo) -> int:
+        k = self.width // 8
+        raw = bytes(e) if k == 1 else b"".join(x.to_bytes(k, "big") for x in e)
+        return int.from_bytes(raw, "big")
+
+    def unpack(self, w: int) -> Expo:
+        k = self.width // 8
+        raw = w.to_bytes(k * self.nvars, "big")
+        if k == 1:
+            return tuple(raw)
+        return tuple(int.from_bytes(raw[i : i + k], "big") for i in range(0, len(raw), k))
+
+    def degree(self, w: int) -> int:
+        return sum(w.to_bytes(self.nvars, "big") if self.width == 8 else self.unpack(w))
+
+    def divides(self, a: int, b: int) -> bool:
+        g = self.guards
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        # keep: the guards of the fields where b >= a; pick spreads them below
+        keep = ((b | self.guards) - a) & self.guards
+        pick = keep - (keep >> self.width - 1)
+        return b & pick | a & ~pick
+
+    def support(self, w: int) -> int:
+        """The lowest bit of each nonzero field."""
+        return (((w | self.guards) - self.ones) & self.guards) >> self.width - 1
+
+    def oriented(self, u: int, du: int, v: int, dv: int) -> Pair:
+        """x^u - x^v, of side degrees du and dv, up to sign as a Pair."""
+        return (u, v, du, dv) if self.grevlex_greater(u, du, v, dv) else (v, u, dv, du)
+
+    def pack_binomial(self, g: Binomial) -> Pair:
+        return self.oriented(self.pack(g.u), sum(g.u), self.pack(g.v), sum(g.v))
+
+    def grevlex_greater(self, a: int, da: int, b: int, db: int) -> bool:
+        """Whether a, of degree da, is grevlex-greater than b, of degree db.
+
+        At equal degrees the lowest differing field decides, the smaller
+        value winning; below it the words agree, so comparing the words
+        cut after that field compares it.
+        """
+        if da != db:
+            return da > db
+        diff = a ^ b
+        fields = ((diff & -diff).bit_length() - 1) // self.width + 1  # 0 if a == b
+        cut = (1 << fields * self.width) - 1
+        return a & cut < b & cut
+
+
+def reduce_monomial(m: int, d: int, basis: list[Pair], words: Words) -> tuple[int, int]:
+    """Rewrite the word m, of degree d, by lead -> trail until no lead divides.
+
+    ``basis`` holds oriented binomials as Pairs of ``words``; returns
+    the last word and its degree.  Each step scans the basis in order
+    for the first lead that divides and replaces the monomial by a
+    strictly smaller one, which is what keeps the arithmetic inside
+    single monomials: a step that fails to decrease raises
+    RuntimeError, since it would break termination and binomiality.  A
+    step that sets a guard bit raises OverflowError; the caller retries
+    with wider fields.
+    """
+    guards = words.guards
+    while True:
+        mg = m | guards
+        for u, v, du, dv in basis:
+            if (mg - u) & guards == guards:  # words.divides(u, m), inlined
+                break
+        else:
+            return m, d
+        n, nd = m - u + v, d - du + dv
+        if n & guards:
+            raise OverflowError(f"an exponent of {words.unpack(m)} outgrows its field")
+        if nd >= d and not words.grevlex_greater(m, d, n, nd):
+            raise RuntimeError(
+                f"rewriting {words.unpack(m)} -> {words.unpack(n)} does not "
+                "decrease; basis element not oriented?"
+            )
+        m, d = n, nd
 
 
 @dataclass(frozen=True)
@@ -94,9 +198,6 @@ class Binomial:
         """The same binomial up to sign, with the grevlex-larger side first."""
         return self if grevlex_greater(self.u, self.v) else self.flipped()
 
-    def same_up_to_sign(self, other: Binomial) -> bool:
-        return (self.u, self.v) in ((other.u, other.v), (other.v, other.u))
-
     def format(self, names: list[str] | None = None) -> str:
         ns = names if names is not None else [f"x{i}" for i in range(self.nvars)]
         return f"{format_monomial(self.u, ns)} - {format_monomial(self.v, ns)}"
@@ -112,32 +213,3 @@ def format_monomial(e: Expo, names: list[str]) -> str:
         elif x > 1:
             parts.append(f"{name}^{x}")
     return "*".join(parts)
-
-
-def reduce_monomial(m: Expo, basis: list[Binomial] | tuple[Binomial, ...]) -> Expo:
-    """Rewrite x^m by lead -> trail until no lead divides; returns the rest.
-
-    Each basis element must be oriented.  Every step replaces a
-    monomial by a strictly smaller monomial, which is what keeps the
-    arithmetic inside single monomials; a step that fails to decrease
-    aborts because it would break termination and binomiality.  Each
-    step scans the basis in order for the first lead that divides, one
-    C-level comparison per element, with no helper call.
-    """
-    current = m
-    changed = True
-    while changed:
-        changed = False
-        for g in basis:
-            if all(map(le, g.u, current)):  # divides(g.u, current), inlined
-                nxt = tuple(map(add, map(sub, current, g.u), g.v))
-                if not grevlex_greater(current, nxt):
-                    raise RuntimeError(
-                        f"rewriting {current} -> {nxt} does not decrease; "
-                        "basis element not oriented?"
-                    )
-                current = nxt
-                changed = True
-                break
-    return current
-

@@ -131,33 +131,6 @@ def _canonical(labels: list[int]) -> tuple[int, ...]:
     return tuple(seen.setdefault(c, len(seen)) for c in labels)
 
 
-def square_chain(d: int) -> SimpleGraph:
-    """Ladder of d squares glued edge to edge: 2(d+1) vertices.
-
-    Vertex 2i is the top of rung i, vertex 2i+1 the bottom.
-    """
-    if d < 1:
-        raise DomainError(f"need at least one square, got {d}")
-    edges = []
-    for i in range(d + 1):
-        edges.append((2 * i, 2 * i + 1))
-    for i in range(d):
-        edges.append((2 * i, 2 * i + 2))
-        edges.append((2 * i + 1, 2 * i + 3))
-    return SimpleGraph.from_edges(2 * (d + 1), edges)
-
-
-def square_chain_closed_form(d: int) -> IntPolynomial:
-    """k(k-1)(k^2-3k+3)^d, the chromatic polynomial of the d-square ladder.
-
-    >>> square_chain_closed_form(1).format()
-    'k^4 - 4k^3 + 6k^2 - 3k'
-    """
-    if d < 1:
-        raise DomainError(f"need at least one square, got {d}")
-    return _K * _K_MINUS_1 * _SQUARE_FACTOR**d
-
-
 def layered_closed_form(ell: int) -> IntPolynomial:
     """The claimed closed form k(k-1)^3 (k^2-3k+3)^m with m = C(ell-1, 2).
 

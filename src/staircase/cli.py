@@ -24,6 +24,7 @@ from .chroma import (
     shared_balance_check,
 )
 from .errors import DomainError, ResourceLimitError
+from .graphs import weight_chain_diagram
 from .identities import graver_basis, subidentity_report
 from .layered import (
     LayeredGraph,
@@ -43,7 +44,6 @@ from .toric import (
     audit_quadric_chain_ideal,
     audit_separation_ideal,
     separation_ideal,
-    weight_chain_diagram,
     weight_names,
 )
 

@@ -1,9 +1,10 @@
-"""Minimal undirected simple-graph core.
+"""Minimal undirected simple-graph core, and the weight-chain diagram.
 
 Vertices are 0..n-1, edges are (i, j) pairs with i < j.  The graph
 builders elsewhere in the package (reduced-word graphs, layered Ferrers
 graphs) convert to this form for anything structural: isomorphism,
-bipartiteness, the chromatic frontier sweep.
+bipartiteness, the chromatic frontier sweep.  ``WeightChain``, drawn by
+``export --kind weight-chain``, indexes the quadric ideal of ``toric``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .partition import Partition, is_staircase
 
 
 @dataclass(frozen=True)
@@ -64,3 +66,62 @@ class SimpleGraph:
                     elif colour[w] == colour[v]:
                         return None
         return tuple(colour)
+
+
+@dataclass(frozen=True)
+class WeightChain:
+    """Two-row weighted node chain: top row l..1, bottom row l-1..0.
+
+    Each bottom node points up to the top node of its column and the
+    top row is a directed path left to right; the weight-0 node keeps
+    the last column stable.
+    """
+
+    ell: int
+
+    @property
+    def top_weights(self) -> tuple[int, ...]:
+        return tuple(range(self.ell, 0, -1))
+
+    @property
+    def bottom_weights(self) -> tuple[int, ...]:
+        return tuple(range(self.ell - 1, -1, -1))
+
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        out = []
+        for c in range(self.ell):
+            out.append((f"b{c}", f"t{c}"))
+        for c in range(self.ell - 1):
+            out.append((f"t{c}", f"t{c + 1}"))
+        return tuple(out)
+
+    def to_json(self) -> dict:
+        return {
+            "top": list(self.top_weights),
+            "bottom": list(self.bottom_weights),
+            "edges": [list(e) for e in self.edges()],
+        }
+
+    def to_dot(self) -> str:
+        lines = ["digraph weight_chain {", "  rankdir=LR;"]
+        tops = " ".join(f"t{c}" for c in range(self.ell))
+        bottoms = " ".join(f"b{c}" for c in range(self.ell))
+        lines.append(f"  {{ rank=same {tops} }}")
+        lines.append(f"  {{ rank=same {bottoms} }}")
+        for c, w in enumerate(self.top_weights):
+            lines.append(f'  t{c} [label="{w}"];')
+        for c, w in enumerate(self.bottom_weights):
+            lines.append(f'  b{c} [label="{w}"];')
+        for a, b in self.edges():
+            lines.append(f"  {a} -> {b};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+
+def weight_chain_diagram(p: Partition) -> WeightChain:
+    """The weighted chain whose node weights index the quadric ideal."""
+    if not is_staircase(p):
+        raise DomainError(f"{p.parts} is not a staircase")
+    if p.length < 2:
+        raise DomainError(f"need length >= 2, got {p.length}")
+    return WeightChain(p.length)

@@ -118,32 +118,3 @@ def triangular_gf_report() -> Report:
         note = "degenerate index" if r == 0 else ""
         rep.add(check(f"coefficient of z^{r}", coeffs[r], r * (r + 1) // 2, note=note))
     return rep
-
-
-@dataclass(frozen=True)
-class Colouring:
-    """A two-colouring of Ferrers cells by diagonal parity."""
-
-    partition: Partition
-    black: tuple[tuple[int, int], ...]
-    red: tuple[tuple[int, int], ...]
-
-    @property
-    def black_count(self) -> int:
-        return len(self.black)
-
-    @property
-    def red_count(self) -> int:
-        return len(self.red)
-
-
-def checkerboard(p: Partition) -> Colouring:
-    """Colour each cell by the parity of a + b; the corner (0, 0) is black.
-
-    >>> c = checkerboard(staircase(5))
-    >>> c.black_count, c.red_count
-    (9, 6)
-    """
-    black = tuple(c for c in p.cells() if sum(c) % 2 == 0)
-    red = tuple(c for c in p.cells() if sum(c) % 2 == 1)
-    return Colouring(p, black, red)

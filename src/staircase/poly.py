@@ -113,18 +113,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def divide_by_one_minus_x(self) -> IntPolynomial:
-        """Exact division by (1 - x); requires self(1) == 0."""
-        if self(1) != 0:
-            raise ValueError("not divisible by (1 - x)")
-        # (1 - x) q = p  <=>  q_i = p_0 + ... + p_i
-        out = []
-        acc = 0
-        for i in range(max(len(self.coeffs) - 1, 0)):
-            acc += self[i]
-            out.append(acc)
-        return IntPolynomial(out)
-
     def series_prefix(self, nvars: int, upto: int) -> tuple[int, ...]:
         """Coefficients 0..upto of self / (1-x)^nvars as a power series."""
         cur = list(self.coeffs[: upto + 1]) + [0] * max(0, upto + 1 - len(self.coeffs))

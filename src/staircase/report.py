@@ -75,9 +75,6 @@ class Report:
     def invariant_failures(self) -> list[CheckRow]:
         return [r for r in self.rows if r.verdict == MISMATCH and r.kind == INVARIANT]
 
-    def all_match(self) -> bool:
-        return all(r.verdict == MATCH for r in self.rows)
-
     def to_dict(self) -> dict:
         return {
             "title": self.title,

@@ -1,30 +1,30 @@
 """Binomial ideals, a Buchberger engine for them, and Hilbert data.
 
-Two engines carry every dimension and degree row.
+Two engines carry every dimension and degree row.  Both run on packed
+exponent words (``binomial.Words``), one int per monomial, and build
+tuples only at entry and exit.
 
 Buchberger never leaves pure differences: S-pairs of binomials are
 binomials and reduction is monomial rewriting, so coefficients stay
 +1/-1 throughout.  Pairs go smallest lcm first, and two criteria skip
 pairs that need no reduction: coprime leads, and Buchberger's chain
-criterion.  For a pair without coprime leads, the chain check tests
-each element already popped with both sides of the pair, O(|basis| *
-nvars) at most, before any reduction.  A pair that passes costs two
-rewrites of exponent tuples; only a new element becomes a Binomial.
+criterion, which tests each element already popped with both sides of
+the pair before any reduction.  A pair that passes costs two rewrites.
 
 The Hilbert numerator of the initial ideal comes from the
 pivot-variable recursion N(I) = (1 - t^e)*N(J) + t^e*N(I : x^e), J the
 generators x does not divide and e the least positive exponent of x
 among the others.  It splits an ideal whose generators fall into
 groups on disjoint variables into one factor per group, and stops at
-two generators, whose numerator is a closed form.  A pivot
-node has two children.  Each node does O(gens^2 * nvars) work on
-exponents besides its coefficient arithmetic; the number of nodes can
-grow exponentially with the generator count.  MAX_HILBERT_ENTRIES bounds
-the exponent entries of the nodes a call starts, MAX_HILBERT_DEPTH their
-nesting.  ``standard_monomial_counts`` counts the same series directly,
-in at most MAX_COUNT_MASKS live masks, and shares no code with the
-recursion.  With a variable of weight 1, one reduction per variable
-tells whether a binomial ideal is its whole weight kernel.
+two generators, whose numerator is a closed form.  Each node does
+O(gens^2) word operations besides its coefficient arithmetic; the
+number of nodes can grow exponentially with the generator count.
+MAX_HILBERT_ENTRIES bounds the exponent entries of the nodes a call
+starts, MAX_HILBERT_DEPTH their nesting.  ``standard_monomial_counts``
+counts the same series directly on exponent tuples, in at most
+MAX_COUNT_MASKS live masks, and shares no code with the recursion.
+With a variable of weight 1, one reduction per variable tells whether
+a binomial ideal is its whole weight kernel.
 
 Dimension always means the affine Krull dimension of the quotient.
 """
@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import add, sub
+from itertools import accumulate
 
-from .binomial import Binomial, Expo, divides, expo_lcm, reduce_monomial
+from .binomial import Binomial, Expo, Pair, Words, reduce_monomial
 from .chroma import colour_separation
 from .errors import DomainError, ResourceLimitError
 from .identities import PartitionIdentity, parity_split
-from .partition import Partition, is_staircase, staircase
+from .partition import Partition, staircase
 from .poly import IntPolynomial
 from .report import INVARIANT, CheckRow, Report, check
 
@@ -86,17 +86,17 @@ class MonomialIdeal:
                 raise DomainError(
                     f"monomial on {len(g)} variables in a {self.nvars}-variable ideal"
                 )
-        object.__setattr__(self, "gens", _minimalize(self.gens))
+        object.__setattr__(self, "gens", _minimalize(self.nvars, self.gens))
 
 
-def _minimalize(gens) -> tuple[Expo, ...]:
-    # h divides g only if h's support mask lies inside g's: one int test
-    uniq = sorted(set(tuple(g) for g in gens), key=lambda g: (sum(g), g))
+def _minimalize(nvars: int, gens) -> tuple[Expo, ...]:
+    uniq = set(map(tuple, gens))
+    words = Words.holding(nvars, max((max(g, default=0) for g in uniq), default=0))
     out: list[tuple[int, Expo]] = []
-    for g in uniq:
-        m = sum(1 << i for i, e in enumerate(g) if e)
-        if not any(not hm & ~m and divides(h, g) for hm, h in out):
-            out.append((m, g))
+    # (degree, word) order is (degree, exponent tuple) order
+    for _, w, g in sorted((sum(g), words.pack(g), g) for g in uniq):
+        if not any(words.divides(h, w) for h, _ in out):
+            out.append((w, g))
     return tuple(g for _, g in out)
 
 
@@ -114,64 +114,84 @@ def groebner_basis(gens) -> tuple[Binomial, ...]:
       keeps the set of elements it was popped with, and the check
       tests the intersection of the pair's two sets.
 
-    S-pair sides lcm - u + v are reduced as exponent tuples; only an
-    element that joins the basis becomes a ``Binomial``.  The result is
-    auto-reduced (minimal leads, each tail reduced once: normal forms
-    modulo a Groebner basis are unique) so it is unique, independent of
-    input order.  A basis past MAX_BASIS elements raises ResourceLimitError.
+    Elements are lead and trail words with their degrees; words compare
+    as ints in the order of their exponent tuples, so neither the queue
+    nor the result depends on the field width.  Fields start just wide
+    enough for the largest input exponent, and an S-pair side or rewrite
+    that outgrows them restarts the computation one byte per field
+    wider.  The result is auto-reduced (minimal leads, each tail reduced
+    once: normal forms modulo a Groebner basis are unique), so it does
+    not depend on the input order.  A basis past MAX_BASIS elements
+    raises ResourceLimitError.
     """
     gen_list = list(gens)
     if not gen_list:
         raise DomainError("need at least one generator")
     nvars = gen_list[0].nvars
-    basis: list[Binomial] = []
-    for g in gen_list:
-        if g.nvars != nvars:
-            raise DomainError("generators on different variable counts")
-        og = g.oriented()
-        if all(not og.same_up_to_sign(h) for h in basis):
-            basis.append(og)
+    if any(g.nvars != nvars for g in gen_list):
+        raise DomainError("generators on different variable counts")
+    words = Words.holding(nvars, max(max(g.u + g.v) for g in gen_list))
+    while True:
+        try:
+            return _buchberger(gen_list, words)
+        except OverflowError:
+            words = Words(nvars, words.width + 8)
 
-    queue: list[tuple[int, Expo, int, int]] = []
-    for i, j in ((i, j) for j in range(len(basis)) for i in range(j)):
-        lcm = expo_lcm(basis[i].u, basis[j].u)
-        heapq.heappush(queue, (sum(lcm), lcm, i, j))
+
+def _buchberger(gen_list: list[Binomial], words: Words) -> tuple[Binomial, ...]:
+    G, degree, lcm, support = words.guards, words.degree, words.lcm, words.support
+    basis: list[Pair] = []
+    for g in gen_list:
+        h = words.pack_binomial(g)
+        if h not in basis:
+            basis.append(h)
+
+    queue = [
+        (degree(m := lcm(basis[i][0], basis[j][0])), m, i, j)
+        for j in range(len(basis)) for i in range(j)
+    ]
+    heapq.heapify(queue)
 
     # popped[i]: the elements k whose pair with i has left the queue
     popped: list[set[int]] = [set() for _ in basis]
+    supports = [support(h[0]) for h in basis]
     while queue:
-        _, lcm, i, j = heapq.heappop(queue)
+        dm, m, i, j = heapq.heappop(queue)
         popped[i].add(j)
         popped[j].add(i)
-        f, g = basis[i], basis[j]
-        if not any(map(min, f.u, g.u)):
+        if not supports[i] & supports[j]:
             continue  # coprime leads: S-pair reduces to zero
-        if any(divides(basis[k].u, lcm) for k in popped[i] & popped[j]):
+        if any(words.divides(basis[k][0], m) for k in popped[i] & popped[j]):
             continue  # chain: (i, k) and (k, j) cover this pair
-        p = tuple(map(add, map(sub, lcm, f.u), f.v))
-        q = tuple(map(add, map(sub, lcm, g.u), g.v))
+        ui, vi, dui, dvi = basis[i]
+        uj, vj, duj, dvj = basis[j]
+        p, q = m - ui + vi, m - uj + vj
+        if (p | q) & G:
+            raise OverflowError("an S-pair side outgrows its fields")
         if p == q:
             continue  # the S-binomial cancels
-        p, q = reduce_monomial(p, basis), reduce_monomial(q, basis)
+        p, dp = reduce_monomial(p, dm - dui + dvi, basis, words)
+        q, dq = reduce_monomial(q, dm - duj + dvj, basis, words)
         if p == q:
             continue
-        h = Binomial(p, q).oriented()
+        h = words.oriented(p, dp, q, dq)
         basis.append(h)
+        supports.append(support(h[0]))
         popped.append(set())
         if len(basis) > MAX_BASIS:
             raise ResourceLimitError(len(basis), MAX_BASIS, "basis elements")
         k = len(basis) - 1
         for i2 in range(k):
-            lcm2 = expo_lcm(basis[i2].u, h.u)
-            heapq.heappush(queue, (sum(lcm2), lcm2, i2, k))
+            m = lcm(basis[i2][0], h[0])
+            heapq.heappush(queue, (degree(m), m, i2, k))
 
-    minimal: list[Binomial] = []
-    for g in sorted(basis, key=lambda g: (sum(g.u), g.u, g.v)):
-        if not any(divides(h.u, g.u) for h in minimal):
-            minimal.append(g)
-    # g's own lead divides no monomial below it, so g may stay in the list
-    reduced = [Binomial(g.u, reduce_monomial(g.v, minimal)) for g in minimal]
-    return tuple(sorted(reduced, key=lambda g: (sum(g.u), g.u, g.v)))
+    minimal: list[Pair] = []
+    for h in sorted(basis, key=lambda h: (h[2], h[0], h[1])):
+        if not any(words.divides(f[0], h[0]) for f in minimal):
+            minimal.append(h)
+    # h's own lead divides no monomial below it, so h may stay in the list
+    reduced = [(du, u, reduce_monomial(v, dv, minimal, words)[0]) for u, v, du, dv in minimal]
+    return tuple(Binomial(words.unpack(u), words.unpack(v)) for _, u, v in sorted(reduced))
 
 
 def initial_ideal(gb, nvars: int) -> MonomialIdeal:
@@ -209,31 +229,35 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     generator m gives 1 - t^deg(m), and two generators g and h, neither
     dividing the other, give 1 - t^deg(g) - t^deg(h) + t^deg(lcm(g, h)).
 
-    A cache, fresh for each call, holds the nodes of three or more
-    generators.  It keys on the generator tuple in the order a node
-    builds it, so one sub-ideal reached in two orders is computed
-    twice.  A node missing from it adds its exponent entries to a
-    running count and checks that and its depth before it recurses.
-    Dimension is the pole order of N/(1-t)^nvars at t = 1 and degree
-    the reduced numerator there.  The zero ring gets dimension -1.
+    Nodes hold their generators as words whose fields hold the largest
+    exponent and the generator count, as the pivot sums support words
+    to count the generators each variable divides; no node raises an
+    exponent.  A cache, fresh for each call, holds the nodes of three or
+    more generators, keyed on the generator tuple in the order a node
+    builds it, so one sub-ideal reached in two orders is computed twice.
+    A node missing from it adds its exponent entries to a running count
+    and checks that and its depth before it recurses.  Dimension is
+    nvars less the times 1 - t divides N, and degree the quotient at
+    t = 1, both by prefix sums.  The zero ring gets dimension -1.
 
     >>> hd = hilbert(MonomialIdeal(4, ((1, 0, 1, 0), (0, 1, 0, 1))))
     >>> hd.dimension, hd.degree
     (2, 4)
     """
-    num = IntPolynomial(_numerator(mi.gens, {}, [0], 1))
+    words = Words.holding(mi.nvars, max([len(mi.gens), *(max(g, default=0) for g in mi.gens)]))
+    num = IntPolynomial(_numerator(tuple(map(words.pack, mi.gens)), words, {}, [0], 1))
     if num.is_zero():
         return HilbertData(num, -1, 0)
-    reduced = num
+    sums = list(accumulate(num.coeffs))
     multiplicity = 0
-    while reduced(1) == 0:
-        reduced = reduced.divide_by_one_minus_x()
+    while not sums[-1]:  # N(1) = 0: the other prefix sums are N/(1 - t)
+        sums = list(accumulate(sums[:-1]))
         multiplicity += 1
-    return HilbertData(num, mi.nvars - multiplicity, reduced(1))
+    return HilbertData(num, mi.nvars - multiplicity, sums[-1])
 
 
 def _numerator(
-    gens: tuple[Expo, ...], cache: dict, entries: list[int], depth: int
+    gens: tuple[int, ...], words: Words, cache: dict, entries: list[int], depth: int
 ) -> list[int]:
     """Numerator coefficients of a minimal generator tuple, constant first.
 
@@ -242,34 +266,28 @@ def _numerator(
     if not gens:
         return [1]
     if len(gens) == 1:
-        d = sum(gens[0])
+        d = words.degree(gens[0])
         return [1] + [0] * (d - 1) + [-1] if d else []
     if len(gens) == 2:
         # 1 - t^|g| - t^|h| + t^|lcm|: neither divides the other, so the
         # lcm is of larger degree than both, and the two may be equal
         g, h = gens
-        out = [0] * (sum(map(max, g, h)) + 1)
+        out = [0] * (words.degree(words.lcm(g, h)) + 1)
         out[0] = out[-1] = 1
-        out[sum(g)] -= 1
-        out[sum(h)] -= 1
+        out[words.degree(g)] -= 1
+        out[words.degree(h)] -= 1
         return out
     got = cache.get(gens)
     if got is not None:
         return got
-    nvars = len(gens[0])
-    entries[0] += len(gens) * nvars
+    entries[0] += len(gens) * words.nvars
     if entries[0] > MAX_HILBERT_ENTRIES:
         raise ResourceLimitError(entries[0], MAX_HILBERT_ENTRIES, "Hilbert exponent entries")
     if depth > MAX_HILBERT_DEPTH:
         raise ResourceLimitError(depth, MAX_HILBERT_DEPTH, "nested Hilbert nodes")
-    counts = [0] * nvars
-    comps: list[tuple[int, list[Expo]]] = []
-    for g in gens:
-        mask = 0
-        for i, e in enumerate(g):
-            if e:
-                mask |= 1 << i
-                counts[i] += 1
+    supports = list(map(words.support, gens))
+    comps: list[tuple[int, list[int]]] = []
+    for g, mask in zip(gens, supports):
         joined = [g]
         rest = []
         for m, members in comps:
@@ -281,29 +299,35 @@ def _numerator(
         rest.append((mask, joined))
         comps = rest
     if len(comps) > 1:
-        out = [1]
-        for _, members in comps:
-            out = _mul(out, _numerator(tuple(members), cache, entries, depth + 1))
+        parts = [_numerator(tuple(c), words, cache, entries, depth + 1) for _, c in comps]
+        out = parts[0]
+        for part in parts[1:]:
+            out = _mul(out, part)
     else:
         # x divides at least two of these connected generators, and x^e,
         # e its least positive exponent, divides each of them, so x^e is
         # not one of them and no lowered generator is 1
+        counts = words.unpack(sum(supports))
         x = counts.index(max(counts))
-        e = min(g[x] for g in gens if g[x])
-        free = tuple(g for g in gens if not g[x])
-        lowered = tuple(
-            g[:x] + (g[x] - e,) + g[x + 1 :] for g in gens if g[x]
-        )
+        shift = words.width * (words.nvars - 1 - x)
+        field = ((1 << words.width - 1) - 1) << shift
+        hit = [g for g in gens if g & field]
+        free = tuple([g for g in gens if not g & field])
+        e = min(map(field.__and__, hit))
+        lowered = [g - e for g in hit]
         # only a lowered generator without x can divide one without x
-        bare = [h for h in lowered if not h[x]]
-        colon = lowered + tuple(
-            g for g in free if not any(divides(h, g) for h in bare)
-        )
-        a = _numerator(free, cache, entries, depth + 1)
-        b = _numerator(colon, cache, entries, depth + 1)
-        # N(I + (x^e)) = (1 - t^e)*N(J): x divides no free generator
-        out = _mul(a, [1] + [0] * (e - 1) + [-1])
-        out += [0] * (len(b) + e - len(out))
+        kept = free
+        for h in lowered:
+            if not h & field:
+                kept = [g for g in kept if not words.divides(h, g)]
+        lowered += kept
+        a = _numerator(free, words, cache, entries, depth + 1)
+        b = _numerator(tuple(lowered), words, cache, entries, depth + 1)
+        # N(I) = (1 - t^e)*N(J) + t^e*N(I : x^e): x divides no free generator
+        e >>= shift
+        out = a + [0] * max(e, len(b) + e - len(a))
+        for i, c in enumerate(a):
+            out[i + e] -= c
         for i, c in enumerate(b):
             out[i + e] += c
     cache[gens] = out
@@ -419,11 +443,16 @@ def weight_kernel_row(ideal: BinomialIdeal, gb) -> CheckRow:
     if 1 not in ideal.weights:
         raise DomainError(f"no variable of weight 1 among {ideal.weights}")
     one, n = ideal.weights.index(1), ideal.nvars
+    # rewrites never raise the degree: no exponent outgrows a weight or basis exponent
+    words = Words.holding(n, max(ideal.weights + tuple(x for g in gb for x in g.u + g.v)))
+    basis = [words.pack_binomial(g) for g in gb]
     outside = []
     for i, w in enumerate(ideal.weights):  # x - x^1 is 0 and reduces to it
         u = tuple(int(j == i) for j in range(n))
         v = tuple(w * (j == one) for j in range(n))
-        if reduce_monomial(u, gb) != reduce_monomial(v, gb):
+        if reduce_monomial(words.pack(u), 1, basis, words) != reduce_monomial(
+            words.pack(v), w, basis, words
+        ):
             outside.append(Binomial(u, v).oriented().format(weight_names(ideal.weights)))
     note = f"{len(outside)} of {n - 1} kernel generators lie outside"
     if outside:
@@ -507,62 +536,3 @@ def audit_quadric_chain_ideal(ell: int) -> Report:
     gb = groebner_basis(ideal.generators)
     _hilbert_rows(rep, gb, ideal.nvars, 2, 2 ** (ell - 1))
     return rep
-
-
-@dataclass(frozen=True)
-class WeightChain:
-    """Two-row weighted node chain: top row l..1, bottom row l-1..0.
-
-    Each bottom node points up to the top node of its column and the
-    top row is a directed path left to right; the weight-0 node keeps
-    the last column stable.
-    """
-
-    ell: int
-
-    @property
-    def top_weights(self) -> tuple[int, ...]:
-        return tuple(range(self.ell, 0, -1))
-
-    @property
-    def bottom_weights(self) -> tuple[int, ...]:
-        return tuple(range(self.ell - 1, -1, -1))
-
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        for c in range(self.ell):
-            out.append((f"b{c}", f"t{c}"))
-        for c in range(self.ell - 1):
-            out.append((f"t{c}", f"t{c + 1}"))
-        return tuple(out)
-
-    def to_json(self) -> dict:
-        return {
-            "top": list(self.top_weights),
-            "bottom": list(self.bottom_weights),
-            "edges": [list(e) for e in self.edges()],
-        }
-
-    def to_dot(self) -> str:
-        lines = ["digraph weight_chain {", "  rankdir=LR;"]
-        tops = " ".join(f"t{c}" for c in range(self.ell))
-        bottoms = " ".join(f"b{c}" for c in range(self.ell))
-        lines.append(f"  {{ rank=same {tops} }}")
-        lines.append(f"  {{ rank=same {bottoms} }}")
-        for c, w in enumerate(self.top_weights):
-            lines.append(f'  t{c} [label="{w}"];')
-        for c, w in enumerate(self.bottom_weights):
-            lines.append(f'  b{c} [label="{w}"];')
-        for a, b in self.edges():
-            lines.append(f"  {a} -> {b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def weight_chain_diagram(p: Partition) -> WeightChain:
-    """The weighted chain whose node weights index the quadric ideal."""
-    if not is_staircase(p):
-        raise DomainError(f"{p.parts} is not a staircase")
-    if p.length < 2:
-        raise DomainError(f"need length >= 2, got {p.length}")
-    return WeightChain(p.length)

@@ -2,11 +2,13 @@
 
 Deletion-contraction is exponential in the cycle rank, so it checks the
 frontier sweep only on small graphs; the colouring count is plain
-backtracking over k colours.
+backtracking over k colours.  The ladder of d squares and its closed
+form are a family whose polynomial is known independently.
 """
 
 from __future__ import annotations
 
+from staircase.errors import DomainError
 from staircase.graphs import SimpleGraph
 from staircase.poly import IntPolynomial
 
@@ -68,3 +70,30 @@ def count_colourings(g: SimpleGraph, k: int) -> int:
         return total
 
     return extend(0)
+
+
+def square_chain(d: int) -> SimpleGraph:
+    """Ladder of d squares glued edge to edge: 2(d+1) vertices.
+
+    Vertex 2i is the top of rung i, vertex 2i+1 the bottom.
+    """
+    if d < 1:
+        raise DomainError(f"need at least one square, got {d}")
+    edges = []
+    for i in range(d + 1):
+        edges.append((2 * i, 2 * i + 1))
+    for i in range(d):
+        edges.append((2 * i, 2 * i + 2))
+        edges.append((2 * i + 1, 2 * i + 3))
+    return SimpleGraph.from_edges(2 * (d + 1), edges)
+
+
+def square_chain_closed_form(d: int) -> IntPolynomial:
+    """k(k-1)(k^2-3k+3)^d, the chromatic polynomial of the d-square ladder.
+
+    >>> square_chain_closed_form(1).format()
+    'k^4 - 4k^3 + 6k^2 - 3k'
+    """
+    if d < 1:
+        raise DomainError(f"need at least one square, got {d}")
+    return _K * _K_MINUS_1 * IntPolynomial((3, -3, 1)) ** d

@@ -1,15 +1,12 @@
+import random
+
 import pytest
 
-from staircase.binomial import (
-    Binomial,
-    divides,
-    expo_lcm,
-    grevlex_greater,
-    reduce_monomial,
-)
+from staircase.binomial import Binomial, Words, grevlex_greater
+from staircase.binomial import reduce_monomial as word_reduction
 from staircase.errors import DomainError
 
-from toric_oracle import normal_form, s_binomial
+from toric_oracle import divides, expo_lcm, normal_form, reduce_monomial, s_binomial
 
 
 def test_grevlex_order():
@@ -114,3 +111,76 @@ def test_reduce_monomial_rejects_an_unoriented_element():
     assert unoriented.oriented() != unoriented
     with pytest.raises(RuntimeError, match="does not decrease"):
         reduce_monomial((0, 3), (unoriented,))
+
+
+def _random_vectors(rng, nvars, top):
+    # each vector mixes zeros, the field's largest value and values between
+    return [
+        tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(nvars))
+        for _ in range(12)
+    ]
+
+
+@pytest.mark.parametrize("top", [1, 2, 127, 128, 255, 256, 40_000])
+def test_words_match_the_tuple_oracles(top):
+    rng = random.Random(top)
+    for nvars in (0, 1, 2, 5, 12):
+        words = Words.holding(nvars, top)
+        # the narrowest byte fields with room for top below the guard
+        assert top < 1 << words.width - 1 and words.width % 8 == 0
+        assert words.width == 8 or top >= 1 << words.width - 9
+        vectors = _random_vectors(rng, nvars, top) + [(0,) * nvars, (top,) * nvars]
+        packed = [words.pack(a) for a in vectors]
+        for a, wa in zip(vectors, packed):
+            assert words.unpack(wa) == a
+            assert words.degree(wa) == sum(a)
+            assert words.unpack(words.support(wa)) == tuple(int(x > 0) for x in a)
+            for b, wb in zip(vectors, packed):
+                assert words.divides(wa, wb) == divides(a, b), (a, b)
+                assert words.unpack(words.lcm(wa, wb)) == expo_lcm(a, b)
+                assert words.grevlex_greater(wa, sum(a), wb, sum(b)) == grevlex_greater(a, b)
+                # the most significant field is variable 0: int order is tuple order
+                assert (wa < wb) == (a < b)
+
+
+def test_words_on_zero_variables():
+    words = Words.holding(0, 0)
+    assert words.pack(()) == 0 and words.unpack(0) == ()
+    assert words.divides(0, 0) and words.lcm(0, 0) == 0
+    assert words.degree(0) == 0 and words.support(0) == 0
+    assert not words.grevlex_greater(0, 0, 0, 0)
+
+
+def _packed(words, basis):
+    return [(words.pack(g.u), words.pack(g.v), sum(g.u), sum(g.v)) for g in basis]
+
+
+def test_word_reduction_matches_the_tuple_oracle():
+    rng = random.Random(3301)
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        basis = []
+        while len(basis) < rng.randint(1, 4):
+            u, v = (tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(2))
+            if u != v:
+                basis.append(Binomial(u, v).oriented())
+        m = tuple(rng.randint(0, 4) for _ in range(nvars))
+        # a rewrite never raises the degree, so fields holding it suffice
+        words = Words.holding(nvars, sum(m) + 2)
+        got, degree = word_reduction(words.pack(m), sum(m), _packed(words, basis), words)
+        want = reduce_monomial(m, basis)
+        assert (words.unpack(got), degree) == (want, sum(want)), (m, basis)
+
+
+def test_word_reduction_rejects_an_unoriented_element_and_a_full_field():
+    words = Words.holding(2, 3)
+    # x1 -> x0^2 rewrites to a larger monomial
+    unoriented = _packed(words, [Binomial((0, 1), (2, 0))])
+    with pytest.raises(RuntimeError, match="does not decrease"):
+        word_reduction(words.pack((0, 3)), 3, unoriented, words)
+    # x0^2 -> x1^2 takes x0^2 x1^126 to x1^128, past the 8-bit field
+    words = Words.holding(2, 127)
+    lifting = _packed(words, [Binomial((2, 0), (0, 2)).oriented()])
+    assert words.width == 8
+    with pytest.raises(OverflowError, match="outgrows its field"):
+        word_reduction(words.pack((2, 126)), 128, lifting, words)

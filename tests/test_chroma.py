@@ -13,8 +13,6 @@ from staircase.chroma import (
     colour_separation,
     layered_closed_form,
     shared_balance_check,
-    square_chain,
-    square_chain_closed_form,
 )
 from staircase.cli import main
 from staircase.errors import ResourceLimitError
@@ -23,7 +21,12 @@ from staircase.layered import build_layered_graph
 from staircase.partition import staircase
 from staircase.poly import IntPolynomial
 
-from chroma_oracle import count_colourings, deletion_contraction
+from chroma_oracle import (
+    count_colourings,
+    deletion_contraction,
+    square_chain,
+    square_chain_closed_form,
+)
 
 K = IntPolynomial.variable()
 

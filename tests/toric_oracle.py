@@ -8,20 +8,52 @@ first two are exponential and the last quadratic, so they check the
 fast versions only on small inputs.  ``s_binomial`` builds an S-pair
 the way a textbook writes it, as a ``Binomial``, and ``normal_form``
 reduces it, for checking that a Groebner basis leaves no S-pair
-unreduced.
+unreduced.  ``divides``, ``expo_lcm`` and ``reduce_monomial`` are the
+same steps on exponent tuples, for checking the packed words of
+``staircase.binomial.Words`` and the reduction on them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from operator import add, le, sub
 
-from staircase.binomial import Binomial, reduce_monomial
+from staircase.binomial import Binomial, grevlex_greater
 
 Expo = tuple[int, ...]
 
 
-def _divides(a: Expo, b: Expo) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def divides(a: Expo, b: Expo) -> bool:
+    """True when monomial a divides monomial b."""
+    return all(map(le, a, b))
+
+
+def expo_lcm(a: Expo, b: Expo) -> Expo:
+    return tuple(map(max, a, b))
+
+
+def reduce_monomial(m: Expo, basis: list[Binomial] | tuple[Binomial, ...]) -> Expo:
+    """Rewrite x^m by lead -> trail until no lead divides; returns the rest.
+
+    Each basis element must be oriented; a step that fails to decrease
+    raises RuntimeError.
+    """
+    current = m
+    changed = True
+    while changed:
+        changed = False
+        for g in basis:
+            if divides(g.u, current):
+                nxt = tuple(map(add, map(sub, current, g.u), g.v))
+                if not grevlex_greater(current, nxt):
+                    raise RuntimeError(
+                        f"rewriting {current} -> {nxt} does not decrease; "
+                        "basis element not oriented?"
+                    )
+                current = nxt
+                changed = True
+                break
+    return current
 
 
 def brute_standard_monomial_counts(
@@ -35,7 +67,7 @@ def brute_standard_monomial_counts(
             e = [0] * nvars
             for i in combo:
                 e[i] += 1
-            if not any(_divides(g, tuple(e)) for g in gens):
+            if not any(divides(g, tuple(e)) for g in gens):
                 count += 1
         out.append(count)
     return tuple(out)
@@ -87,8 +119,8 @@ def brute_graver(weights: tuple[int, ...], degree_bound: int) -> list[tuple[Expo
         dominated = any(
             (a, b) != (u, v)
             and (
-                (_divides(a, u) and _divides(b, v))
-                or (_divides(a, v) and _divides(b, u))
+                (divides(a, u) and divides(b, v))
+                or (divides(a, v) and divides(b, u))
             )
             for a, b in candidates
         )
