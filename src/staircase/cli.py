@@ -1,9 +1,10 @@
 """Command-line front end for the staircase verification suite.
 
-Every command prints a deterministic report (text, markdown, or json)
-or a DOT graph; identical configuration gives byte-identical output.
-Exit codes: 0 success, 1 failed checks (any mismatch under --strict,
-invariant failures otherwise), 2 usage error, 3 resource limit.
+Every command prints deterministic reports (text, markdown, or json)
+or one graph (dot, or json from export); identical configuration gives
+byte-identical output.  Exit codes: 0 success, 1 failed checks (any
+invariant failure in any report command, or any mismatch under
+--strict), 2 usage error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -182,16 +183,6 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return [*argv[: i + 1], *flags, *argv[i + 1 :]]
 
 
-def _emit(args: argparse.Namespace, reports: list[Report]) -> str:
-    if args.format == "json":
-        return json.dumps(
-            [r.to_dict() for r in reports], sort_keys=True, indent=2
-        ) + "\n"
-    if args.format == "markdown":
-        return "\n".join(r.to_markdown() for r in reports)
-    return "\n".join(r.to_text() for r in reports)
-
-
 def _isomorphism_row(ell: int, g: LayeredGraph) -> CheckRow:
     """The layered graph g against the move graph at ell, SKIPPED at a cap."""
     name = "isomorphic to the reduced-word graph"
@@ -272,43 +263,26 @@ _AUDITS = {
 }
 
 
-def cmd_words(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.r, "r")
-    reports = []
+def cmd_words(args, lo: int, hi: int) -> Iterator[Report]:
     for r in range(lo, hi + 1):
         words = enumerate_reduced_words(staircase_permutation(r))
         rep = Report(f"reduced words of the staircase permutation, size {r}")
         rep.add(check("word count", len(words), comb(r, 2), kind=INVARIANT))
         for w in words:
             rep.note(word_to_str(w))
-        reports.append(rep)
-    return _emit(args, reports), 0
+        yield rep
 
 
-def cmd_graph(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell", single=args.format == "dot")
-    if args.format == "dot":
-        return family_word_graph(lo).to_dot(), 0
-    reports = [structure_report(ell) for ell in range(lo, hi + 1)]
-    return _emit(args, reports), 0
+def cmd_graph(args, lo: int, hi: int) -> Iterator[Report]:
+    return (structure_report(ell) for ell in range(lo, hi + 1))
 
 
-def cmd_layered(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell", single=args.format == "dot")
-    if args.format == "dot":
-        return build_layered_graph(staircase(lo)).to_dot(), 0
-    reports = []
+def cmd_layered(args, lo: int, hi: int) -> Iterator[Report]:
     for ell in range(lo, hi + 1):
         g = build_layered_graph(staircase(ell))
         rep = Report(f"layered graph at length {ell}")
-        rep.add(
-            check(
-                "layer sizes",
-                g.layer_sizes(),
-                tuple(range(ell, 0, -1)),
-                kind=INVARIANT,
-            )
-        )
+        rep.add(check("layer sizes", g.layer_sizes(), tuple(range(ell, 0, -1)),
+                      kind=INVARIANT))
         rep.add(check("edge count", g.edge_count, ell * (ell - 1), kind=INVARIANT))
         if ell >= 3:
             rep.add(_isomorphism_row(ell, g))
@@ -317,27 +291,22 @@ def cmd_layered(args) -> tuple[str, int]:
             rep.rows.extend(parity_pair_report(staircase(ell - 1), staircase(ell)).rows)
         if ell % 2 == 1:
             rep.rows.extend(vertex_parity_report(ell).rows)
-        reports.append(rep)
+        yield rep
     if args.series:
-        reports.append(family_series_report(args.series))
-    return _emit(args, reports), 0
+        yield family_series_report(args.series)
 
 
-def cmd_chroma(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    reports = []
+def cmd_chroma(args, lo: int, hi: int) -> Iterator[Report]:
     for ell in range(lo, hi + 1):
         rep = closed_form_report(ell)
         simple = build_layered_graph(staircase(ell)).as_simple()
         number = chromatic_number(simple)
         rep.add(check(f"chromatic number at length {ell}", number, 2))
-        reports.append(rep)
-    return _emit(args, reports), 0
+        yield rep
 
 
-def cmd_separation(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    reports = [balance_bound_check(hi)]
+def cmd_separation(args, lo: int, hi: int) -> Iterator[Report]:
+    yield balance_bound_check(hi)
     for ell in range(lo, hi + 1):
         sep = colour_separation(staircase(ell))
         rep = Report(f"colour separation at length {ell}")
@@ -346,22 +315,13 @@ def cmd_separation(args) -> tuple[str, int]:
                       note="closed forms from the layer sums"))
         if ell % 2 == 0:
             k = ell // 2
-            rep.add(
-                check(
-                    f"pair at lengths {ell - 1}, {ell} shares balance {k}",
-                    shared_balance_check(k),
-                    True,
-                    kind=INVARIANT,
-                )
-            )
+            rep.add(check(f"pair at lengths {ell - 1}, {ell} shares balance {k}",
+                          shared_balance_check(k), True, kind=INVARIANT))
             rep.rows.extend(balance_matrix_report(k).rows)
-        reports.append(rep)
-    return _emit(args, reports), 0
+        yield rep
 
 
-def cmd_identities(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
-    reports = []
+def cmd_identities(args, lo: int, hi: int) -> Iterator[Report]:
     for ell in range(lo, hi + 1):
         rep = subidentity_report(staircase(ell))
         if args.degree_bound:
@@ -369,56 +329,31 @@ def cmd_identities(args) -> tuple[str, int]:
             names = weight_names(weights)
             for b in graver_basis(weights, args.degree_bound):
                 rep.note(f"graver: {b.format(names)}")
-        reports.append(rep)
-    return _emit(args, reports), 0
+        yield rep
 
 
-def cmd_conjectures(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
+def cmd_conjectures(args, lo: int, hi: int) -> Iterator[Report]:
     names = ("c1", "c2") if args.which == "both" else (args.which,)
-    reports = []
     for ell in range(lo, hi + 1):
         for name in names:
-            reports.append(_AUDITS[name].run(ell))
-    return _emit(args, reports), 0
+            yield _AUDITS[name].run(ell)
 
 
-def cmd_verify_all(args) -> tuple[str, int]:
-    lo, hi = _parse_range(args.ell, "ell")
+def cmd_verify_all(args, lo: int, hi: int) -> list[Report]:
     reports = [triangular_gf_report()]
     for ell in range(lo, hi + 1):
-        for audit in _AUDITS.values():
-            rep = audit.run(ell)
-            if rep is not None:
-                reports.append(rep)
+        runs = (audit.run(ell) for audit in _AUDITS.values())
+        reports += [rep for rep in runs if rep is not None]
     reports.append(balance_bound_check(hi))
-    for k in range(1, hi // 2 + 1):
-        reports.append(balance_matrix_report(k))
+    reports += [balance_matrix_report(k) for k in range(1, hi // 2 + 1)]
     failures = sum(len(r.invariant_failures()) for r in reports)
     mismatches = sum(len(r.mismatches()) for r in reports)
-    code = 0
-    if failures or (args.strict and mismatches):
-        code = 1
     summary = Report("summary")
     summary.add(check("invariant failures", failures, 0, kind=INVARIANT))
     summary.note(f"claim mismatches reported: {mismatches}")
     if mismatches and not args.strict:
         summary.note("claim mismatches do not fail the run without --strict")
-    reports.append(summary)
-    return _emit(args, reports), code
-
-
-def cmd_export(args) -> tuple[str, int]:
-    lo, _ = _parse_range(args.ell, "ell", single=True)
-    if args.kind == "word-graph":
-        obj = family_word_graph(lo)
-    elif args.kind == "layered-graph":
-        obj = build_layered_graph(staircase(lo))
-    else:
-        obj = weight_chain_diagram(staircase(lo))
-    if args.format == "json":
-        return json.dumps(obj.to_json(), sort_keys=True, indent=2) + "\n", 0
-    return obj.to_dot(), 0
+    return [*reports, summary]
 
 
 _COMMANDS = {
@@ -430,8 +365,42 @@ _COMMANDS = {
     "identities": cmd_identities,
     "conjectures": cmd_conjectures,
     "verify-all": cmd_verify_all,
-    "export": cmd_export,
 }
+
+# The graph artifacts by export --kind; graph and layered draw theirs
+# with --format dot.  Lambdas, as in _AUDITS, so rebound names are seen.
+_GRAPHS = {
+    "word-graph": lambda ell: family_word_graph(ell),
+    "layered-graph": lambda ell: build_layered_graph(staircase(ell)),
+    "weight-chain": lambda ell: weight_chain_diagram(staircase(ell)),
+}
+_DRAWN = {"graph": "word-graph", "layered": "layered-graph"}
+
+
+def _run(args: argparse.Namespace) -> tuple[str, int]:
+    """The output and exit code of every command.
+
+    export, and graph or layered with --format dot, draw one graph at a
+    single length.  Every other run renders its command's reports and
+    exits 1 on any invariant failure, or on any mismatch under --strict.
+    """
+    name = "r" if args.command == "words" else "ell"
+    draw = args.command == "export" or args.format == "dot"
+    lo, hi = _parse_range(getattr(args, name), name, single=draw)
+    if draw:
+        graph = _GRAPHS[_DRAWN.get(args.command) or args.kind](lo)
+        if args.format == "dot":
+            return graph.to_dot(), 0
+        data, code = graph.to_json(), 0
+    else:
+        reports = list(_COMMANDS[args.command](args, lo, hi))
+        strict = getattr(args, "strict", False)
+        code = int(any(r.invariant_failures() or strict and r.mismatches() for r in reports))
+        if args.format != "json":
+            render = Report.to_markdown if args.format == "markdown" else Report.to_text
+            return "\n".join(render(r) for r in reports), code
+        data = [r.to_dict() for r in reports]
+    return json.dumps(data, sort_keys=True, indent=2) + "\n", code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = parser.parse_args(_with_config(args, argv))
-        text, code = _COMMANDS[args.command](args)
+        text, code = _run(args)
     except (UsageError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

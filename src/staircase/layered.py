@@ -53,10 +53,6 @@ class LayeredGraph:
             for j in range(len(layer))
         )
 
-    def cell_of(self, vid: VertexId) -> tuple[int, int]:
-        i, j = vid
-        return self.layer_cells[i - 1][j]
-
     def as_simple(self) -> SimpleGraph:
         index = {vid: k for k, vid in enumerate(self.vertex_ids())}
         return SimpleGraph.from_edges(

@@ -3,15 +3,16 @@
 A permutation of degree n is a tuple holding a rearrangement of
 (1, ..., n).  Multiplication by the adjacent transposition t_i swaps the
 entries in positions i and i+1 (positions are 1-based), so a word
-(a_1, ..., a_r) acts on the identity left to right:
+(a_1, ..., a_r) acts on the identity left to right.  A word for w is
+reduced when its letter count equals the inversion number of w; the
+word 32123 is one of the six for (4, 2, 3, 1):
 
->>> apply_word((3, 2, 1, 2, 3), 4)
-(4, 2, 3, 1)
+>>> (3, 2, 1, 2, 3) in enumerate_reduced_words((4, 2, 3, 1))
+True
 
-A word for w is reduced when its letter count equals the inversion
-number of w.  ``enumerate_reduced_words`` peels descents: every reduced
-word of w ends in a descent position i, and chopping that letter leaves
-a reduced word of w t_i; MAX_REDUCED_LETTERS caps the letters memoized.
+``enumerate_reduced_words`` peels descents: every reduced word of w
+ends in a descent position i, and chopping that letter leaves a reduced
+word of w t_i; MAX_REDUCED_LETTERS caps the letters memoized.
 """
 
 from __future__ import annotations
@@ -38,53 +39,6 @@ def check_permutation(seq: Sequence[int]) -> tuple[int, ...]:
     w = tuple(seq)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise MalformedPermutationError(f"not a rearrangement of 1..{len(w)}: {w}")
-    return w
-
-
-def inversions(w: Sequence[int]) -> int:
-    """Number of pairs i < j with w(i) > w(j).
-
-    >>> inversions((3, 5, 1, 2, 4))
-    5
-    """
-    w = check_permutation(w)
-    return sum(
-        1
-        for i in range(len(w))
-        for j in range(i + 1, len(w))
-        if w[i] > w[j]
-    )
-
-
-def descents(w: Sequence[int]) -> tuple[int, ...]:
-    """Positions i (1-based) with w(i) > w(i+1).
-
-    >>> descents((4, 2, 3, 1))
-    (1, 3)
-    """
-    w = check_permutation(w)
-    return tuple(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def apply_transposition(w: Sequence[int], i: int) -> tuple[int, ...]:
-    """Right-multiply by t_i: swap the entries in positions i, i+1."""
-    w = check_permutation(w)
-    if not 1 <= i <= len(w) - 1:
-        raise DomainError(f"transposition index {i} out of range for degree {len(w)}")
-    return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-
-
-def apply_word(word: Sequence[int], n: int) -> tuple[int, ...]:
-    """Product of the transpositions named by ``word``, degree n.
-
-    >>> apply_word((4, 2, 3, 1, 2), 5)
-    (3, 5, 1, 2, 4)
-    """
-    if n < 1:
-        raise DomainError("degree must be at least 1")
-    w = tuple(range(1, n + 1))
-    for a in word:
-        w = apply_transposition(w, a)
     return w
 
 

@@ -26,9 +26,11 @@ def is_subgraph_order(p1: Partition, p2: Partition) -> bool:
     for layer in g1.layer_cells:
         if not set(layer) <= cells2:
             return False
-    edges2 = {
-        frozenset((g2.cell_of(a), g2.cell_of(b))) for a, b in g2.edges
-    }
-    return all(
-        frozenset((g1.cell_of(a), g1.cell_of(b))) in edges2 for a, b in g1.edges
-    )
+
+    def cell_edges(g):
+        # vertex id (i, j) is the cell layer_cells[i - 1][j]
+        return {
+            frozenset(g.layer_cells[i - 1][j] for i, j in edge) for edge in g.edges
+        }
+
+    return cell_edges(g1) <= cell_edges(g2)

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from staircase import chroma, cli, layered, perm, toric
+from staircase import chroma, cli, identities, layered, perm, rwgraph, toric
 from staircase.cli import main
+from staircase.poly import IntPolynomial
 
 
 def run(capsys, *argv):
@@ -386,3 +387,62 @@ def test_identities_past_twenty_parts(capsys):
     rep = cli._AUDITS["subidentities"].run(19)
     assert not any(row.verdict == "SKIPPED" for row in rep.rows)
     assert not rep.invariant_failures()
+
+
+def _shape(out):
+    """Each report's title with the names of its rows, from json output."""
+    return [(rep["title"], [row["name"] for row in rep["rows"]]) for rep in json.loads(out)]
+
+
+# For each report command: a library function it calls, rebound so that
+# the invariant row named last in the entry comes out wrong.
+_BROKEN = [
+    ("words --r 4..5", cli, "enumerate_reduced_words",
+     lambda w: perm.enumerate_reduced_words(w)[:-1], "word count"),
+    ("graph --ell 4", rwgraph, "count_four_cycles", lambda g: 999, "vertices + cycles - edges"),
+    ("layered --ell 3..4", cli, "is_isomorphic",
+     lambda a, b: False, "isomorphic to the reduced-word graph"),
+    ("chroma --ell 4", chroma, "chromatic_polynomial",
+     lambda g: IntPolynomial.variable(), "recursion degree at length 4"),
+    ("separation --ell 3..4", cli, "class_sizes_closed_form",
+     lambda ell: (0, 0), "class sizes (mu, kappa)"),
+    ("identities --ell 5", identities, "is_primitive",
+     lambda ident: False, "parity splits among the primitive subidentities"),
+    ("conjectures --ell 5 --which c2", toric, "standard_monomial_counts",
+     lambda mi, upto: (0,) * (upto + 1),
+     "series prefix equals direct monomial count through degree 8"),
+]
+
+
+@pytest.mark.parametrize("argv, module, name, broken, row", _BROKEN, ids=[c[0] for c in _BROKEN])
+def test_every_report_command_exits_1_on_an_invariant_failure(
+    capsys, monkeypatch, argv, module, name, broken, row
+):
+    argv = argv.split() + ["--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    rows = [r for rep in json.loads(out) for r in rep["rows"]]
+    assert code == 0
+    assert not [r for r in rows if r["kind"] == "invariant" and r["verdict"] != "MATCH"]
+    shape = _shape(out)
+    monkeypatch.setattr(module, name, broken)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    # the whole report still prints, with the row marked
+    assert _shape(out) == shape
+    marked = [r for rep in json.loads(out) for r in rep["rows"] if r["name"] == row]
+    assert marked and all(r["verdict"] == "MISMATCH" for r in marked)
+    assert {r["kind"] for r in marked} == {"invariant"}
+    code, text, _ = run(capsys, *argv[:-2])
+    assert code == 1
+    assert any(line.strip().startswith(row) and line.endswith("MISMATCH")
+               for line in text.splitlines())
+
+
+def test_claim_mismatches_alone_exit_0(capsys):
+    for argv in ("graph --ell 4", "chroma --ell 5", "identities --ell 5",
+                 "conjectures --ell 5", "layered --ell 5"):
+        code, out, _ = run(capsys, *argv.split(), "--format", "json")
+        rows = [r for rep in json.loads(out) for r in rep["rows"]]
+        assert code == 0, argv
+        assert [r for r in rows if r["verdict"] == "MISMATCH"], argv
+        assert {r["kind"] for r in rows if r["verdict"] == "MISMATCH"} == {"claim"}, argv

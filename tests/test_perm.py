@@ -5,14 +5,9 @@ import pytest
 
 from staircase import perm
 from staircase.errors import DomainError, MalformedPermutationError, ResourceLimitError
-from staircase.perm import (
-    apply_word,
-    descents,
-    enumerate_reduced_words,
-    inversions,
-    staircase_permutation,
-    word_to_str,
-)
+from staircase.perm import enumerate_reduced_words, staircase_permutation, word_to_str
+
+from perm_oracle import apply_word, descents, inversions
 
 
 def test_staircase_permutation_small():
