@@ -1,10 +1,11 @@
 """Minimal undirected simple-graph core, and the weight-chain diagram.
 
-Vertices are 0..n-1, edges are (i, j) pairs with i < j.  The graph
-builders elsewhere in the package (reduced-word graphs, layered Ferrers
-graphs) convert to this form for anything structural: isomorphism,
-bipartiteness, the chromatic frontier sweep.  ``WeightChain``, drawn by
-``export --kind weight-chain``, indexes the quadric ideal of ``toric``.
+The graph builders elsewhere in the package (reduced-word graphs,
+layered Ferrers graphs) return subclasses of ``SimpleGraph`` that add
+only their labels, so every structural engine takes them as they are:
+isomorphism, bipartiteness, the four-cycle count, the chromatic
+frontier sweep.  ``WeightChain``, drawn by ``export --kind
+weight-chain``, indexes the quadric ideal of ``toric``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,22 @@ from .partition import Partition, is_staircase
 
 @dataclass(frozen=True)
 class SimpleGraph:
+    """Vertices 0..n-1 and edges (i, j, ...) with i < j, each stored once.
+
+    Anything after j is a label that the engines ignore; they read only
+    the two ends.
+    """
+
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, ...], ...]
+
+    @property
+    def vertex_count(self) -> int:
+        return self.n
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
@@ -36,16 +51,18 @@ class SimpleGraph:
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
-        for a, b in self.edges:
+        for e in self.edges:
+            # indexing, not a, b, *_ unpacking, which is much slower
+            a, b = e[0], e[1]
             adj[a].add(b)
             adj[b].add(a)
         return adj
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
+        for e in self.edges:
+            deg[e[0]] += 1
+            deg[e[1]] += 1
         return deg
 
     def two_colouring(self) -> tuple[int, ...] | None:

@@ -19,61 +19,40 @@ from .graphs import SimpleGraph
 from .partition import Partition, distinct_odd_parts, is_staircase, staircase
 from .poly import IntPolynomial
 from .report import INVARIANT, Report, check
-from .rwgraph import WordGraph
-
-VertexId = tuple[int, int]  # (layer, index within layer)
 
 MAX_ISO_NODES = 200_000  # vertex placements of one isomorphism search
 MAX_SERIES_ROWS = 10_000
 
 
 @dataclass(frozen=True)
-class LayeredGraph:
-    partition: Partition
-    # layer_cells[i-1][j] is the Ferrers cell behind vertex id (i, j),
-    # each layer sorted by the cell coordinate b ascending
-    layer_cells: tuple[tuple[tuple[int, int], ...], ...]
-    edges: tuple[tuple[VertexId, VertexId], ...]
+class LayeredGraph(SimpleGraph):
+    """Cells numbered layer by layer from layer 1, each layer by the
+    coordinate b ascending: index j of layer i, labelled (i, j) in dot
+    and json, is the cell (l - i - j, j).  Every edge joins a layer to
+    the next one."""
 
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layer_cells)
+    layer_sizes: tuple[int, ...]
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.layer_sizes())
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def vertex_ids(self) -> tuple[VertexId, ...]:
-        return tuple(
-            (i + 1, j)
-            for i, layer in enumerate(self.layer_cells)
-            for j in range(len(layer))
-        )
-
-    def as_simple(self) -> SimpleGraph:
-        index = {vid: k for k, vid in enumerate(self.vertex_ids())}
-        return SimpleGraph.from_edges(
-            len(index), [(index[a], index[b]) for a, b in self.edges]
-        )
+    def _labelled_edges(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """The edges between (layer, index) labels, the later layer first, sorted."""
+        labels = [(i, j) for i, size in enumerate(self.layer_sizes, 1) for j in range(size)]
+        return sorted((labels[b], labels[a]) for a, b in self.edges)
 
     def to_json(self) -> dict:
         return {
             "layers": [
-                [[i + 1, j] for j in range(len(layer))]
-                for i, layer in enumerate(self.layer_cells)
+                [[i, j] for j in range(size)]
+                for i, size in enumerate(self.layer_sizes, 1)
             ],
-            "edges": [[list(a), list(b)] for a, b in self.edges],
+            "edges": [[list(a), list(b)] for a, b in self._labelled_edges()],
         }
 
     def to_dot(self) -> str:
         lines = ["graph layered {"]
-        for i, layer in enumerate(self.layer_cells):
-            ids = " ".join(f'"{i + 1}.{j}"' for j in range(len(layer)))
+        for i, size in enumerate(self.layer_sizes, 1):
+            ids = " ".join(f'"{i}.{j}"' for j in range(size))
             lines.append(f"  {{ rank=same {ids} }}")
-        for (i, j), (i2, j2) in self.edges:
+        for (i, j), (i2, j2) in self._labelled_edges():
             lines.append(f'  "{i}.{j}" -- "{i2}.{j2}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -83,37 +62,32 @@ def build_layered_graph(p: Partition) -> LayeredGraph:
     """The side-sharing graph on Ferrers cells, layered by diagonal.
 
     >>> g = build_layered_graph(staircase(3))
-    >>> g.layer_sizes(), g.edge_count
+    >>> g.layer_sizes, g.edge_count
     ((3, 2, 1), 6)
     """
     if not is_staircase(p):
         raise DomainError(f"{p.parts} is not a staircase")
-    ell = p.length
-    layers = []
-    for i in range(1, ell + 1):
-        d = ell - i
-        layers.append(tuple((d - b, b) for b in range(d + 1)))
-    cell_to_id: dict[tuple[int, int], VertexId] = {}
-    for i, layer in enumerate(layers):
-        for j, cell in enumerate(layer):
-            cell_to_id[cell] = (i + 1, j)
+    sizes = []
     edges = []
-    for cell, vid in sorted(cell_to_id.items()):
-        a, b = cell
-        # side-sharing neighbours one diagonal down; the other two
-        # directions are the same pairs seen from the far end
-        for nbr in ((a - 1, b), (a, b - 1)):
-            nid = cell_to_id.get(nbr)
-            if nid is not None:
-                edges.append((nid, vid))
-    return LayeredGraph(p, tuple(layers), tuple(sorted(edges)))
+    first = 0  # the number of the first cell of the layer
+    for d in range(p.length - 1, -1, -1):  # layer l - d, the diagonal a + b = d
+        layer = [(d - b, b) for b in range(d + 1)]
+        following = first + len(layer)
+        for v, (a, b) in enumerate(layer, first):
+            # side-sharing neighbours one diagonal down, (a - 1, b) and
+            # (a, b - 1), are the cells b and b - 1 of the next layer;
+            # the other two directions are the same pairs seen from the
+            # far end
+            if a > 0:
+                edges.append((v, following + b))
+            if b > 0:
+                edges.append((v, following + b - 1))
+        sizes.append(len(layer))
+        first = following
+    return LayeredGraph(first, tuple(sorted(edges)), tuple(sizes))
 
 
-def is_isomorphic(
-    g1: WordGraph | LayeredGraph | SimpleGraph,
-    g2: WordGraph | LayeredGraph | SimpleGraph,
-    cap: int | None = None,
-) -> bool:
+def is_isomorphic(g1: SimpleGraph, g2: SimpleGraph, cap: int | None = None) -> bool:
     """Isomorphism test: invariant checks, then a search along edges.
 
     Vertex and edge counts, degree sequences and neighbour-degree
@@ -147,25 +121,23 @@ def is_isomorphic(
     >>> is_isomorphic(k33, prism)
     False
     """
-    a = g1 if isinstance(g1, SimpleGraph) else g1.as_simple()
-    b = g2 if isinstance(g2, SimpleGraph) else g2.as_simple()
-    if a.n != b.n or len(a.edges) != len(b.edges):
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    deg_a, deg_b = a.degrees(), b.degrees()
+    deg_a, deg_b = g1.degrees(), g2.degrees()
     if sorted(deg_a) != sorted(deg_b):
         return False
-    adj_a, adj_b = a.adjacency(), b.adjacency()
+    adj_a, adj_b = g1.adjacency(), g2.adjacency()
     # a signature, the sorted neighbour degrees, also carries the degree
-    sig_a = [tuple(sorted(deg_a[w] for w in adj_a[v])) for v in range(a.n)]
-    sig_b = [tuple(sorted(deg_b[w] for w in adj_b[v])) for v in range(b.n)]
+    sig_a = [tuple(sorted(deg_a[w] for w in adj_a[v])) for v in range(g1.n)]
+    sig_b = [tuple(sorted(deg_b[w] for w in adj_b[v])) for v in range(g2.n)]
     if sorted(sig_a) != sorted(sig_b):
         return False
-    if cap is not None and a.n > cap:
-        raise ResourceLimitError(a.n, cap, "isomorphism search vertices")
+    if cap is not None and g1.n > cap:
+        raise ResourceLimitError(g1.n, cap, "isomorphism search vertices")
     rarity = Counter(sig_b)
     parts, anchor = _breadth_first(adj_a, [rarity[s] for s in sig_a])
-    comps_b = _breadth_first(adj_b, [0] * b.n)[0]
-    image, inverse, placed = [-1] * a.n, [-1] * b.n, 0
+    comps_b = _breadth_first(adj_b, [0] * g2.n)[0]
+    image, inverse, placed = [-1] * g1.n, [-1] * g2.n, 0
 
     def fitting(v: int) -> Iterator[int]:
         # Filtering lazily is sound: whenever the search asks for the next
@@ -177,8 +149,8 @@ def is_isomorphic(
                 yield u
 
     def embed(part: list[int], comp: list[int]) -> bool:
-        """Map the component ``part`` of a, in breadth-first order, onto
-        the component ``comp`` of b; a failed search leaves nothing placed."""
+        """Map the component ``part`` of g1, in breadth-first order, onto
+        the component ``comp`` of g2; a failed search leaves nothing placed."""
         nonlocal placed
         size, s = len(part), sig_a[part[0]]
         # the root has no placed neighbour, so any free vertex of comp

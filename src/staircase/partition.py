@@ -67,9 +67,6 @@ class Partition:
         leg = sum(1 for b2 in range(b + 1, len(self.parts)) if self.parts[b2] > a)
         return arm + leg + 1
 
-    def __iter__(self):
-        return iter(self.parts)
-
 
 def staircase(ell: int) -> Partition:
     """The partition (ell, ell-1, ..., 1)."""

@@ -9,7 +9,7 @@ enter.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
 class IntPolynomial:
@@ -80,15 +80,7 @@ class IntPolynomial:
         return _coerce(other) - self
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
-        o = _coerce(other)
-        if self.is_zero() or o.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(coefficient_product(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -149,6 +141,19 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
+
+
+def coefficient_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two polynomials, each given
+    constant term first; the empty list is the zero polynomial."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _coerce(x: IntPolynomial | int) -> IntPolynomial:

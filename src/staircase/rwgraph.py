@@ -27,27 +27,13 @@ COMMUTATION = "commutation"
 
 
 @dataclass(frozen=True)
-class WordGraph:
-    """Reduced words with typed move edges; vertices sorted, indices stable."""
+class WordGraph(SimpleGraph):
+    """Reduced words with typed move edges (i, j, type); vertices sorted, indices stable."""
 
     words: tuple[Word, ...]
-    edges: tuple[tuple[int, int, str], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.words)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def braid_edge_count(self) -> int:
         return sum(1 for _, _, t in self.edges if t == BRAID)
-
-    def as_simple(self) -> SimpleGraph:
-        return SimpleGraph.from_edges(
-            len(self.words), [(a, b) for a, b, _ in self.edges]
-        )
 
     def to_json(self) -> dict:
         return {
@@ -94,10 +80,10 @@ def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
                 if j > i:
                     edges.append((i, j, BRAID))
     edges.sort()
-    return WordGraph(words, tuple(edges))
+    return WordGraph(len(words), tuple(edges), words)
 
 
-def count_four_cycles(g: WordGraph | SimpleGraph) -> int:
+def count_four_cycles(g: SimpleGraph) -> int:
     """Distinct 4-vertex subsets inducing a chordless 4-cycle.
 
     A chordless cycle p - r - q - s has two non-adjacent diagonals,
@@ -106,10 +92,9 @@ def count_four_cycles(g: WordGraph | SimpleGraph) -> int:
     walk over paths p - r - q costs O(sum over r of deg(r)^2), and the
     pair count the square of each common-neighbour list.
     """
-    sg = g if isinstance(g, SimpleGraph) else g.as_simple()
-    adj = sg.adjacency()
+    adj = g.adjacency()
     twice = 0
-    for p in range(sg.n):
+    for p in range(g.n):
         middles: dict[int, list[int]] = {}
         for r in adj[p]:
             for q in adj[r]:

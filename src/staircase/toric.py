@@ -40,7 +40,7 @@ from .chroma import colour_separation
 from .errors import DomainError, ResourceLimitError
 from .identities import PartitionIdentity, parity_split
 from .partition import Partition, staircase
-from .poly import IntPolynomial
+from .poly import IntPolynomial, coefficient_product
 from .report import INVARIANT, CheckRow, Report, check
 
 MAX_BASIS = 256
@@ -302,7 +302,7 @@ def _numerator(
         parts = [_numerator(tuple(c), words, cache, entries, depth + 1) for _, c in comps]
         out = parts[0]
         for part in parts[1:]:
-            out = _mul(out, part)
+            out = coefficient_product(out, part)
     else:
         # x divides at least two of these connected generators, and x^e,
         # e its least positive exponent, divides each of them, so x^e is
@@ -331,17 +331,6 @@ def _numerator(
         for i, c in enumerate(b):
             out[i + e] += c
     cache[gens] = out
-    return out
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return out
 
 

@@ -20,17 +20,18 @@ def is_subgraph_order(p1: Partition, p2: Partition) -> bool:
     if p1.length >= p2.length:
         return False
     g1, g2 = build_layered_graph(p1), build_layered_graph(p2)
-    cells2 = set()
-    for layer in g2.layer_cells:
-        cells2.update(layer)
-    for layer in g1.layer_cells:
-        if not set(layer) <= cells2:
-            return False
+    if not set(cells(g1)) <= set(cells(g2)):
+        return False
 
     def cell_edges(g):
-        # vertex id (i, j) is the cell layer_cells[i - 1][j]
-        return {
-            frozenset(g.layer_cells[i - 1][j] for i, j in edge) for edge in g.edges
-        }
+        cell = cells(g)
+        return {frozenset((cell[a], cell[b])) for a, b in g.edges}
 
     return cell_edges(g1) <= cell_edges(g2)
+
+
+def cells(g) -> list[tuple[int, int]]:
+    """The Ferrers cell of each vertex: index j of layer i is the cell
+    (l - i - j, j) on the diagonal l - i."""
+    ell = len(g.layer_sizes)
+    return [(ell - i - j, j) for i, size in enumerate(g.layer_sizes, 1) for j in range(size)]

@@ -1,5 +1,6 @@
 import random
 import signal
+from collections import Counter
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from iso_oracle import isomorphic_by_permutations
 from layered_oracle import is_subgraph_order
 from staircase import layered
+from staircase.chroma import chromatic_polynomial, colour_separation
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.layered import (
@@ -21,20 +23,21 @@ from staircase.layered import (
 )
 from staircase.partition import Partition, staircase
 from staircase.perm import staircase_permutation
-from staircase.rwgraph import build_word_graph
+from staircase.rwgraph import build_word_graph, count_four_cycles, family_word_graph
 
 
 def test_layer_structure():
     g = build_layered_graph(staircase(4))
-    assert g.layer_sizes() == (4, 3, 2, 1)
+    assert g.layer_sizes == (4, 3, 2, 1)
     assert g.vertex_count == 10
     assert g.edge_count == 12
 
 
 def test_edges_only_between_consecutive_layers():
     g = build_layered_graph(staircase(5))
-    for (i1, _), (i2, _) in g.edges:
-        assert abs(i1 - i2) == 1
+    layer = [i for i, size in enumerate(g.layer_sizes) for _ in range(size)]
+    for a, b in g.edges:
+        assert layer[b] - layer[a] == 1
 
 
 def test_edge_count_closed_form():
@@ -48,6 +51,17 @@ def test_isomorphic_to_word_graph():
         words = build_word_graph(staircase_permutation(ell + 1))
         layered = build_layered_graph(staircase(ell))
         assert is_isomorphic(words, layered)
+
+
+def test_engines_take_both_family_graphs_as_they_are():
+    for ell in range(3, 7):
+        words, diagonals = family_word_graph(ell), build_layered_graph(staircase(ell))
+        assert chromatic_polynomial(words) == chromatic_polynomial(diagonals)
+        assert count_four_cycles(words) == count_four_cycles(diagonals)
+        # the numberings differ, so compare the colour class sizes
+        sep = colour_separation(staircase(ell))
+        for g in (words, diagonals):
+            assert sorted(Counter(g.two_colouring()).values()) == [sep.kappa, sep.mu]
 
 
 def test_not_isomorphic_when_sizes_differ():

@@ -24,7 +24,7 @@ STAIRCASE_IDEAL = MonomialIdeal(2, tuple((i, 6 - i) for i in range(1, 6)))
 # a call that trips it, the length of the partial result or None)
 LIMITS = {
     "frontier states": (
-        chroma, "MAX_FRONTIER_STATES", 3, lambda: chroma.chromatic_polynomial(G6.as_simple()), None
+        chroma, "MAX_FRONTIER_STATES", 3, lambda: chroma.chromatic_polynomial(G6), None
     ),
     "Graver monomials": (
         identities, "MAX_GRAVER_STATES", 50, lambda: identities.graver_basis(WEIGHTS, 6), 0

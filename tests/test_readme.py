@@ -1,4 +1,4 @@
-"""README's cap table against the caps the package defines."""
+"""README's cap table and module layout against the package."""
 
 import importlib
 import re
@@ -20,3 +20,11 @@ def test_cap_table_names_every_cap_with_its_value():
         _, _, constant, value, _ = row.split("|")
         listed[constant.strip().strip("`")] = int(value.strip().replace(",", ""))
     assert listed == defined
+
+
+def test_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    layout = readme.split("## Layout\n")[1].split("\n## ")[0]
+    listed = set(re.findall(r"^- `src/staircase/(\w+)\.py`", layout, re.M))
+    modules = {p.stem for p in (ROOT / "src" / "staircase").glob("*.py")}
+    assert listed == modules - {"__init__", "__main__"}
