@@ -5,11 +5,12 @@ a frontier transfer-matrix sweep (Salas & Sokal, J. Stat. Phys. 104
 (2001); Biggs, Algebraic Graph Theory, ch. 12): the vertices are added
 one at a time, and a state is a partition of the frontier, the processed
 vertices that still have unprocessed neighbours, into equal-colour
-classes.  The work is about n x (peak states) x w sums of coefficient
-lists, where w is the widest frontier and the peak state count is at
-most Bell(w + 1), so strip-like graphs such as the layered staircase
-graphs stay cheap however many cycles they have.  A cap on the number of
-live states bounds the work directly.
+classes.  Each state's weight, a polynomial in k, is one packed int
+(``poly.pack``), so the work is about n x (peak states) x w int sums,
+where w is the widest frontier and the peak state count is at most
+Bell(w + 1); strip-like graphs such as the layered staircase graphs stay
+cheap however many cycles they have.  A cap on the number of live states
+bounds the work directly.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
 from .layered import build_layered_graph
 from .partition import Partition, is_staircase, staircase
-from .poly import IntPolynomial
+from .poly import IntPolynomial, field_bits, pack, unpack
 from .report import INVARIANT, Report, check
 
 MAX_FRONTIER_STATES = 10_000
 
-_K = IntPolynomial.variable()
-_K_MINUS_1 = IntPolynomial((-1, 1))
+# k(k-1)^3, the factor of the claimed closed form that does not grow with ell
+_FIXED_FACTOR = IntPolynomial((0, -1, 3, -3, 1))
 # chromatic polynomial of a 4-cycle divided by k(k-1)
 _SQUARE_FACTOR = IntPolynomial((3, -3, 1))
 
@@ -37,14 +38,26 @@ def chromatic_polynomial(g: SimpleGraph) -> IntPolynomial:
 
     A state is the partition of the frontier into colour classes, as a
     restricted-growth tuple of class labels in frontier order; its weight
-    is the coefficient list, in k, of the proper colourings of the
+    is the polynomial, in k, that counts the proper colourings of the
     processed vertices that induce it.  A new vertex joins a class that
     holds none of its neighbours, or takes one of the k - (#classes)
-    colours unused on the frontier.  The work is about n x (peak states)
-    x w sums of coefficient lists, with w the widest frontier and peak
-    states at most Bell(w + 1), plus about n x (n + edges) steps to choose
-    the vertex order; more than ``MAX_FRONTIER_STATES`` live states
-    raises ResourceLimitError.
+    colours unused on the frontier.
+
+    Weights are packed at k = 2^B: a sum of weights is one int sum, and
+    a fresh colour turns w into (w << B) - classes*w.  B grows with the
+    sweep.  A weight counts the colourings of the processed graph with
+    its frontier classes merged and joined pairwise, so it is that
+    graph's chromatic polynomial, and by Whitney's expansion
+    P(G; k) = sum over edge sets A of (-1)^|A| k^c(A) its absolute
+    coefficients sum to at most 2^(processed edges + C(frontier, 2)).
+    Before a vertex whose step needs fields wider than B for that
+    bound, every state is re-encoded at the larger of that width and
+    2B, so a sweep re-encodes O(log) times.
+
+    The work is about n x (peak states) x w int sums, with w the widest
+    frontier and peak states at most Bell(w + 1), plus about
+    n x (n + edges) steps to choose the vertex order; more than
+    ``MAX_FRONTIER_STATES`` live states raises ResourceLimitError.
 
     >>> square = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     >>> chromatic_polynomial(square).format()
@@ -54,11 +67,20 @@ def chromatic_polynomial(g: SimpleGraph) -> IntPolynomial:
     unprocessed = [len(nbrs) for nbrs in adj]
     done = [False] * g.n
     frontier: list[int] = []
-    states: dict[tuple[int, ...], list[int]] = {(): [1]}
+    states: dict[tuple[int, ...], int] = {(): 1}
+    bits, edges = 64, 0  # wide enough that small graphs never re-encode
     for _ in range(g.n):
         v = _next_vertex(adj, unprocessed, done)
+        # every processed neighbour of v is on the frontier
         nbr_pos = [i for i, u in enumerate(frontier) if u in adj[v]]
-        grown: dict[tuple[int, ...], list[int]] = {}
+        edges += len(nbr_pos)
+        # the bit length of the Whitney bound 2^(edges + C(frontier, 2))
+        need = field_bits(edges + comb(len(frontier) + 1, 2) + 1)
+        if need > bits:
+            wider = max(need, 2 * bits)
+            states = {labels: pack(unpack(w, bits), wider) for labels, w in states.items()}
+            bits = wider
+        grown: dict[tuple[int, ...], int] = {}
         for labels, weight in states.items():
             classes = max(labels) + 1 if labels else 0
             blocked = {labels[i] for i in nbr_pos}
@@ -66,10 +88,7 @@ def chromatic_polynomial(g: SimpleGraph) -> IntPolynomial:
                 if c not in blocked:
                     _accumulate(grown, labels + (c,), weight)
             # a fresh colour: one of the k - classes unused on the frontier
-            fresh = [-classes * w for w in weight] + [0]
-            for i, w in enumerate(weight):
-                fresh[i + 1] += w
-            _accumulate(grown, labels + (classes,), fresh)
+            _accumulate(grown, labels + (classes,), (weight << bits) - classes * weight)
         frontier.append(v)
         done[v] = True
         for u in adj[v]:
@@ -83,7 +102,7 @@ def chromatic_polynomial(g: SimpleGraph) -> IntPolynomial:
         for labels, weight in grown.items():
             _accumulate(states, _canonical([labels[i] for i in keep]), weight)
     (weight,) = states.values()
-    return IntPolynomial(weight)
+    return IntPolynomial(unpack(weight, bits))
 
 
 def _next_vertex(adj: list[set[int]], unprocessed: list[int], done: list[bool]) -> int:
@@ -106,23 +125,14 @@ def _next_vertex(adj: list[set[int]], unprocessed: list[int], done: list[bool]) 
     return best
 
 
-def _accumulate(
-    states: dict[tuple[int, ...], list[int]],
-    labels: tuple[int, ...],
-    weight: list[int],
-) -> None:
+def _accumulate(states: dict[tuple[int, ...], int], labels: tuple[int, ...], weight: int) -> None:
     acc = states.get(labels)
     if acc is None:
         if len(states) >= MAX_FRONTIER_STATES:
             raise ResourceLimitError(len(states) + 1, MAX_FRONTIER_STATES, "frontier states")
         states[labels] = weight
-        return
-    if len(acc) < len(weight):
-        acc, weight = weight, acc
-    summed = list(acc)
-    for i, w in enumerate(weight):
-        summed[i] += w
-    states[labels] = summed
+    else:
+        states[labels] = acc + weight
 
 
 def _canonical(labels: list[int]) -> tuple[int, ...]:
@@ -135,12 +145,14 @@ def layered_closed_form(ell: int) -> IntPolynomial:
     """The claimed closed form k(k-1)^3 (k^2-3k+3)^m with m = C(ell-1, 2).
 
     Its degree is 4 + 2m, which equals the vertex count C(ell+1, 2) only
-    for ell = 3 and 4; see closed_form_report for the audit.
+    for ell = 3 and 4; see closed_form_report for the audit.  The
+    expansion stops at ``poly.MAX_PRODUCT_BITS`` with
+    ResourceLimitError, from ell = 42 on, before the power is taken.
     """
     if ell < 3:
         raise DomainError(f"closed form starts at length 3, got {ell}")
     m = comb(ell - 1, 2)
-    return _K * _K_MINUS_1**3 * _SQUARE_FACTOR**m
+    return _FIXED_FACTOR * _SQUARE_FACTOR**m
 
 
 def closed_form_report(ell: int) -> Report:

@@ -16,9 +16,11 @@ pivot-variable recursion N(I) = (1 - t^e)*N(J) + t^e*N(I : x^e), J the
 generators x does not divide and e the least positive exponent of x
 among the others.  It splits an ideal whose generators fall into
 groups on disjoint variables into one factor per group, and stops at
-two generators, whose numerator is a closed form.  Each node does
-O(gens^2) word operations besides its coefficient arithmetic; the
-number of nodes can grow exponentially with the generator count.
+two generators, whose numerator is a closed form.  Numerators are
+packed ints (``poly.pack``), so a node combines its children in one int
+shift, sum or product.  Each node does O(gens^2) word operations
+besides that arithmetic; the number of nodes can grow exponentially
+with the generator count.
 MAX_HILBERT_ENTRIES bounds the exponent entries of the nodes a call
 starts, MAX_HILBERT_DEPTH their nesting.  ``standard_monomial_counts``
 counts the same series directly on exponent tuples, in at most
@@ -34,13 +36,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 
 from .binomial import Binomial, Expo, Pair, Words, reduce_monomial
 from .chroma import colour_separation
 from .errors import DomainError, ResourceLimitError
 from .identities import PartitionIdentity, parity_split
 from .partition import Partition, staircase
-from .poly import IntPolynomial, coefficient_product
+from .poly import IntPolynomial, field_bits, unpack
 from .report import INVARIANT, CheckRow, Report, check
 
 MAX_BASIS = 256
@@ -236,16 +239,32 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     more generators, keyed on the generator tuple in the order a node
     builds it, so one sub-ideal reached in two orders is computed twice.
     A node missing from it adds its exponent entries to a running count
-    and checks that and its depth before it recurses.  Dimension is
-    nvars less the times 1 - t divides N, and degree the quotient at
-    t = 1, both by prefix sums.  The zero ring gets dimension -1.
+    and checks that and its depth before it recurses.
+
+    Each node returns its N at t = 2^B as one int, so the closed forms
+    are sums of shifts, the pivot step is a + ((b - a) << e*B) and the
+    split an int product; node values need no bound, since evaluation
+    at 2^B is a ring map.  Only the one decode at the end needs every
+    coefficient of N inside +-2^(B-1), and B comes from
+    l1(N) <= sum of C(gens, i) over i <= min(nvars, gens): N is the
+    alternating sum of the graded Betti numbers of a minimal free
+    resolution of the quotient, which is a summand of Taylor's
+    resolution (C(gens, i) free modules in step i) and, by Hilbert's
+    syzygy theorem, has length at most nvars.
+
+    Dimension is nvars less the times 1 - t divides N, and degree the
+    quotient at t = 1, both by prefix sums.  The zero ring gets
+    dimension -1.
 
     >>> hd = hilbert(MonomialIdeal(4, ((1, 0, 1, 0), (0, 1, 0, 1))))
     >>> hd.dimension, hd.degree
     (2, 4)
     """
-    words = Words.holding(mi.nvars, max([len(mi.gens), *(max(g, default=0) for g in mi.gens)]))
-    num = IntPolynomial(_numerator(tuple(map(words.pack, mi.gens)), words, {}, [0], 1))
+    n, gens = mi.nvars, mi.gens
+    words = Words.holding(n, max([len(gens), *(max(g, default=0) for g in gens)]))
+    taylor = sum(comb(len(gens), i) for i in range(min(n, len(gens)) + 1))
+    bits = field_bits(taylor.bit_length())
+    num = IntPolynomial(unpack(_numerator(tuple(map(words.pack, gens)), words, bits, {}, [0], 1), bits))
     if num.is_zero():
         return HilbertData(num, -1, 0)
     sums = list(accumulate(num.coeffs))
@@ -253,30 +272,28 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     while not sums[-1]:  # N(1) = 0: the other prefix sums are N/(1 - t)
         sums = list(accumulate(sums[:-1]))
         multiplicity += 1
-    return HilbertData(num, mi.nvars - multiplicity, sums[-1])
+    return HilbertData(num, n - multiplicity, sums[-1])
 
 
 def _numerator(
-    gens: tuple[int, ...], words: Words, cache: dict, entries: list[int], depth: int
-) -> list[int]:
-    """Numerator coefficients of a minimal generator tuple, constant first.
+    gens: tuple[int, ...], words: Words, bits: int, cache: dict, entries: list[int], depth: int
+) -> int:
+    """The numerator of a minimal generator tuple at t = 2^bits.
 
-    The list may come from the cache, so callers must not mutate it.
+    Evaluation at 2^bits is a ring map, so each node combines its
+    children's values with int shifts, sums and products, and no node
+    value needs a coefficient bound; only the caller's decode does.
     """
     if not gens:
-        return [1]
+        return 1
     if len(gens) == 1:
-        d = words.degree(gens[0])
-        return [1] + [0] * (d - 1) + [-1] if d else []
+        return 1 - (1 << words.degree(gens[0]) * bits)
     if len(gens) == 2:
-        # 1 - t^|g| - t^|h| + t^|lcm|: neither divides the other, so the
-        # lcm is of larger degree than both, and the two may be equal
         g, h = gens
-        out = [0] * (words.degree(words.lcm(g, h)) + 1)
-        out[0] = out[-1] = 1
-        out[words.degree(g)] -= 1
-        out[words.degree(h)] -= 1
-        return out
+        return (
+            1 - (1 << words.degree(g) * bits) - (1 << words.degree(h) * bits)
+            + (1 << words.degree(words.lcm(g, h)) * bits)
+        )
     got = cache.get(gens)
     if got is not None:
         return got
@@ -299,10 +316,9 @@ def _numerator(
         rest.append((mask, joined))
         comps = rest
     if len(comps) > 1:
-        parts = [_numerator(tuple(c), words, cache, entries, depth + 1) for _, c in comps]
-        out = parts[0]
-        for part in parts[1:]:
-            out = coefficient_product(out, part)
+        out = 1
+        for _, c in comps:
+            out *= _numerator(tuple(c), words, bits, cache, entries, depth + 1)
     else:
         # x divides at least two of these connected generators, and x^e,
         # e its least positive exponent, divides each of them, so x^e is
@@ -321,15 +337,10 @@ def _numerator(
             if not h & field:
                 kept = [g for g in kept if not words.divides(h, g)]
         lowered += kept
-        a = _numerator(free, words, cache, entries, depth + 1)
-        b = _numerator(tuple(lowered), words, cache, entries, depth + 1)
+        a = _numerator(free, words, bits, cache, entries, depth + 1)
+        b = _numerator(tuple(lowered), words, bits, cache, entries, depth + 1)
         # N(I) = (1 - t^e)*N(J) + t^e*N(I : x^e): x divides no free generator
-        e >>= shift
-        out = a + [0] * max(e, len(b) + e - len(a))
-        for i, c in enumerate(a):
-            out[i + e] -= c
-        for i, c in enumerate(b):
-            out[i + e] += c
+        out = a + ((b - a) << (e >> shift) * bits)
     cache[gens] = out
     return out
 

@@ -4,6 +4,8 @@ Deletion-contraction is exponential in the cycle rank, so it checks the
 frontier sweep only on small graphs; the colouring count is plain
 backtracking over k colours.  The ladder of d squares and its closed
 form are a family whose polynomial is known independently.
+Deletion-contraction multiplies by the schoolbook product, so it shares
+no packed arithmetic with the sweep it checks.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from staircase.errors import DomainError
 from staircase.graphs import SimpleGraph
 from staircase.poly import IntPolynomial
+
+from poly_oracle import schoolbook_product
 
 _K = IntPolynomial.variable()
 _K_MINUS_1 = IntPolynomial((-1, 1))
@@ -32,7 +36,7 @@ def _chi(adj: dict[int, set[int]]) -> IntPolynomial:
                 break
         if target is None:
             break
-        factor = factor * (_K if not adj[target] else _K_MINUS_1)
+        factor = _times(factor, _K if not adj[target] else _K_MINUS_1)
         for w in adj[target]:
             adj[w].discard(target)
         del adj[target]
@@ -50,7 +54,11 @@ def _chi(adj: dict[int, set[int]]) -> IntPolynomial:
             contracted[w].add(u)
             contracted[u].add(w)
     contracted[u].discard(v)
-    return factor * (_chi(deleted) - _chi(contracted))
+    return _times(factor, _chi(deleted) - _chi(contracted))
+
+
+def _times(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    return IntPolynomial(schoolbook_product(p.coeffs, q.coeffs))
 
 
 def count_colourings(g: SimpleGraph, k: int) -> int:

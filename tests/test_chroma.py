@@ -1,6 +1,6 @@
 import random
 import time
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -137,6 +137,36 @@ def test_sweep_on_random_graphs():
         assert chi == deletion_contraction(g), g
         for k in range(5):
             assert chi(k) == count_colourings(g, k), (g, k)
+
+
+def test_sweep_on_complete_graphs_through_several_field_widths():
+    # K_n gives the falling factorial, fixed by its values at 0..n; by
+    # n = 20 the sweep has widened the packed weights from 64 to 512 bits,
+    # one doubling at a time
+    for n in range(1, 21):
+        g = SimpleGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+        chi = chromatic_polynomial(g)
+        assert chi.degree() == n
+        assert [chi(k) for k in range(n + 1)] == [perm(k, n) for k in range(n + 1)]
+
+
+def test_sweep_on_a_non_planar_random_graph():
+    rng = random.Random(4409)
+    pairs = [(a, b) for a in range(9) for b in range(a + 1, 9)]
+    g = SimpleGraph.from_edges(9, rng.sample(pairs, 22))
+    assert g.edge_count > 3 * g.n - 6  # more edges than any planar graph on 9 vertices
+    assert chromatic_polynomial(g) == deletion_contraction(g)
+
+
+def test_closed_form_expansion_stops_at_the_product_cap():
+    m = comb(29, 2)
+    formula = layered_closed_form(30)
+    assert formula.degree() == 4 + 2 * m
+    assert formula(5) == 5 * 4**3 * 13**m
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="bits of a packed polynomial product"):
+        layered_closed_form(70)
+    assert time.monotonic() - start < 1.0
 
 
 def test_chromatic_number_matches_colouring_count():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from staircase import chroma, identities, layered, perm, toric
+from staircase import chroma, identities, layered, perm, poly, toric
 from staircase.binomial import Binomial
 from staircase.errors import ResourceLimitError
 from staircase.partition import staircase
@@ -55,6 +55,9 @@ LIMITS = {
     ),
     "Hilbert depth": (
         toric, "MAX_HILBERT_DEPTH", 1, lambda: toric.hilbert(STAIRCASE_IDEAL), None
+    ),
+    "polynomial product bits": (
+        poly, "MAX_PRODUCT_BITS", 10, lambda: chroma.layered_closed_form(3), None
     ),
     "monomial-count masks": (
         toric, "MAX_COUNT_MASKS", 1,

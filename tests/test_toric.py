@@ -1,5 +1,6 @@
 import random
 import time
+from math import comb
 
 import pytest
 import sympy
@@ -182,6 +183,18 @@ def test_hilbert_polynomial_ring():
     free = MonomialIdeal(3, ())
     hd = hilbert(free)
     assert (hd.dimension, hd.degree) == (3, 1)
+
+
+def test_hilbert_at_the_edges_of_its_field_width():
+    # the maximal ideal meets the width bound: l1((1 - t)^n) = 2^n, the
+    # sum of C(n, i) over i <= min(nvars, gens) = n
+    for n in range(1, 41):
+        hd = hilbert(MonomialIdeal(n, tuple(tuple(int(i == j) for i in range(n)) for j in range(n))))
+        binomials = [(-1) ** i * comb(n, i) for i in range(n + 1)]
+        assert (hd.numerator.to_json(), hd.dimension, hd.degree) == (binomials, 0, 1)
+        for gens, want in [(((0,) * n,), ([], -1, 0)), ((), ([1], n, 1))]:
+            hd = hilbert(MonomialIdeal(n, gens))
+            assert (hd.numerator.to_json(), hd.dimension, hd.degree) == want
 
 
 def test_hilbert_against_direct_count():
