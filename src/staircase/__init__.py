@@ -1,6 +1,6 @@
 """Staircase permutation words, layered graphs, and toric ideal audits."""
 
-from .binomial import Binomial, grevlex_greater
+from .binomial import Binomial
 from .chroma import (
     ColourSeparation,
     balance_bound_check,

@@ -1,17 +1,18 @@
 """Pure-difference binomials x^u - x^v and packed exponent words.
 
-Exponent vectors are plain tuples of naturals, ordered by grevlex with
-variable 0 largest, the only monomial order.  The engines work on
-``Words`` instead: one int per monomial, one field per variable,
-variable 0 in the most significant field, so comparing words as ints
-compares their vectors lexicographically.  Fields are whole bytes whose
-top bit is a guard that stays zero, and a call takes the fewest bytes
-that hold its largest value below the guard; divisibility, lcm, support
-and the reverse-lex tie-break are then a few integer operations on the
-whole word.  Coefficients are always +1 and -1; ``reduce_monomial``
-checks the invariants that keep it that way at every step (strictly
-decreasing rewrites, no field past its guard) and aborts rather than
-silently leave the binomial world.
+``Binomial`` keeps its exponent vectors as plain tuples of naturals,
+which the engines read only at entry and exit.  They work on ``Words``
+instead: one int per monomial, one field per variable, variable 0 in
+the most significant field, so comparing words as ints compares their
+vectors lexicographically.  ``Words.grevlex_greater``, grevlex with
+variable 0 largest, is the only monomial order.  Fields are whole bytes
+whose top bit is a guard that stays zero, and a call takes the fewest
+bytes that hold its largest value below the guard; divisibility, lcm,
+support and the reverse-lex tie-break are then a few integer operations
+on the whole word.  Coefficients are always +1 and -1;
+``reduce_monomial`` checks the invariants that keep it that way at
+every step (strictly decreasing rewrites, no field past its guard) and
+aborts rather than silently leave the binomial world.
 """
 
 from __future__ import annotations
@@ -22,18 +23,6 @@ from .errors import DomainError
 
 Expo = tuple[int, ...]
 Pair = tuple[int, int, int, int]  # lead word, trail word, their degrees
-
-
-def grevlex_greater(a: Expo, b: Expo) -> bool:
-    """Graded reverse lexicographic order with variable 0 largest."""
-    da, db = sum(a), sum(b)
-    if da != db:
-        return da > db
-    for i in range(len(a) - 1, -1, -1):
-        d = a[i] - b[i]
-        if d:
-            return d < 0
-    return False
 
 
 class Words:
@@ -190,13 +179,6 @@ class Binomial:
         return sum(e * w for e, w in zip(self.u, weights)) == sum(
             e * w for e, w in zip(self.v, weights)
         )
-
-    def flipped(self) -> Binomial:
-        return Binomial(self.v, self.u)
-
-    def oriented(self) -> Binomial:
-        """The same binomial up to sign, with the grevlex-larger side first."""
-        return self if grevlex_greater(self.u, self.v) else self.flipped()
 
     def format(self, names: list[str] | None = None) -> str:
         ns = names if names is not None else [f"x{i}" for i in range(self.nvars)]

@@ -5,12 +5,12 @@ a frontier transfer-matrix sweep (Salas & Sokal, J. Stat. Phys. 104
 (2001); Biggs, Algebraic Graph Theory, ch. 12): the vertices are added
 one at a time, and a state is a partition of the frontier, the processed
 vertices that still have unprocessed neighbours, into equal-colour
-classes.  Each state's weight, a polynomial in k, is one packed int
-(``poly.pack``), so the work is about n x (peak states) x w int sums,
-where w is the widest frontier and the peak state count is at most
-Bell(w + 1); strip-like graphs such as the layered staircase graphs stay
-cheap however many cycles they have.  A cap on the number of live states
-bounds the work directly.
+classes, each class a vertex bitmask.  Each state's weight, a
+polynomial in k, is one packed int (``poly.pack``), so the work is
+about n x (peak states) x w int sums, where w is the widest frontier
+and the peak state count is at most Bell(w + 1); strip-like graphs such
+as the layered staircase graphs stay cheap however many cycles they
+have.  A cap on the number of live states bounds the work directly.
 """
 
 from __future__ import annotations
@@ -37,11 +37,14 @@ def chromatic_polynomial(g: SimpleGraph) -> IntPolynomial:
     """Chromatic polynomial by a frontier transfer-matrix sweep.
 
     A state is the partition of the frontier into colour classes, as a
-    restricted-growth tuple of class labels in frontier order; its weight
-    is the polynomial, in k, that counts the proper colourings of the
+    tuple of vertex bitmasks, one per class; its weight is the
+    polynomial, in k, that counts the proper colourings of the
     processed vertices that induce it.  A new vertex joins a class that
     holds none of its neighbours, or takes one of the k - (#classes)
-    colours unused on the frontier.
+    colours unused on the frontier.  Joins and fresh colours turn
+    distinct states into distinct states, so only a step where vertices
+    leave the frontier merges states: it cuts each class to the
+    frontier and sorts the tuple.
 
     Weights are packed at k = 2^B: a sum of weights is one int sum, and
     a fresh colour turns w into (w << B) - classes*w.  B grows with the
@@ -55,90 +58,94 @@ def chromatic_polynomial(g: SimpleGraph) -> IntPolynomial:
     2B, so a sweep re-encodes O(log) times.
 
     The work is about n x (peak states) x w int sums, with w the widest
-    frontier and peak states at most Bell(w + 1), plus about
-    n x (n + edges) steps to choose the vertex order; more than
+    frontier and peak states at most Bell(w + 1), plus about n^2
+    operations on n-bit masks to choose the vertex order; more than
     ``MAX_FRONTIER_STATES`` live states raises ResourceLimitError.
 
     >>> square = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     >>> chromatic_polynomial(square).format()
     'k^4 - 4k^3 + 6k^2 - 3k'
     """
-    adj = g.adjacency()
-    unprocessed = [len(nbrs) for nbrs in adj]
-    done = [False] * g.n
-    frontier: list[int] = []
+    nbrs = [0] * g.n
+    for e in g.edges:
+        nbrs[e[0]] |= 1 << e[1]
+        nbrs[e[1]] |= 1 << e[0]
+    todo = (1 << g.n) - 1  # the unprocessed vertices
+    front = single = 0  # the frontier, and its vertices with one unprocessed neighbour
     states: dict[tuple[int, ...], int] = {(): 1}
     bits, edges = 64, 0  # wide enough that small graphs never re-encode
     for _ in range(g.n):
-        v = _next_vertex(adj, unprocessed, done)
+        v = _next_vertex(nbrs, todo, front, single)
+        bit = 1 << v
         # every processed neighbour of v is on the frontier
-        nbr_pos = [i for i, u in enumerate(frontier) if u in adj[v]]
-        edges += len(nbr_pos)
+        near = nbrs[v] & front
+        edges += near.bit_count()
         # the bit length of the Whitney bound 2^(edges + C(frontier, 2))
-        need = field_bits(edges + comb(len(frontier) + 1, 2) + 1)
+        need = field_bits(edges + comb(front.bit_count() + 1, 2) + 1)
         if need > bits:
             wider = max(need, 2 * bits)
-            states = {labels: pack(unpack(w, bits), wider) for labels, w in states.items()}
+            states = {masks: pack(unpack(w, bits), wider) for masks, w in states.items()}
             bits = wider
         grown: dict[tuple[int, ...], int] = {}
-        for labels, weight in states.items():
-            classes = max(labels) + 1 if labels else 0
-            blocked = {labels[i] for i in nbr_pos}
-            for c in range(classes):
-                if c not in blocked:
-                    _accumulate(grown, labels + (c,), weight)
+        for masks, weight in states.items():
+            for i, mask in enumerate(masks):
+                if not mask & near:
+                    _accumulate(grown, masks[:i] + (mask | bit,) + masks[i + 1 :], weight)
             # a fresh colour: one of the k - classes unused on the frontier
-            _accumulate(grown, labels + (classes,), (weight << bits) - classes * weight)
-        frontier.append(v)
-        done[v] = True
-        for u in adj[v]:
-            unprocessed[u] -= 1
-        keep = [i for i, u in enumerate(frontier) if unprocessed[u]]
-        if len(keep) == len(frontier):
+            _accumulate(grown, masks + (bit,), (weight << bits) - len(masks) * weight)
+        todo ^= bit
+        front |= bit
+        # only v and its processed neighbours lost unprocessed neighbours
+        left, touched = 0, near | bit
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            rest = nbrs[low.bit_length() - 1] & todo
+            if not rest:
+                left |= low
+            elif not rest & rest - 1:
+                single |= low
+        if not left:
             states = grown
             continue
-        frontier = [frontier[i] for i in keep]
+        front ^= left
+        single &= front
         states = {}
-        for labels, weight in grown.items():
-            _accumulate(states, _canonical([labels[i] for i in keep]), weight)
+        for masks, weight in grown.items():
+            cut = sorted(filter(None, [mask & front for mask in masks]))
+            _accumulate(states, tuple(cut), weight)
     (weight,) = states.values()
     return IntPolynomial(unpack(weight, bits))
 
 
-def _next_vertex(adj: list[set[int]], unprocessed: list[int], done: list[bool]) -> int:
+def _next_vertex(nbrs: list[int], todo: int, front: int, single: int) -> int:
     """The next vertex of the greedy order that keeps the frontier narrow.
 
     It is the vertex that leaves the fewest vertices on the frontier,
     then the one with the most processed neighbours, then the lowest
-    index.  Choosing it scans the unprocessed vertices, so a sweep that
-    stops at the state cap has ordered only the vertices it added.
+    index.  ``single`` holds the frontier vertices with one unprocessed
+    neighbour, those that leave with it.  Choosing it scans the
+    unprocessed vertices, so a sweep that stops at the state cap has
+    ordered only the vertices it added.
     """
     best_key, best = None, -1
-    for v, nbrs in enumerate(adj):
-        if done[v]:
-            continue
-        processed = [u for u in nbrs if done[u]]
-        closed = sum(1 for u in processed if unprocessed[u] == 1)
-        key = ((1 if unprocessed[v] else 0) - closed, -len(processed))
-        if best_key is None or key < best_key:
-            best_key, best = key, v
+    for v, near in enumerate(nbrs):
+        if todo >> v & 1:
+            closed = (near & single).bit_count()
+            key = ((1 if near & todo else 0) - closed, -(near & front).bit_count())
+            if best_key is None or key < best_key:
+                best_key, best = key, v
     return best
 
 
-def _accumulate(states: dict[tuple[int, ...], int], labels: tuple[int, ...], weight: int) -> None:
-    acc = states.get(labels)
+def _accumulate(states: dict[tuple[int, ...], int], masks: tuple[int, ...], weight: int) -> None:
+    acc = states.get(masks)
     if acc is None:
         if len(states) >= MAX_FRONTIER_STATES:
             raise ResourceLimitError(len(states) + 1, MAX_FRONTIER_STATES, "frontier states")
-        states[labels] = weight
+        states[masks] = weight
     else:
-        states[labels] = acc + weight
-
-
-def _canonical(labels: list[int]) -> tuple[int, ...]:
-    """Relabel classes in order of first appearance."""
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(c, len(seen)) for c in labels)
+        states[masks] = acc + weight
 
 
 def layered_closed_form(ell: int) -> IntPolynomial:

@@ -216,12 +216,14 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     witness has smaller degree, so truncation does not lose primitivity
     verdicts inside the bound.
 
-    MAX_GRAVER_STATES bounds the monomials plus the pairs enumerated.  A
-    candidate u - v is primitive when no proper divisor of x^u has the
-    weight of a proper divisor of x^v.  Each monomial carries its support
-    and its divisor weights as bitmasks, built from its parent's with a
-    few integer operations, so each equal-weight pair costs two ANDs:
-    one for disjoint supports, one for primitivity.
+    MAX_GRAVER_STATES bounds the monomials plus the pairs enumerated;
+    its ResourceLimitError carries the primitive relations found so
+    far, canonically sorted.  A candidate u - v is primitive when no
+    proper divisor of x^u has the weight of a proper divisor of x^v.
+    Each monomial carries its support and its divisor weights as
+    bitmasks, built from its parent's with a few integer operations, so
+    each equal-weight pair costs two ANDs: one for disjoint supports,
+    one for primitivity.
 
     >>> [b.format() for b in graver_basis((1, 2), 2)]
     ['x0^2 - x1']
@@ -239,19 +241,18 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     # Each monomial carries its degree, weight, support bits and the
     # weights of its divisors as a bitmask, all from its parent's in one
     # step: the divisors of x^(e + e_i) are those of x^e and x_i times them.
+    # A monomial is extended only at its last variable or later, so each
+    # is reached once, from itself less one power of its last variable.
     n = len(ws)
     states = 0
     by_weight: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
     frontier = [((0,) * n, 0, 0, 0, 1)]
-    seen = {frontier[0][0]}
     for e, degree, weight, support, divisors in frontier:
         if degree >= degree_bound:
             continue
-        for i, w in enumerate(ws):
+        for i in range(max(support.bit_length() - 1, 0), n):
+            w = ws[i]
             nxt = e[:i] + (e[i] + 1,) + e[i + 1 :]
-            if nxt in seen:
-                continue
-            seen.add(nxt)
             states += 1
             if states > MAX_GRAVER_STATES:
                 raise ResourceLimitError(states, MAX_GRAVER_STATES, "Graver states", ())
@@ -264,21 +265,16 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     # other than u - v itself has a and b proper divisors.  Such a pair
     # keeps the disjoint supports and the degree bound, so it is itself a
     # candidate: this is the dominance test over all candidates.
-    candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    primitive = []
+    primitive: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for _, group in sorted(by_weight.items()):
         for (a, sa, pa), (b, sb, pb) in combinations(group, 2):
             states += 1
             if states > MAX_GRAVER_STATES:
                 raise ResourceLimitError(
-                    states, MAX_GRAVER_STATES, "Graver states", _canonical_graver(candidates)
+                    states, MAX_GRAVER_STATES, "Graver states", _canonical_graver(primitive)
                 )
-            if sa & sb:
-                continue
-            pair = (a, b) if a > b else (b, a)
-            candidates.append(pair)
-            if not pa & pb:
-                primitive.append(pair)
+            if not sa & sb and not pa & pb:
+                primitive.append((a, b) if a > b else (b, a))
     return _canonical_graver(primitive)
 
 

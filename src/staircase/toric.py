@@ -95,16 +95,24 @@ class MonomialIdeal:
 def _minimalize(nvars: int, gens) -> tuple[Expo, ...]:
     uniq = set(map(tuple, gens))
     words = Words.holding(nvars, max((max(g, default=0) for g in uniq), default=0))
-    out: list[tuple[int, Expo]] = []
-    # (degree, word) order is (degree, exponent tuple) order
-    for _, w, g in sorted((sum(g), words.pack(g), g) for g in uniq):
-        if not any(words.divides(h, w) for h, _ in out):
-            out.append((w, g))
-    return tuple(g for _, g in out)
+    return tuple(_antichain(words, [(sum(g), words.pack(g), g) for g in uniq]))
+
+
+def _antichain(words: Words, items: list) -> list:
+    """The payloads of the sorted (degree, word, payload) items whose
+    word no earlier item's word divides: the minimal words, in (degree,
+    exponent tuple) order."""
+    kept: list[tuple[int, object]] = []
+    for _, w, x in sorted(items):
+        if not any(words.divides(h, w) for h, _ in kept):
+            kept.append((w, x))
+    return [x for _, x in kept]
 
 
 def groebner_basis(gens) -> tuple[Binomial, ...]:
     """Reduced grevlex Groebner basis of a binomial list, canonically sorted.
+
+    Each element x^u - x^v has its grevlex lead x^u first.
 
     Pairs are popped smallest lcm first.  Two criteria skip a pair
     (i, j) without reducing its S-binomial:
@@ -188,18 +196,16 @@ def _buchberger(gen_list: list[Binomial], words: Words) -> tuple[Binomial, ...]:
             m = lcm(basis[i2][0], h[0])
             heapq.heappush(queue, (degree(m), m, i2, k))
 
-    minimal: list[Pair] = []
-    for h in sorted(basis, key=lambda h: (h[2], h[0], h[1])):
-        if not any(words.divides(f[0], h[0]) for f in minimal):
-            minimal.append(h)
+    minimal: list[Pair] = _antichain(words, [(h[2], h[0], h) for h in basis])
     # h's own lead divides no monomial below it, so h may stay in the list
     reduced = [(du, u, reduce_monomial(v, dv, minimal, words)[0]) for u, v, du, dv in minimal]
     return tuple(Binomial(words.unpack(u), words.unpack(v)) for _, u, v in sorted(reduced))
 
 
 def initial_ideal(gb, nvars: int) -> MonomialIdeal:
-    """Leading terms of a Groebner basis, minimalized."""
-    return MonomialIdeal(nvars, tuple(g.oriented().u for g in gb))
+    """Leading terms of a Groebner basis with leads first, as
+    ``groebner_basis`` returns it, minimalized."""
+    return MonomialIdeal(nvars, tuple(g.u for g in gb))
 
 
 @dataclass(frozen=True)
@@ -438,7 +444,8 @@ def weight_kernel_row(ideal: BinomialIdeal, gb) -> CheckRow:
     With x of weight 1, the kernel of x_i -> t^(weights[i]) is generated
     by x_w - x^w for the other variables x_w, as the quotient by those
     is k[x] = k[t]; the note counts those that do not reduce to zero
-    modulo gb and names the first two.
+    modulo gb and names the first two as x^w - x_w, lead first when the
+    other weights exceed 1, as the audited ones do.
     """
     if 1 not in ideal.weights:
         raise DomainError(f"no variable of weight 1 among {ideal.weights}")
@@ -453,7 +460,7 @@ def weight_kernel_row(ideal: BinomialIdeal, gb) -> CheckRow:
         if reduce_monomial(words.pack(u), 1, basis, words) != reduce_monomial(
             words.pack(v), w, basis, words
         ):
-            outside.append(Binomial(u, v).oriented().format(weight_names(ideal.weights)))
+            outside.append(Binomial(v, u).format(weight_names(ideal.weights)))
     note = f"{len(outside)} of {n - 1} kernel generators lie outside"
     if outside:
         note += "; first " + ", ".join(outside[:2])

@@ -100,6 +100,18 @@ def test_state_cap(monkeypatch):
         chromatic_polynomial(g)
 
 
+@pytest.mark.parametrize("ell, peak", [(6, 7), (10, 114), (13, 2589)])
+def test_sweep_state_space_on_the_family_is_pinned(monkeypatch, ell, peak):
+    # the most live states the sweep holds at once; a canonical form that
+    # kept two forms of one partition apart would need more
+    g = build_layered_graph(staircase(ell))
+    monkeypatch.setattr(chroma, "MAX_FRONTIER_STATES", peak)
+    assert chromatic_polynomial(g).degree() == g.n
+    monkeypatch.setattr(chroma, "MAX_FRONTIER_STATES", peak - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{peak} frontier states exceed the cap {peak - 1}$"):
+        chromatic_polynomial(g)
+
+
 def test_state_cap_stops_the_cli_quickly(capsys):
     # length 15 is the first whose sweep needs more than the default cap;
     # at 70 the graph has 2,485 vertices and the claimed form degree 4,696

@@ -229,6 +229,19 @@ def test_graver_state_cap(monkeypatch):
     assert all(b.in_kernel(tuple(range(1, 9))) for b in info.value.partial)
 
 
+@pytest.mark.parametrize("bound, cap", [(3, 400), (4, 3000)])
+def test_graver_partial_result_lies_in_the_basis(monkeypatch, bound, cap):
+    # the partial result holds primitive relations only, not every
+    # disjoint-support pair of equal weight seen before the cap
+    weights = tuple(range(1, 9))
+    basis = set(graver_basis(weights, bound))
+    monkeypatch.setattr(identities, "MAX_GRAVER_STATES", cap)
+    with pytest.raises(ResourceLimitError) as info:
+        graver_basis(weights, bound)
+    assert info.value.partial
+    assert set(info.value.partial) <= basis
+
+
 def _pairs(basis) -> list[tuple[tuple, tuple]]:
     return [(b.u, b.v) for b in basis]
 

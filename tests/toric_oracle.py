@@ -8,9 +8,10 @@ first two are exponential and the last quadratic, so they check the
 fast versions only on small inputs.  ``s_binomial`` builds an S-pair
 the way a textbook writes it, as a ``Binomial``, and ``normal_form``
 reduces it, for checking that a Groebner basis leaves no S-pair
-unreduced.  ``divides``, ``expo_lcm`` and ``reduce_monomial`` are the
-same steps on exponent tuples, for checking the packed words of
-``staircase.binomial.Words`` and the reduction on them.
+unreduced.  ``grevlex_greater``, ``oriented``, ``divides``,
+``expo_lcm`` and ``reduce_monomial`` are the same steps on exponent
+tuples, for checking the packed words of ``staircase.binomial.Words``
+and the reduction on them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,26 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from operator import add, le, sub
 
-from staircase.binomial import Binomial, grevlex_greater
+from staircase.binomial import Binomial
 
 Expo = tuple[int, ...]
+
+
+def grevlex_greater(a: Expo, b: Expo) -> bool:
+    """Graded reverse lexicographic order with variable 0 largest."""
+    da, db = sum(a), sum(b)
+    if da != db:
+        return da > db
+    for i in range(len(a) - 1, -1, -1):
+        d = a[i] - b[i]
+        if d:
+            return d < 0
+    return False
+
+
+def oriented(g: Binomial) -> Binomial:
+    """The same binomial up to sign, with the grevlex-larger side first."""
+    return g if grevlex_greater(g.u, g.v) else Binomial(g.v, g.u)
 
 
 def divides(a: Expo, b: Expo) -> bool:
