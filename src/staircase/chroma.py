@@ -21,7 +21,7 @@ from math import comb
 from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
 from .layered import build_layered_graph
-from .partition import Partition, is_staircase, staircase
+from .partition import staircase
 from .poly import IntPolynomial, field_bits, pack, unpack
 from .report import INVARIANT, Report, check
 
@@ -230,23 +230,20 @@ class ColourSeparation:
         return self.mu - self.kappa
 
 
-def colour_separation(p: Partition) -> ColourSeparation:
-    """Colour-class sizes by alternating layers; mu takes layer 1.
+def colour_separation(ell: int) -> ColourSeparation:
+    """Colour-class sizes by alternating layers at length ell >= 1; mu
+    takes layer 1.
 
-    Layer i of the staircase of length l has l+1-i vertices, and the
-    proper 2-colouring is constant on layers, so mu sums the odd-indexed
-    layer sizes and kappa the even-indexed ones.
+    Layer i of the staircase of length ell has ell+1-i vertices, the
+    part i of staircase(ell), and the proper 2-colouring is constant on
+    layers, so mu sums the odd-indexed layer sizes and kappa the
+    even-indexed ones.
 
-    >>> colour_separation(staircase(5))
+    >>> colour_separation(5)
     ColourSeparation(mu=9, kappa=6)
     """
-    if not is_staircase(p):
-        raise DomainError(f"{p.parts} is not a staircase")
-    ell = p.length
-    sizes = [ell + 1 - i for i in range(1, ell + 1)]
-    mu = sum(sizes[0::2])
-    kappa = sum(sizes[1::2])
-    return ColourSeparation(mu, kappa)
+    sizes = staircase(ell).parts
+    return ColourSeparation(sum(sizes[0::2]), sum(sizes[1::2]))
 
 
 def class_sizes_closed_form(ell: int) -> tuple[int, int]:
@@ -272,7 +269,7 @@ def balance_bound_check(ell_max: int) -> Report:
         raise DomainError(f"need a positive length bound, got {ell_max}")
     rep = Report(f"balance bound through length {ell_max}")
     for ell in range(1, ell_max + 1):
-        sep = colour_separation(staircase(ell))
+        sep = colour_separation(ell)
         bound = (ell + 1) // 2
         rep.add(
             check(
@@ -302,6 +299,6 @@ def shared_balance_check(k: int) -> bool:
     """
     if k < 1:
         raise DomainError(f"balance parameter must be positive, got {k}")
-    odd = colour_separation(staircase(2 * k - 1)).balance
-    even = colour_separation(staircase(2 * k)).balance
+    odd = colour_separation(2 * k - 1).balance
+    even = colour_separation(2 * k).balance
     return odd == even == k

@@ -197,8 +197,9 @@ def _isomorphism_row(ell: int, g: LayeredGraph) -> CheckRow:
 class Audit:
     """A report per length: report(ell) for ell >= lo.
 
-    A length below lo gives a SKIPPED report that says why, or no
-    report when why is None; a resource limit gives a SKIPPED report.
+    A length from 1 to below lo gives a SKIPPED report that says why, or
+    no report when why is None; a length below 1 runs, so the report
+    raises its own DomainError; a resource limit gives a SKIPPED report.
     """
 
     title: str  # of the SKIPPED report, with {ell}
@@ -208,7 +209,7 @@ class Audit:
 
     def run(self, ell: int) -> Report | None:
         note = self.why
-        if ell >= self.lo:
+        if not 1 <= ell < self.lo:
             try:
                 return self.report(ell)
             except ResourceLimitError as e:
@@ -227,7 +228,7 @@ def _layered_checks(ell: int) -> Report:
     # bipartite, so chromatic_number answers without the chromatic sweep
     rep.add(check("chromatic number", chromatic_number(g), 2))
     if ell > 3:
-        rep.rows.extend(parity_pair_report(staircase(ell - 1), staircase(ell)).rows)
+        rep.rows.extend(parity_pair_report(ell - 1).rows)
     return rep
 
 
@@ -247,7 +248,7 @@ _AUDITS = {
     ),
     "subidentities": Audit(
         "subidentities at length {ell}",
-        lambda ell: subidentity_report(staircase(ell)),
+        lambda ell: subidentity_report(ell),
         lo=5,
     ),
     "c1": Audit(
@@ -288,7 +289,7 @@ def cmd_layered(args, lo: int, hi: int) -> Iterator[Report]:
             rep.add(_isomorphism_row(ell, g))
         rep.note(f"missing-edge polynomial {missing_edge_polynomial(ell).format('e')}")
         if ell > 1:
-            rep.rows.extend(parity_pair_report(staircase(ell - 1), staircase(ell)).rows)
+            rep.rows.extend(parity_pair_report(ell - 1).rows)
         if ell % 2 == 1:
             rep.rows.extend(vertex_parity_report(ell).rows)
         yield rep
@@ -307,7 +308,7 @@ def cmd_chroma(args, lo: int, hi: int) -> Iterator[Report]:
 def cmd_separation(args, lo: int, hi: int) -> Iterator[Report]:
     yield balance_bound_check(hi)
     for ell in range(lo, hi + 1):
-        sep = colour_separation(staircase(ell))
+        sep = colour_separation(ell)
         rep = Report(f"colour separation at length {ell}")
         rep.add(check("class sizes (mu, kappa)", (sep.mu, sep.kappa),
                       class_sizes_closed_form(ell), kind=INVARIANT,
@@ -322,9 +323,9 @@ def cmd_separation(args, lo: int, hi: int) -> Iterator[Report]:
 
 def cmd_identities(args, lo: int, hi: int) -> Iterator[Report]:
     for ell in range(lo, hi + 1):
-        rep = subidentity_report(staircase(ell))
+        rep = subidentity_report(ell)
         if args.degree_bound:
-            weights = separation_ideal(staircase(ell)).weights
+            weights = separation_ideal(ell).weights
             names = weight_names(weights)
             for b in graver_basis(weights, args.degree_bound):
                 rep.note(f"graver: {b.format(names)}")
@@ -371,7 +372,7 @@ _COMMANDS = {
 _GRAPHS = {
     "word-graph": lambda ell: family_word_graph(ell),
     "layered-graph": lambda ell: build_layered_graph(staircase(ell)),
-    "weight-chain": lambda ell: weight_chain_diagram(staircase(ell)),
+    "weight-chain": lambda ell: weight_chain_diagram(ell),
 }
 _DRAWN = {"graph": "word-graph", "layered": "layered-graph"}
 

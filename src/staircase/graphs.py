@@ -14,7 +14,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .partition import Partition, is_staircase
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,9 @@ class WeightChain:
         return "\n".join(lines) + "\n"
 
 
-def weight_chain_diagram(p: Partition) -> WeightChain:
-    """The weighted chain whose node weights index the quadric ideal."""
-    if not is_staircase(p):
-        raise DomainError(f"{p.parts} is not a staircase")
-    if p.length < 2:
-        raise DomainError(f"need length >= 2, got {p.length}")
-    return WeightChain(p.length)
+def weight_chain_diagram(ell: int) -> WeightChain:
+    """The weighted chain at length ell whose node weights index the
+    quadric ideal."""
+    if ell < 2:
+        raise DomainError(f"need length >= 2, got {ell}")
+    return WeightChain(ell)

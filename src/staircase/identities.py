@@ -22,7 +22,6 @@ from itertools import combinations, islice
 from .binomial import Binomial
 from .chroma import colour_separation
 from .errors import DomainError, InvalidIdentityError, ResourceLimitError
-from .partition import Partition, is_staircase, staircase
 from .report import INVARIANT, Report, check
 
 MAX_GRAVER_STATES = 200_000
@@ -53,10 +52,6 @@ class PartitionIdentity:
             )
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
-
-    @property
-    def total(self) -> int:
-        return sum(self.lhs)
 
     def all_parts_distinct(self) -> bool:
         parts = self.lhs + self.rhs
@@ -137,35 +132,32 @@ def primitive_subidentity_count(ident: PartitionIdentity) -> int:
     return sum(ways[r] for r in rights)
 
 
-def colour_separation_identity(p: Partition) -> PartitionIdentity:
-    """The identity 1 + 2 + ... + l = mu + kappa of a staircase.
+def colour_separation_identity(ell: int) -> PartitionIdentity:
+    """The identity 1 + 2 + ... + ell = mu + kappa of the staircase of
+    length ell.
 
     Needs length at least 5: below that the class sizes collide with
     the small parts and the all-parts-distinct property fails.
 
-    >>> str(colour_separation_identity(staircase(5)))
+    >>> str(colour_separation_identity(5))
     '1+2+3+4+5 = 9+6'
     """
-    if not is_staircase(p):
-        raise DomainError(f"{p.parts} is not a staircase")
-    if p.length < 5:
-        raise DomainError(
-            f"distinct-parts hypothesis needs length >= 5, got {p.length}"
-        )
-    sep = colour_separation(p)
-    return PartitionIdentity(tuple(range(p.length, 0, -1)), (sep.mu, sep.kappa), sep.mu)
+    if ell < 5:
+        raise DomainError(f"distinct-parts hypothesis needs length >= 5, got {ell}")
+    sep = colour_separation(ell)
+    return PartitionIdentity(tuple(range(ell, 0, -1)), (sep.mu, sep.kappa), sep.mu)
 
 
-def parity_split(p: Partition) -> tuple[PartitionIdentity, PartitionIdentity]:
-    """The two one-sided subidentities given by part parity.
+def parity_split(ell: int) -> tuple[PartitionIdentity, PartitionIdentity]:
+    """The two one-sided subidentities given by part parity, at length ell.
 
     Parts sharing the parity of the length sum to mu, the others to
     kappa; these are the layer-size groupings behind the separation.
 
-    >>> [str(s) for s in parity_split(staircase(6))]
+    >>> [str(s) for s in parity_split(6)]
     ['2+4+6 = 12', '1+3+5 = 9']
     """
-    ident = colour_separation_identity(p)
+    ident = colour_separation_identity(ell)
     # lhs is l, l-1, ..., 1 and rhs (mu, kappa): the parities alternate
     return tuple(
         PartitionIdentity(ident.lhs[i::2], (r,), ident.bound)
@@ -173,15 +165,15 @@ def parity_split(p: Partition) -> tuple[PartitionIdentity, PartitionIdentity]:
     )
 
 
-def subidentity_report(p: Partition) -> Report:
-    """Primitivity audit of the colour-separation identity."""
-    ident = colour_separation_identity(p)
+def subidentity_report(ell: int) -> Report:
+    """Primitivity audit of the colour-separation identity at length ell."""
+    ident = colour_separation_identity(ell)
     rep = Report(f"subidentities of {ident}")
     rep.note(
         "a proper subidentity keeps a nonempty part of each side and is "
         "not the whole identity"
     )
-    splits = parity_split(p)
+    splits = parity_split(ell)
     rep.add(check("all parts distinct", ident.all_parts_distinct(), True,
                   kind=INVARIANT))
     rep.add(check("identity is primitive", is_primitive(ident), False,

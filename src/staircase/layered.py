@@ -267,23 +267,19 @@ def family_series_report(n: int) -> Report:
     return rep
 
 
-def parity_pair_report(p1: Partition, p2: Partition) -> Report:
-    """Three equivalent parity predicates for consecutive staircases.
+def parity_pair_report(ell: int) -> Report:
+    """Three equivalent parity predicates for the staircases of lengths
+    ell and ell + 1, ell >= 1.
 
-    (i) the two sizes share parity, (ii) the first length is odd,
-    (iii) the distinct-odd-parts partitions share length.  The claimed
+    (i) the two sizes share parity, (ii) ell is odd, (iii) the
+    distinct-odd-parts partitions share length.  The claimed
     equivalence is that all three agree.
     """
-    if not is_staircase(p1) or not is_staircase(p2):
-        raise DomainError("both arguments must be staircases")
-    if p2.length != p1.length + 1:
-        raise DomainError(
-            f"need consecutive staircases, got lengths {p1.length}, {p2.length}"
-        )
+    p1, p2 = staircase(ell), staircase(ell + 1)
     same_parity = p1.size % 2 == p2.size % 2
-    first_odd = p1.length % 2 == 1
+    first_odd = ell % 2 == 1
     equal_dop = len(distinct_odd_parts(p1).parts) == len(distinct_odd_parts(p2).parts)
-    rep = Report(f"parity pair at lengths {p1.length}, {p2.length}")
+    rep = Report(f"parity pair at lengths {ell}, {ell + 1}")
     rep.add(check("sizes share parity", same_parity, first_odd,
                   kind=INVARIANT, note="claimed equivalent to first length odd"))
     rep.add(check("distinct-odd-parts lengths equal", equal_dop, first_odd,

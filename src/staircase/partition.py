@@ -37,12 +37,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        """All (column, row) cells, row 0 at the bottom holding parts[0]."""
-        return tuple(
-            (a, b) for b, row_len in enumerate(self.parts) for a in range(row_len)
-        )
-
     def contains_cell(self, a: int, b: int) -> bool:
         return 0 <= b < len(self.parts) and 0 <= a < self.parts[b]
 

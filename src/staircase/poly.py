@@ -49,10 +49,6 @@ class IntPolynomial:
         self.coeffs: tuple[int, ...] = tuple(cs)
 
     @classmethod
-    def constant(cls, c: int) -> IntPolynomial:
-        return cls([c])
-
-    @classmethod
     def variable(cls) -> IntPolynomial:
         return cls([0, 1])
 

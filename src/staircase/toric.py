@@ -39,10 +39,8 @@ from itertools import accumulate
 from math import comb
 
 from .binomial import Binomial, Expo, Pair, Words, reduce_monomial
-from .chroma import colour_separation
 from .errors import DomainError, ResourceLimitError
-from .identities import PartitionIdentity, parity_split
-from .partition import Partition, staircase
+from .identities import PartitionIdentity, colour_separation_identity, parity_split
 from .poly import IntPolynomial, field_bits, unpack
 from .report import INVARIANT, CheckRow, Report, check
 
@@ -408,11 +406,11 @@ def identity_binomial(ident: PartitionIdentity, weights) -> Binomial:
     return Binomial(tuple(map(ident.lhs.count, ws)), tuple(map(ident.rhs.count, ws)))
 
 
-def separation_ideal(p: Partition) -> BinomialIdeal:
-    """The two parity-split relations over weights (1..l, mu, kappa)."""
-    sep = colour_separation(p)
-    weights = tuple(range(1, p.length + 1)) + (sep.mu, sep.kappa)
-    gens = tuple(identity_binomial(s, weights) for s in parity_split(p))
+def separation_ideal(ell: int) -> BinomialIdeal:
+    """The two parity-split relations over weights (1..ell, mu, kappa),
+    for ell >= 5."""
+    weights = tuple(range(1, ell + 1)) + colour_separation_identity(ell).rhs
+    gens = tuple(identity_binomial(s, weights) for s in parity_split(ell))
     return BinomialIdeal(len(weights), gens, weights)
 
 
@@ -475,7 +473,7 @@ def audit_separation_ideal(ell: int) -> Report:
     claimed dimension l and degree ceil(l/2)*floor(l/2), and checks
     whether that ideal is the whole kernel of the weight map.
     """
-    ideal = separation_ideal(staircase(ell))
+    ideal = separation_ideal(ell)
     names = weight_names(ideal.weights)
     rep = Report(f"separation ideal audit at length {ell}")
     rep.note(

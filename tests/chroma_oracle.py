@@ -26,7 +26,7 @@ def deletion_contraction(g: SimpleGraph) -> IntPolynomial:
 
 
 def _chi(adj: dict[int, set[int]]) -> IntPolynomial:
-    factor = IntPolynomial.constant(1)
+    factor = IntPolynomial([1])
     # peel isolated and pendant vertices until none remain
     while True:
         target = None

@@ -41,7 +41,7 @@ def proper_subidentities(ident: PartitionIdentity) -> list[PartitionIdentity]:
                 if ls == ident.lhs and rs == ident.rhs:
                     continue
                 out.append(PartitionIdentity(ls, rs, ident.bound))
-    out.sort(key=lambda i: (i.total, i.lhs, i.rhs))
+    out.sort(key=lambda i: (sum(i.lhs), i.lhs, i.rhs))
     return out
 
 

@@ -36,6 +36,7 @@ def checkerboard(p: Partition) -> Colouring:
     >>> c.black_count, c.red_count
     (9, 6)
     """
-    black = tuple(c for c in p.cells() if sum(c) % 2 == 0)
-    red = tuple(c for c in p.cells() if sum(c) % 2 == 1)
+    cells = [(a, b) for b, row_len in enumerate(p.parts) for a in range(row_len)]
+    black = tuple(c for c in cells if sum(c) % 2 == 0)
+    red = tuple(c for c in cells if sum(c) % 2 == 1)
     return Colouring(p, black, red)

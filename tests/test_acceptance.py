@@ -136,10 +136,10 @@ def test_criterion_07_chromatic_number(capsys):
 
 
 def test_criterion_08_separations_and_balance(capsys):
-    sep5, sep6 = colour_separation(staircase(5)), colour_separation(staircase(6))
+    sep5, sep6 = colour_separation(5), colour_separation(6)
     ok = (sep5.mu, sep5.kappa) == (9, 6) and (sep6.mu, sep6.kappa) == (12, 9)
     for ell in range(1, 51):
-        sep = colour_separation(staircase(ell))
+        sep = colour_separation(ell)
         bound = (ell + 1) // 2
         ok = ok and sep.balance <= bound
         # the class-size closed forms give equality at every length
@@ -164,11 +164,11 @@ def test_criterion_09_balance_matrix(capsys):
 def test_criterion_10_identity_audit(capsys):
     ok = True
     for ell in range(5, 10):
-        ident = colour_separation_identity(staircase(ell))
+        ident = colour_separation_identity(ell)
         ok = ok and len(set(ident.lhs + ident.rhs)) == len(ident.lhs + ident.rhs)
         ok = ok and not is_primitive(ident)
         prims = list(primitive_subidentities(ident))
-        splits = parity_split(staircase(ell))
+        splits = parity_split(ell)
         ok = ok and all(s in prims for s in splits)
         ok = ok and sum(1 for p in prims if p in splits) == 2
     _verdict(capsys, 10, ok, "distinct parts, non-primitive, both parity splits primitive, lengths 5..9")
@@ -179,7 +179,7 @@ def test_criterion_11_separation_ideal_audit(capsys):
     detail = []
     for ell in (5, 6):
         start = time.monotonic()
-        ideal = separation_ideal(staircase(ell))
+        ideal = separation_ideal(ell)
         ok = ok and all(g.in_kernel(ideal.weights) for g in ideal.generators)
         rep = audit_separation_ideal(ell)
         by_name = {r.name: r for r in rep.rows}

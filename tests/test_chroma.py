@@ -192,15 +192,15 @@ def test_chromatic_number_matches_colouring_count():
 
 
 def test_colour_separation_values():
-    assert (colour_separation(staircase(5)).mu, colour_separation(staircase(5)).kappa) == (9, 6)
-    sep6 = colour_separation(staircase(6))
+    assert (colour_separation(5).mu, colour_separation(5).kappa) == (9, 6)
+    sep6 = colour_separation(6)
     assert (sep6.mu, sep6.kappa) == (12, 9)
     assert sep6.balance == 3
 
 
 def test_separation_agrees_with_two_colouring():
     for ell in range(1, 10):
-        sep = colour_separation(staircase(ell))
+        sep = colour_separation(ell)
         g = build_layered_graph(staircase(ell))
         colours = g.two_colouring()
         assert colours is not None
@@ -212,7 +212,7 @@ def test_separation_agrees_with_two_colouring():
 
 def test_balance_hits_bound_at_every_length():
     for ell in range(1, 51):
-        sep = colour_separation(staircase(ell))
+        sep = colour_separation(ell)
         assert sep.balance == (ell + 1) // 2
 
 

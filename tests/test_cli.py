@@ -43,10 +43,12 @@ def test_usage_errors_exit_2(capsys):
         ("export --ell 2 --kind word-graph", "the family move graph starts at ell = 3, got 2"),
         ("graph --ell 2 --format dot", "the family move graph starts at ell = 3, got 2"),
         ("export --ell 1 --kind weight-chain", "need length >= 2, got 1"),
+        ("conjectures --ell 0", "distinct-parts hypothesis needs length >= 5, got 0"),
+        ("conjectures --ell 0 --which c2", "need length >= 2, got 0"),
     ):
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, ""), argv
-        assert err.startswith("error: ") and message in err, argv
+        assert err.startswith("error: ") and err.endswith(message + "\n"), argv
         assert "Traceback" not in err
 
 

@@ -23,7 +23,6 @@ from staircase.identities import (
     primitive_subidentity_count,
     subidentity_report,
 )
-from staircase.partition import staircase
 
 from identities_oracle import (
     brute_is_primitive,
@@ -37,7 +36,7 @@ def test_make_identity_sorts_and_validates():
     ident = PartitionIdentity((2, 1, 3), (6,), 6)
     assert ident.lhs == (3, 2, 1)
     assert ident.rhs == (6,)
-    assert ident.total == 6
+    assert sum(ident.lhs) == 6
     with pytest.raises(InvalidIdentityError):
         PartitionIdentity((1, 2), (4,), 4)
     with pytest.raises(DomainError):
@@ -47,7 +46,7 @@ def test_make_identity_sorts_and_validates():
 
 
 def test_identity_str_form():
-    assert str(colour_separation_identity(staircase(5))) == "1+2+3+4+5 = 9+6"
+    assert str(colour_separation_identity(5)) == "1+2+3+4+5 = 9+6"
 
 
 def test_proper_subidentities_exclude_trivial():
@@ -92,7 +91,7 @@ def test_is_primitive_matches_the_oracle():
 def test_family_witnesses_match_the_oracle():
     counts = []
     for ell in range(5, 15):
-        ident = colour_separation_identity(staircase(ell))
+        ident = colour_separation_identity(ell)
         want = brute_primitive_subidentities(ident)
         assert list(primitive_subidentities(ident)) == want, ell
         assert primitive_subidentity_count(ident) == len(want), ell
@@ -132,7 +131,7 @@ def test_witness_search_needs_at_most_two_right_parts():
 
 
 def test_cspi_5_primitive_census():
-    ident = colour_separation_identity(staircase(5))
+    ident = colour_separation_identity(5)
     prims = list(primitive_subidentities(ident))
     assert len(prims) == 6
     shapes = {str(p) for p in prims}
@@ -147,32 +146,32 @@ def test_cspi_5_primitive_census():
 
 
 def test_cspi_6_primitive_census():
-    ident = colour_separation_identity(staircase(6))
+    ident = colour_separation_identity(6)
     assert len(list(primitive_subidentities(ident))) == 10
 
 
 def test_parity_split():
     # the first half always carries the parts sharing the length's parity
-    mu5, kappa5 = parity_split(staircase(5))
+    mu5, kappa5 = parity_split(5)
     assert str(mu5) == "1+3+5 = 9"
     assert str(kappa5) == "2+4 = 6"
-    mu6, kappa6 = parity_split(staircase(6))
+    mu6, kappa6 = parity_split(6)
     assert str(mu6) == "2+4+6 = 12"
     assert str(kappa6) == "1+3+5 = 9"
 
 
 def test_parity_splits_are_primitive_through_9():
     for ell in range(5, 10):
-        ident = colour_separation_identity(staircase(ell))
+        ident = colour_separation_identity(ell)
         prims = list(primitive_subidentities(ident))
-        hits = [p for p in parity_split(staircase(ell)) if p in prims]
+        hits = [p for p in parity_split(ell) if p in prims]
         assert len(hits) == 2
-        matches = [p for p in prims if p in parity_split(staircase(ell))]
+        matches = [p for p in prims if p in parity_split(ell)]
         assert len(matches) == 2
 
 
 def test_subidentity_report_rows():
-    rep = subidentity_report(staircase(5))
+    rep = subidentity_report(5)
     by_name = {r.name: r for r in rep.rows}
     assert by_name["all parts distinct"].verdict == "MATCH"
     assert by_name["identity is primitive"].verdict == "MATCH"
@@ -248,7 +247,7 @@ def _pairs(basis) -> list[tuple[tuple, tuple]]:
 
 def test_graver_basis_matches_the_dominance_scan_on_the_family():
     for ell in range(5, 9):
-        sep = colour_separation(staircase(ell))
+        sep = colour_separation(ell)
         weights = tuple(range(1, ell + 1)) + (sep.mu, sep.kappa)
         # the pairwise dominance scan takes seconds at bound 4 past ell = 6
         for bound in (3, 4) if ell <= 6 else (3,):
@@ -259,7 +258,7 @@ def test_graver_basis_matches_the_dominance_scan_on_the_family():
 
 
 def test_graver_states_are_the_monomials_plus_the_equal_weight_pairs(monkeypatch):
-    sep = colour_separation(staircase(6))
+    sep = colour_separation(6)
     weights = tuple(range(1, 7)) + (sep.mu, sep.kappa)
     n, bound = len(weights), 3
     groups = Counter(

@@ -1,6 +1,10 @@
 import pytest
 
+from staircase.chroma import colour_separation
 from staircase.errors import DomainError
+from staircase.graphs import weight_chain_diagram
+from staircase.identities import colour_separation_identity, parity_split, subidentity_report
+from staircase.layered import parity_pair_report
 from staircase.partition import (
     Partition,
     distinct_odd_parts,
@@ -8,6 +12,7 @@ from staircase.partition import (
     staircase,
     triangular_gf_report,
 )
+from staircase.toric import separation_ideal
 
 from partition_oracle import checkerboard
 
@@ -17,6 +22,24 @@ def test_staircase_constructor():
     assert staircase(1).parts == (1,)
     with pytest.raises(DomainError):
         staircase(0)
+
+
+@pytest.mark.parametrize(
+    "family, ell",
+    [
+        (colour_separation, 0),
+        (parity_pair_report, 0),
+        (colour_separation_identity, 4),
+        (parity_split, 4),
+        (subidentity_report, 4),
+        (separation_ideal, 4),
+        (weight_chain_diagram, 1),
+    ],
+)
+def test_family_functions_name_the_length_below_their_floor(family, ell):
+    with pytest.raises(DomainError) as info:
+        family(ell)
+    assert str(info.value).endswith(f"got {ell}")
 
 
 def test_partition_validates():

@@ -1,4 +1,4 @@
-"""README's cap table and module layout against the package."""
+"""README's cap table, module layout and library example against the package."""
 
 import importlib
 import re
@@ -28,3 +28,11 @@ def test_layout_names_every_module():
     listed = set(re.findall(r"^- `src/staircase/(\w+)\.py`", layout, re.M))
     modules = {p.stem for p in (ROOT / "src" / "staircase").glob("*.py")}
     assert listed == modules - {"__init__", "__main__"}
+
+
+def test_python_blocks_run():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -10,7 +10,6 @@ from staircase.binomial import Binomial
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.graphs import weight_chain_diagram
 from staircase.identities import PartitionIdentity
-from staircase.partition import staircase
 from staircase.poly import IntPolynomial
 from staircase.toric import (
     BinomialIdeal,
@@ -141,7 +140,7 @@ def test_groebner_all_s_pairs_reduce_to_zero():
 
 def test_separation_ideal_basis_matches_sympy():
     for ell in (5, 6):
-        ideal = separation_ideal(staircase(ell))
+        ideal = separation_ideal(ell)
         gb = groebner_basis(ideal.generators)
         assert _as_pairs(gb) == _sympy_groebner(list(ideal.generators), ideal.nvars)
 
@@ -563,7 +562,7 @@ def test_identity_binomial():
 
 
 def test_separation_ideal_shape():
-    ideal = separation_ideal(staircase(5))
+    ideal = separation_ideal(5)
     assert ideal.nvars == 7
     assert ideal.weights == (1, 2, 3, 4, 5, 9, 6)
     assert len(ideal.generators) == 2
@@ -620,7 +619,7 @@ def test_audit_quadric_chain_small():
 
 
 def test_weight_chain_diagram():
-    chain = weight_chain_diagram(staircase(3))
+    chain = weight_chain_diagram(3)
     assert chain.top_weights == (3, 2, 1)
     assert chain.bottom_weights == (2, 1, 0)
     dot = chain.to_dot()
