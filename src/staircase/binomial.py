@@ -44,7 +44,7 @@ class Words:
 
     def __init__(self, nvars: int, width: int) -> None:
         self.nvars, self.width = nvars, width
-        self.ones = sum(1 << width * i for i in range(nvars))  # lowest bit of each field
+        self.ones = ((1 << width * nvars) - 1) // ((1 << width) - 1)  # lowest bit of each field
         self.guards = self.ones << width - 1
 
     @classmethod

@@ -165,9 +165,13 @@ def layered_closed_form(ell: int) -> IntPolynomial:
 def closed_form_report(ell: int) -> Report:
     """Claimed closed form against the swept chromatic polynomial at one length.
 
-    The sweep runs first, so a length past ``MAX_FRONTIER_STATES`` stops
-    before the claimed form, of degree 4 + (ell-1)(ell-2), is expanded.
+    A length below 3, where the closed form starts, raises before any
+    sweep.  The sweep runs before the expansion, so a length past
+    ``MAX_FRONTIER_STATES`` stops before the claimed form, of degree
+    4 + (ell-1)(ell-2), is expanded.
     """
+    if ell < 3:
+        raise DomainError(f"closed form starts at length 3, got {ell}")
     actual = chromatic_polynomial(build_layered_graph(staircase(ell)))
     formula = layered_closed_form(ell)
     vertices = comb(ell + 1, 2)

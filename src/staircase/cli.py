@@ -10,6 +10,7 @@ invariant failure in any report command, or any mismatch under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Callable, Iterator
@@ -79,7 +80,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after.
+
+    Parsing leaves no state in it, so every ``main`` call of a process
+    can reuse the one tree; nothing builds it at import.
+    """
     parser = argparse.ArgumentParser(
         prog="staircase",
         description="reduced-word graphs, layered graphs, chromatic and toric checks",

@@ -161,17 +161,22 @@ def _buchberger(gen_list: list[Binomial], words: Words) -> tuple[Binomial, ...]:
     ]
     heapq.heapify(queue)
 
-    # popped[i]: the elements k whose pair with i has left the queue
-    popped: list[set[int]] = [set() for _ in basis]
+    # popped[i]: bit k is set once the pair (i, k) has left the queue
+    popped = [0] * len(basis)
     supports = [support(h[0]) for h in basis]
     while queue:
         dm, m, i, j = heapq.heappop(queue)
-        popped[i].add(j)
-        popped[j].add(i)
+        popped[i] |= 1 << j
+        popped[j] |= 1 << i
         if not supports[i] & supports[j]:
             continue  # coprime leads: S-pair reduces to zero
-        if any(words.divides(basis[k][0], m) for k in popped[i] & popped[j]):
-            continue  # chain: (i, k) and (k, j) cover this pair
+        # chain: a k popped with both i and j whose lead divides m, so that
+        # (i, k) and (k, j) cover this pair; the scan drops each other k
+        chain = popped[i] & popped[j]
+        while chain and not words.divides(basis[(k := chain.bit_length() - 1)][0], m):
+            chain ^= 1 << k
+        if chain:
+            continue
         ui, vi, dui, dvi = basis[i]
         uj, vj, duj, dvj = basis[j]
         p, q = m - ui + vi, m - uj + vj
@@ -186,7 +191,7 @@ def _buchberger(gen_list: list[Binomial], words: Words) -> tuple[Binomial, ...]:
         h = words.oriented(p, dp, q, dq)
         basis.append(h)
         supports.append(support(h[0]))
-        popped.append(set())
+        popped.append(0)
         if len(basis) > MAX_BASIS:
             raise ResourceLimitError(len(basis), MAX_BASIS, "basis elements")
         k = len(basis) - 1

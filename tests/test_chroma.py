@@ -15,7 +15,7 @@ from staircase.chroma import (
     shared_balance_check,
 )
 from staircase.cli import main
-from staircase.errors import ResourceLimitError
+from staircase.errors import DomainError, ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.layered import build_layered_graph
 from staircase.partition import staircase
@@ -78,6 +78,16 @@ def test_closed_form_report_findings():
     names = {r.name for rep in reps for r in rep.mismatches()}
     assert "formula equals recursion at length 5" in names
     assert "formula equals recursion at length 6" in names
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_closed_form_report_checks_its_floor_before_the_sweep(ell, monkeypatch):
+    def no_sweep(g):
+        raise AssertionError("swept below the closed form's floor")
+
+    monkeypatch.setattr(chroma, "chromatic_polynomial", no_sweep)
+    with pytest.raises(DomainError, match=f"closed form starts at length 3, got {ell}$"):
+        closed_form_report(ell)
 
 
 def test_chromatic_number_is_two():

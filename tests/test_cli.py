@@ -1,4 +1,10 @@
+import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -36,6 +42,7 @@ def test_usage_errors_exit_2(capsys):
         ("words --r 3", "family starts at degree 4, got 3"),
         ("graph --ell 2", "the family census starts at ell = 3, got 2"),
         ("layered --ell 0", "staircase index must be positive, got 0"),
+        ("chroma --ell 0", "closed form starts at length 3, got 0"),
         ("chroma --ell 2", "closed form starts at length 3, got 2"),
         ("separation --ell 0", "need a positive length bound, got 0"),
         ("identities --ell 4", "needs length >= 5, got 4"),
@@ -169,6 +176,57 @@ def test_config_file_before_the_command(tmp_path, capsys):
     code, out, _ = run(capsys, f"--config={cfg}", "verify-all", "--ell", "3")
     assert code == 1
     json.loads(out)
+
+
+def test_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "words", "--r", "4")[0] == 0
+    # the top-level parser and its nine subcommands, once
+    assert len(built) == 10
+    # importing the module builds none
+    probe = textwrap.dedent("""
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import staircase.cli
+        print(len(built))
+    """)
+    src = Path(cli.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "words", "--r", "4")
+    assert code == 0
+    json.loads(out)
+    assert run(capsys, "conjectures", "--ell", "5", "--which", "c3")[0] == 2  # argparse
+    assert run(capsys, "graph", "--ell", "5..4")[:2] == (2, "")  # usage error
+    code, out, _ = run(capsys, "verify-all", "--ell", "3..6")
+    assert code == 0
+    assert out.startswith("triangular generating function")  # text, not json
+    # the digest test_golden pins for this command
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b0b35e315c72c8b2657629ac806b094c3d5bd0a8cf7aa0826911cf578a3f058c"
+    )
 
 
 def test_graver_listing_finishes_quickly(capsys):
