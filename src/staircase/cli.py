@@ -41,7 +41,7 @@ from .layered import (
 from .partition import staircase, triangular_gf_report
 from .perm import enumerate_reduced_words, staircase_permutation, word_to_str
 from .report import INVARIANT, CheckRow, Report, check, skipped
-from .rwgraph import family_word_graph, structure_report
+from .rwgraph import WordGraph, family_word_graph, structure_report
 from .toric import (
     audit_quadric_chain_ideal,
     audit_separation_ideal,
@@ -190,35 +190,60 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return [*argv[: i + 1], *flags, *argv[i + 1 :]]
 
 
-def _isomorphism_row(ell: int, g: LayeredGraph) -> CheckRow:
+WordGraphs = Callable[[int], WordGraph]  # family_word_graph, or one run's shared builds
+
+
+def _built_once() -> WordGraphs:
+    """family_word_graph that builds each length once for its caller.
+
+    A length stopped at a cap keeps its ResourceLimitError and raises it
+    again, so every row that needs that graph reports the one build.
+    """
+    built: dict[int, WordGraph | ResourceLimitError] = {}
+
+    def words(ell: int) -> WordGraph:
+        if ell not in built:
+            try:
+                built[ell] = family_word_graph(ell)
+            except ResourceLimitError as e:
+                built[ell] = e
+        if isinstance(built[ell], ResourceLimitError):
+            raise built[ell]
+        return built[ell]
+
+    return words
+
+
+def _isomorphism_row(ell: int, g: LayeredGraph, words: WordGraphs) -> CheckRow:
     """The layered graph g against the move graph at ell, SKIPPED at a cap."""
     name = "isomorphic to the reduced-word graph"
     try:
-        words = family_word_graph(ell)
-        return check(name, is_isomorphic(words, g), True, kind=INVARIANT)
+        return check(name, is_isomorphic(words(ell), g), True, kind=INVARIANT)
     except ResourceLimitError as e:
         return skipped(name, note=str(e))
 
 
 @dataclass(frozen=True)
 class Audit:
-    """A report per length: report(ell) for ell >= lo.
+    """A report per length: report(ell, words) for ell >= lo.
 
     A length from 1 to below lo gives a SKIPPED report that says why, or
     no report when why is None; a length below 1 runs, so the report
     raises its own DomainError; a resource limit gives a SKIPPED report.
+    The audits that read the family move graph get it from words, by
+    default family_word_graph.
     """
 
     title: str  # of the SKIPPED report, with {ell}
-    report: Callable[[int], Report]
+    report: Callable[[int, WordGraphs], Report]
     lo: int = 1
     why: str | None = None
 
-    def run(self, ell: int) -> Report | None:
+    def run(self, ell: int, words: WordGraphs | None = None) -> Report | None:
         note = self.why
         if not 1 <= ell < self.lo:
             try:
-                return self.report(ell)
+                return self.report(ell, words or family_word_graph)
             except ResourceLimitError as e:
                 note = f"resource limit: {e}"
         if note is None:
@@ -228,10 +253,10 @@ class Audit:
         return rep
 
 
-def _layered_checks(ell: int) -> Report:
+def _layered_checks(ell: int, words: WordGraphs) -> Report:
     g = build_layered_graph(staircase(ell))
     rep = Report(f"layered checks at length {ell}")
-    rep.add(_isomorphism_row(ell, g))
+    rep.add(_isomorphism_row(ell, g, words))
     # bipartite, so chromatic_number answers without the chromatic sweep
     rep.add(check("chromatic number", chromatic_number(g), 2))
     if ell > 3:
@@ -246,26 +271,26 @@ def _layered_checks(ell: int) -> Report:
 _AUDITS = {
     "census": Audit(
         "move-graph census at ell = {ell}",
-        lambda ell: structure_report(ell),
+        lambda ell, words: structure_report(ell, words),
     ),
     "layered": Audit("layered checks at length {ell}", _layered_checks),
     "closed form": Audit(
         "layered closed form vs recursion, lengths {ell}..{ell}",
-        lambda ell: closed_form_report(ell),
+        lambda ell, _words: closed_form_report(ell),
     ),
     "subidentities": Audit(
         "subidentities at length {ell}",
-        lambda ell: subidentity_report(ell),
+        lambda ell, _words: subidentity_report(ell),
         lo=5,
     ),
     "c1": Audit(
         "separation ideal audit at length {ell}",
-        lambda ell: audit_separation_ideal(ell),
+        lambda ell, _words: audit_separation_ideal(ell),
         5, "the distinct-parts hypothesis needs length >= 5",
     ),
     "c2": Audit(
         "consecutive-quadric ideal audit at length {ell}",
-        lambda ell: audit_quadric_chain_ideal(ell),
+        lambda ell, _words: audit_quadric_chain_ideal(ell),
         2, "the quadric chain needs length >= 2",
     ),
 }
@@ -293,7 +318,7 @@ def cmd_layered(args, lo: int, hi: int) -> Iterator[Report]:
                       kind=INVARIANT))
         rep.add(check("edge count", g.edge_count, ell * (ell - 1), kind=INVARIANT))
         if ell >= 3:
-            rep.add(_isomorphism_row(ell, g))
+            rep.add(_isomorphism_row(ell, g, family_word_graph))
         rep.note(f"missing-edge polynomial {missing_edge_polynomial(ell).format('e')}")
         if ell > 1:
             rep.rows.extend(parity_pair_report(ell - 1).rows)
@@ -349,7 +374,8 @@ def cmd_conjectures(args, lo: int, hi: int) -> Iterator[Report]:
 def cmd_verify_all(args, lo: int, hi: int) -> list[Report]:
     reports = [triangular_gf_report()]
     for ell in range(lo, hi + 1):
-        runs = (audit.run(ell) for audit in _AUDITS.values())
+        words = _built_once()  # the census and the layered checks share one build
+        runs = (audit.run(ell, words) for audit in _AUDITS.values())
         reports += [rep for rep in runs if rep is not None]
     reports.append(balance_bound_check(hi))
     reports += [balance_matrix_report(k) for k in range(1, hi // 2 + 1)]

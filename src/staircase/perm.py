@@ -12,7 +12,9 @@ True
 
 ``enumerate_reduced_words`` peels descents: every reduced word of w
 ends in a descent position i, and chopping that letter leaves a reduced
-word of w t_i; MAX_REDUCED_LETTERS caps the letters memoized.
+word of w t_i.  MAX_REDUCED_LETTERS caps the letters of the words stored
+in one enumeration's memo or in one move graph (``rwgraph``), read at
+call time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import DomainError, MalformedPermutationError, ResourceLimitError
 
 Word = tuple[int, ...]
 
-MAX_REDUCED_LETTERS = 20_000_000  # letters of the words stored across the memo
+MAX_REDUCED_LETTERS = 20_000_000  # letters stored by one enumeration or one move graph
 
 
 def check_permutation(seq: Sequence[int]) -> tuple[int, ...]:

@@ -4,22 +4,25 @@ Vertices are the reduced words; two words are joined when one single
 move turns one into the other.  A braid move rewrites x y x <-> y x y in
 three consecutive positions with |x - y| = 1; a commutation move swaps
 two adjacent letters with |x - y| > 1.  Edges carry their move type.
+
+By the word property of Matsumoto (1964) and Tits (1969) the moves
+connect all reduced words of a permutation, so ``build_word_graph``
+finds the words and the edges in one breadth-first pass over the moves
+from a single word, in O(V·r) letters copied and hashed for V words of r
+letters.  ``perm.enumerate_reduced_words`` finds the same words another
+way, and the tests hold the two against each other.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DomainError
+from . import perm
+from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
-from .perm import (
-    Word,
-    check_permutation,
-    enumerate_reduced_words,
-    staircase_permutation,
-    word_to_str,
-)
+from .perm import Word, check_permutation, staircase_permutation, word_to_str
 from .report import INVARIANT, Report, check
 
 BRAID = "braid"
@@ -55,32 +58,96 @@ class WordGraph(SimpleGraph):
         return "\n".join(lines) + "\n"
 
 
+def _greedy_word(w: tuple[int, ...]) -> Word:
+    """One reduced word of w, peeled from its end.
+
+    Swapping the first descent i of w removes one inversion and leaves
+    w t_i, so the positions swapped until w is sorted, read backwards,
+    spell a reduced word.  After a swap at i the first descent is at
+    i - 1 or later, so the scan resumes there: O(n + r) steps for r
+    inversions.
+    """
+    u, letters, i = list(w), [], 1
+    while True:
+        while i < len(u) and u[i - 1] < u[i]:
+            i += 1
+        if i == len(u):
+            return tuple(reversed(letters))
+        u[i - 1], u[i] = u[i], u[i - 1]
+        letters.append(i)
+        i = max(i - 1, 1)
+
+
+def _move_positions(word: Word, lo: int, hi: int) -> list[int]:
+    """The positions k in lo..hi-1 where a move starts in word.
+
+    Adjacent letters of a reduced word differ, so word[k], word[k+1]
+    either commute (|x - y| > 1) or start a braid when word[k+2] == word[k].
+    """
+    last = len(word) - 2
+    return [
+        k for k in range(lo, hi)
+        if abs(word[k] - word[k + 1]) > 1 or k < last and word[k + 2] == word[k]
+    ]
+
+
 def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
-    """Move graph on the reduced words of w.
+    """Move graph on the reduced words of w, in one breadth-first pass.
+
+    The search starts at one reduced word.  Each move of each word it
+    takes finds either a new word, which joins the queue, or a known one;
+    an edge is recorded from the side of the word found first.  A move
+    rewrites two or three letters, so a new word keeps its parent's move
+    positions away from them and rescans only the positions that read
+    them.  Every stored word counts its letters against
+    ``perm.MAX_REDUCED_LETTERS``; ``max_degree`` caps w's entries.
 
     Edge indices refer to the lexicographically sorted word list, each
-    edge stored once as (i, j, type) with i < j.  Each word of length r
-    has at most r - 1 moves; applying each and looking the result up in
-    an index of the words costs O(V·r) dict lookups for V words.
+    edge stored once as (i, j, type) with i < j.
     """
     w = check_permutation(w)
-    words = enumerate_reduced_words(w, max_degree)
-    index = {word: i for i, word in enumerate(words)}
+    if max_degree is not None and len(w) > max_degree:
+        raise ResourceLimitError(len(w), max_degree, "permutation entries")
+    start = _greedy_word(w)
+    r = len(start)
+    words: list[Word] = []
+    moves: list[list[int]] = []  # the move positions of each word
+    index: dict[Word, int] = {}
+
+    def store(word: Word, positions: list[int]) -> int:
+        letters = (len(words) + 1) * r
+        if letters > perm.MAX_REDUCED_LETTERS:
+            raise ResourceLimitError(letters, perm.MAX_REDUCED_LETTERS, "stored reduced-word letters")
+        index[word] = len(words)
+        words.append(word)
+        moves.append(positions)
+        return len(words) - 1
+
+    store(start, _move_positions(start, 0, r - 1))
     edges = []
     for i, word in enumerate(words):
-        for k in range(len(word) - 1):
+        for k in moves[i]:
             x, y = word[k], word[k + 1]
             if abs(x - y) > 1:
-                j = index[word[:k] + (y, x) + word[k + 2 :]]
-                if j > i:
-                    edges.append((i, j, COMMUTATION))
-            # adjacent letters of a reduced word differ, so here |x - y| = 1
-            elif k + 2 < len(word) and word[k + 2] == x:
-                j = index[word[:k] + (y, x, y) + word[k + 3 :]]
-                if j > i:
-                    edges.append((i, j, BRAID))
-    edges.sort()
-    return WordGraph(len(words), tuple(edges), words)
+                t, end, moved = COMMUTATION, k + 2, word[:k] + (y, x) + word[k + 2 :]
+            else:
+                t, end, moved = BRAID, k + 3, word[:k] + (y, x, y) + word[k + 3 :]
+            j = index.get(moved)
+            if j is None:
+                lo = max(k - 2, 0)
+                kept = [p for p in moves[i] if p < lo or p >= end]
+                j = store(moved, kept + _move_positions(moved, lo, min(end, r - 1)))
+            if j > i:
+                edges.append((i, j, t))
+    order = sorted(range(len(words)), key=words.__getitem__)
+    rank = [0] * len(words)
+    for new, old in enumerate(order):
+        rank[old] = new
+    edges = sorted(
+        (rank[i], rank[j], t) if rank[i] < rank[j] else (rank[j], rank[i], t)
+        for i, j, t in edges
+    )
+    return WordGraph(len(words), tuple(edges), tuple(words[old] for old in order))
 
 
 def count_four_cycles(g: SimpleGraph) -> int:
@@ -112,17 +179,21 @@ def family_word_graph(ell: int) -> WordGraph:
     return build_word_graph(staircase_permutation(ell + 1))
 
 
-def structure_report(ell: int) -> Report:
+def structure_report(
+    ell: int, words: Callable[[int], WordGraph] | None = None
+) -> Report:
     """Audit the claimed census of the degree-(ell+1) family move graph.
 
     The printed claims under audit: C(ell+1, 2) vertices, ell(ell+1)
     edges, ell-1 braid edges, C(ell-1, 2) four-cycles, and an
     alternating sum v + c - e = 1.  The edge claim is also compared
-    against the independent closed count ell(ell-1).
+    against the independent closed count ell(ell-1).  ``words(ell)``
+    gives the graph when a caller shares its builds; by default
+    ``family_word_graph`` builds it.
     """
     if ell < 3:
         raise DomainError(f"the family census starts at ell = 3, got {ell}")
-    g = family_word_graph(ell)
+    g = (words or family_word_graph)(ell)
     cycles = count_four_cycles(g)
     rep = Report(f"move-graph census at ell = {ell}")
     rep.add(check("vertices", g.vertex_count, comb(ell + 1, 2)))

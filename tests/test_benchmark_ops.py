@@ -43,8 +43,9 @@ def test_benchmark_inputs_use_under_one_percent_of_each_cap(monkeypatch):
     # benchmark-shaped input, so a later cut cannot quietly make the
     # benchmark's operations fail.  Measured use: 1,038 placements for
     # the family at length 45, at most 520 per random isomorphism pair,
-    # words of 141,700 letters stored for the family at length 30 (the
-    # benchmark's longest), at most 15,144 Hilbert exponent entries per
+    # words of 14,880 letters stored by the move graph at length 30 (the
+    # benchmark's longest; 141,700 across the memo of
+    # enumerate_reduced_words), at most 15,144 Hilbert exponent entries per
     # random ideal.  The Hilbert depth cap must stay under Python's
     # recursion limit, so it gets a tenth: random ideals nest 19 deep.
     words45 = rwgraph.family_word_graph(45)

@@ -67,12 +67,13 @@ def test_resource_limit_exits_3(capsys, monkeypatch):
 
 
 def test_word_cap_is_a_resource_limit(capsys, monkeypatch):
-    # the family stores words of 4,026 letters in all at length 11 and
-    # of 5,407 at length 12
-    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 5000)
+    # the family move graph stores 66 words of 13 letters (858 in all) at
+    # length 11 and 78 of 14 (1,092) at length 12; the 72nd word passes
+    # a cap of 1,000
+    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 1000)
     code, out, err = run(capsys, "graph", "--ell", "12")
     assert (code, out) == (3, "")
-    assert err == "resource limit: 5407 stored reduced-word letters exceed the cap 5000\n"
+    assert err == "resource limit: 1008 stored reduced-word letters exceed the cap 1000\n"
 
 
 def test_long_words_stop_at_the_word_cap(capsys):
@@ -87,21 +88,36 @@ def test_long_words_stop_at_the_word_cap(capsys):
 
 
 def test_verify_all_skips_the_census_at_the_word_cap(capsys, monkeypatch):
-    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 5000)
+    # a cap between the 858 letters of length 11 and the 1,092 of length 12
+    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 1000)
     code, out, _ = run(capsys, "verify-all", "--ell", "11..12")
     assert code == 0
     assert "move-graph census at ell = 11\n  vertices " in out
     census = out.split("move-graph census at ell = 12\n")[1]
     assert census.startswith(
         "  audit  observed=-  claimed=-  SKIPPED\n"
-        "    note: resource limit: 5407 stored reduced-word letters exceed the cap 5000\n"
+        "    note: resource limit: 1008 stored reduced-word letters exceed the cap 1000\n"
     )
     at12 = out.split("layered checks at length 12\n")[1]
     assert at12.startswith(
         "  isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n"
-        "    note: 5407 stored reduced-word letters exceed the cap 5000\n"
+        "    note: 1008 stored reduced-word letters exceed the cap 1000\n"
     )
     assert out.endswith("claim mismatches do not fail the run without --strict\n")
+
+
+def test_verify_all_builds_each_move_graph_once(capsys, monkeypatch):
+    # the census and the layered isomorphism row share one build per length
+    built = []
+    build = rwgraph.build_word_graph
+
+    def counting_build(*args, **kwargs):
+        built.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rwgraph, "build_word_graph", counting_build)
+    assert run(capsys, "verify-all", "--ell", "3..6")[0] == 0
+    assert len(built) == 4
 
 
 def test_word_cap_leaves_room_for_long_lengths(capsys):

@@ -1,10 +1,15 @@
 import random
 import time
+from itertools import permutations
 from math import comb
 
+import pytest
+
 from rwgraph_oracle import all_pairs_edges, detect_move, four_cycles_by_subsets
+from staircase import perm
+from staircase.errors import ResourceLimitError
 from staircase.graphs import SimpleGraph
-from staircase.perm import staircase_permutation
+from staircase.perm import enumerate_reduced_words, staircase_permutation
 from staircase.report import MISMATCH
 from staircase.rwgraph import (
     build_word_graph,
@@ -67,6 +72,38 @@ def test_edges_match_the_all_pairs_oracle():
     for ell in range(3, 10):
         g = build_word_graph(staircase_permutation(ell + 1))
         assert g.edges == all_pairs_edges(g.words), ell
+
+
+def test_graph_matches_both_oracles_beyond_the_family():
+    # every permutation of S_5 and 30 seeded draws from S_6; the all-pairs
+    # edge oracle is O(V^2), and the largest of these draws has 2,310 words
+    rng = random.Random(25)
+    draws = []
+    for _ in range(30):
+        w = list(range(1, 7))
+        rng.shuffle(w)
+        draws.append(tuple(w))
+    for w in [*permutations(range(1, 6)), *draws]:
+        g = build_word_graph(w)
+        assert g.words == enumerate_reduced_words(w), w
+        assert g.edges == all_pairs_edges(g.words), w
+
+
+def test_move_graph_work_counts_are_pinned(monkeypatch):
+    # Counts, not timings: the search stores each word once, 78 words of
+    # 14 letters at length 12 and 465 of 32 at length 30.  The memo of
+    # every permutation below w (141,700 letters at length 30) fails here
+    # on any machine.
+    for ell, letters in ((12, 1092), (30, 14_880)):
+        w = staircase_permutation(ell + 1)
+        monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", letters)
+        assert build_word_graph(w).vertex_count == comb(ell + 1, 2)
+        monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", letters - 1)
+        with pytest.raises(
+            ResourceLimitError,
+            match=f"^{letters} stored reduced-word letters exceed the cap {letters - 1}$",
+        ):
+            build_word_graph(w)
 
 
 def test_four_cycles_match_the_subset_oracle_on_the_family():
