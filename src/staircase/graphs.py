@@ -57,13 +57,6 @@ class SimpleGraph:
             adj[b].add(a)
         return adj
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for e in self.edges:
-            deg[e[0]] += 1
-            deg[e[1]] += 1
-        return deg
-
     def two_colouring(self) -> tuple[int, ...] | None:
         """A proper 2-colouring as a 0/1 vector, or None if not bipartite."""
         adj = self.adjacency()

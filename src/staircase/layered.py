@@ -123,18 +123,18 @@ def is_isomorphic(g1: SimpleGraph, g2: SimpleGraph, cap: int | None = None) -> b
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    deg_a, deg_b = g1.degrees(), g2.degrees()
+    adj_a, adj_b = g1.adjacency(), g2.adjacency()
+    deg_a, deg_b = list(map(len, adj_a)), list(map(len, adj_b))
     if sorted(deg_a) != sorted(deg_b):
         return False
-    adj_a, adj_b = g1.adjacency(), g2.adjacency()
     # a signature, the sorted neighbour degrees, also carries the degree
-    sig_a = [tuple(sorted(deg_a[w] for w in adj_a[v])) for v in range(g1.n)]
-    sig_b = [tuple(sorted(deg_b[w] for w in adj_b[v])) for v in range(g2.n)]
-    if sorted(sig_a) != sorted(sig_b):
+    sig_a = [tuple(sorted(map(deg_a.__getitem__, nbrs))) for nbrs in adj_a]
+    sig_b = [tuple(sorted(map(deg_b.__getitem__, nbrs))) for nbrs in adj_b]
+    rarity = Counter(sig_b)
+    if Counter(sig_a) != rarity:
         return False
     if cap is not None and g1.n > cap:
         raise ResourceLimitError(g1.n, cap, "isomorphism search vertices")
-    rarity = Counter(sig_b)
     parts, anchor = _breadth_first(adj_a, [rarity[s] for s in sig_a])
     comps_b = _breadth_first(adj_b, [0] * g2.n)[0]
     image, inverse, placed = [-1] * g1.n, [-1] * g2.n, 0

@@ -8,9 +8,11 @@ two adjacent letters with |x - y| > 1.  Edges carry their move type.
 By the word property of Matsumoto (1964) and Tits (1969) the moves
 connect all reduced words of a permutation, so ``build_word_graph``
 finds the words and the edges in one breadth-first pass over the moves
-from a single word, in O(V·r) letters copied and hashed for V words of r
-letters.  ``perm.enumerate_reduced_words`` finds the same words another
-way, and the tests hold the two against each other.
+from a single word.  It takes each edge once, skipping the reverse of
+the move that found a word, and copies and hashes r letters per move
+taken: O((V+E)·r) for V words of r letters and E edges.
+``perm.enumerate_reduced_words`` finds the same words another way, and
+the tests hold the two against each other.
 """
 
 from __future__ import annotations
@@ -94,39 +96,48 @@ def _move_positions(word: Word, lo: int, hi: int) -> list[int]:
 def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
     """Move graph on the reduced words of w, in one breadth-first pass.
 
-    The search starts at one reduced word.  Each move of each word it
-    takes finds either a new word, which joins the queue, or a known one;
-    an edge is recorded from the side of the word found first.  A move
-    rewrites two or three letters, so a new word keeps its parent's move
-    positions away from them and rescans only the positions that read
-    them.  Every stored word counts its letters against
-    ``perm.MAX_REDUCED_LETTERS``; ``max_degree`` caps w's entries.
+    The search starts at one reduced word and takes each edge once.  The
+    move at position k of a word is undone only by the move at position
+    k of the word it makes, so each word keeps a bit mask of the
+    positions whose move leads to a word found before it: a new word
+    starts with the position its parent used, and a known word reached
+    again gets that position ORed in.  When the search comes to a word
+    it skips those positions, so every other move finds either a new
+    word, which joins the queue, or a known one not yet reached, and
+    each edge is recorded from the side of the word found first.  A
+    move rewrites two or three letters, so a new word keeps its parent's
+    move positions away from them and rescans only the positions that
+    read them.  Every stored word, the first one included, counts its
+    letters against ``perm.MAX_REDUCED_LETTERS``; ``max_degree`` caps
+    w's entries.
 
     Edge indices refer to the lexicographically sorted word list, each
     edge stored once as (i, j, type) with i < j.
+
+    >>> g = build_word_graph((4, 2, 3, 1))
+    >>> [word_to_str(word) for word in g.words]
+    ['12321', '13213', '13231', '31213', '31231', '32123']
+    >>> g.edges  # doctest: +NORMALIZE_WHITESPACE
+    ((0, 2, 'braid'), (1, 2, 'commutation'), (1, 3, 'commutation'),
+     (2, 4, 'commutation'), (3, 4, 'commutation'), (3, 5, 'braid'))
     """
     w = check_permutation(w)
     if max_degree is not None and len(w) > max_degree:
         raise ResourceLimitError(len(w), max_degree, "permutation entries")
     start = _greedy_word(w)
-    r = len(start)
-    words: list[Word] = []
-    moves: list[list[int]] = []  # the move positions of each word
-    index: dict[Word, int] = {}
-
-    def store(word: Word, positions: list[int]) -> int:
-        letters = (len(words) + 1) * r
-        if letters > perm.MAX_REDUCED_LETTERS:
-            raise ResourceLimitError(letters, perm.MAX_REDUCED_LETTERS, "stored reduced-word letters")
-        index[word] = len(words)
-        words.append(word)
-        moves.append(positions)
-        return len(words) - 1
-
-    store(start, _move_positions(start, 0, r - 1))
+    r, cap = len(start), perm.MAX_REDUCED_LETTERS
+    if r > cap:
+        raise ResourceLimitError(r, cap, "stored reduced-word letters")
+    words = [start]
+    moves = [_move_positions(start, 0, r - 1)]  # the move positions of each word
+    back = [0]  # bit k: the move at k leads to a word found before this one
+    index = {start: 0}
     edges = []
     for i, word in enumerate(words):
+        taken = back[i]
         for k in moves[i]:
+            if taken >> k & 1:
+                continue
             x, y = word[k], word[k + 1]
             if abs(x - y) > 1:
                 t, end, moved = COMMUTATION, k + 2, word[:k] + (y, x) + word[k + 2 :]
@@ -134,11 +145,19 @@ def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
                 t, end, moved = BRAID, k + 3, word[:k] + (y, x, y) + word[k + 3 :]
             j = index.get(moved)
             if j is None:
+                j = len(words)
+                letters = (j + 1) * r
+                if letters > cap:
+                    raise ResourceLimitError(letters, cap, "stored reduced-word letters")
+                index[moved] = j
+                words.append(moved)
                 lo = max(k - 2, 0)
                 kept = [p for p in moves[i] if p < lo or p >= end]
-                j = store(moved, kept + _move_positions(moved, lo, min(end, r - 1)))
-            if j > i:
-                edges.append((i, j, t))
+                moves.append(kept + _move_positions(moved, lo, min(end, r - 1)))
+                back.append(1 << k)
+            else:
+                back[j] |= 1 << k
+            edges.append((i, j, t))
     order = sorted(range(len(words)), key=words.__getitem__)
     rank = [0] * len(words)
     for new, old in enumerate(order):

@@ -214,7 +214,8 @@ def _cycles(*lengths: int) -> SimpleGraph:
 def test_isomorphism_on_pairs_beyond_the_oracle():
     rook, shrikhande = _rook_4x4(), _shrikhande()
     # both strongly regular with parameters (16, 6, 2, 2)
-    assert rook.degrees() == shrikhande.degrees() == [6] * 16
+    for g in (rook, shrikhande):
+        assert list(map(len, g.adjacency())) == [6] * 16
     assert not is_isomorphic(rook, shrikhande)
     assert not is_isomorphic(shrikhande, rook)
     assert is_isomorphic(rook, _relabelled(rook, random.Random(3)))
@@ -297,6 +298,17 @@ def test_isomorphism_compares_component_sizes_before_searching():
     h = _disjoint_cycles([3] * 5 + [9])
     assert _within(2.0, lambda: is_isomorphic(g, h)) is False
     assert _within(2.0, lambda: is_isomorphic(h, g)) is False
+
+
+def test_isomorphism_compares_signatures_before_the_cap(monkeypatch):
+    # 7 vertices, 6 edges and degrees [1, 1, 2, 2, 2, 2, 2] on both sides,
+    # but the path's inner vertices see a leaf: the signatures answer
+    # before the vertex cap or the placement cap is reached
+    p4_c3 = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4)])
+    p2_c5 = SimpleGraph.from_edges(7, [(0, 1)] + [(2 + i, 2 + (i + 1) % 5) for i in range(5)])
+    monkeypatch.setattr(layered, "MAX_ISO_NODES", 0)
+    assert is_isomorphic(p4_c3, p2_c5, cap=1) is False
+    assert is_isomorphic(p2_c5, p4_c3, cap=1) is False
 
 
 def _union(*parts: list[tuple[int, int]]) -> SimpleGraph:

@@ -106,6 +106,15 @@ def test_move_graph_work_counts_are_pinned(monkeypatch):
             build_word_graph(w)
 
 
+def test_the_first_word_counts_against_the_letter_cap(monkeypatch):
+    # the start word alone is 14 letters at length 12
+    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 13)
+    with pytest.raises(
+        ResourceLimitError, match="^14 stored reduced-word letters exceed the cap 13$"
+    ):
+        build_word_graph(staircase_permutation(13))
+
+
 def test_four_cycles_match_the_subset_oracle_on_the_family():
     for ell in range(3, 10):
         g = build_word_graph(staircase_permutation(ell + 1))
