@@ -15,16 +15,17 @@ The Hilbert numerator of the initial ideal comes from the
 pivot-variable recursion N(I) = (1 - t^e)*N(J) + t^e*N(I : x^e), J the
 generators x does not divide and e the least positive exponent of x
 among the others.  It splits an ideal whose generators fall into
-groups on disjoint variables into one factor per group, and stops at
-two generators, whose numerator is a closed form.  Numerators are
-packed ints (``poly.pack``), so a node combines its children in one int
-shift, sum or product.  Each node does O(gens^2) word operations
-besides that arithmetic; the number of nodes can grow exponentially
-with the generator count.
-MAX_HILBERT_ENTRIES bounds the exponent entries of the nodes a call
-starts, MAX_HILBERT_DEPTH their nesting.  ``standard_monomial_counts``
-counts the same series directly on exponent tuples, in at most
-MAX_COUNT_MASKS live masks, and shares no code with the recursion.
+groups on disjoint variables into one factor per group, and closes a
+node of at most five generators by Taylor's sum over their subsets.
+Numerators are packed ints (``poly.pack``), so a node combines its
+children in one int shift, sum or product.  Each node does O(gens^2)
+word operations besides that arithmetic, a leaf at most 2^5 lcms; the
+number of nodes can grow exponentially with the generator count.
+MAX_HILBERT_ENTRIES bounds the exponent entries of the nodes of three
+or more generators a call starts, MAX_HILBERT_DEPTH their nesting.
+``standard_monomial_counts`` counts the same series directly on
+exponent tuples, in at most MAX_COUNT_MASKS live masks, and shares no
+code with the recursion.
 With a variable of weight 1, one reduction per variable tells whether
 a binomial ideal is its whole weight kernel.
 
@@ -46,8 +47,9 @@ from .report import INVARIANT, CheckRow, Report, check
 
 MAX_BASIS = 256
 MAX_HILBERT_ENTRIES = 20_000_000  # exponent entries of the nodes one call starts
-MAX_HILBERT_DEPTH = 500  # nested nodes of three or more generators
+MAX_HILBERT_DEPTH = 500  # nested nodes of three or more generators, leaves included
 MAX_COUNT_MASKS = 10_000  # live generator masks of one direct monomial count
+_TAYLOR_GENS = 5  # a Hilbert node of at most this many generators is a Taylor leaf
 
 
 @dataclass(frozen=True)
@@ -237,21 +239,24 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
       x^e, plus those of J that no lowered one divides.  Both J and
       I : x^e are minimal as built, so no node minimalizes.
 
-    The recursion stops at two generators.  No generator gives 1, one
-    generator m gives 1 - t^deg(m), and two generators g and h, neither
-    dividing the other, give 1 - t^deg(g) - t^deg(h) + t^deg(lcm(g, h)).
+    A node of at most five generators is a leaf, whose N is Taylor's sum
+    of (-1)^|S| t^deg(lcm(S)) over the subsets S of its generators.
 
     Nodes hold their generators as words whose fields hold the largest
     exponent and the generator count, as the pivot sums support words
-    to count the generators each variable divides; no node raises an
-    exponent.  A cache, fresh for each call, holds the nodes of three or
-    more generators, keyed on the generator tuple in the order a node
-    builds it, so one sub-ideal reached in two orders is computed twice.
-    A node missing from it adds its exponent entries to a running count
-    and checks that and its depth before it recurses.
+    to count the generators each variable divides.  No node raises an
+    exponent, so no lcm a leaf builds passes the degree D of the lcm of
+    all generators, and the fields also keep D below 2^width - 1: a
+    word's degree, the sum of its base-2^width digits, is then the word
+    mod 2^width - 1 (casting out).  A cache, fresh for each call, holds
+    every node, keyed on the generator tuple in the order a node builds
+    it, so one sub-ideal reached in two orders is computed twice.  A
+    node of three or more generators missing from it adds its exponent
+    entries to a running count and checks that and its depth before it
+    computes.
 
-    Each node returns its N at t = 2^B as one int, so the closed forms
-    are sums of shifts, the pivot step is a + ((b - a) << e*B) and the
+    Each node returns its N at t = 2^B as one int, so a leaf's sum is a
+    sum of shifts, the pivot step is a + ((b - a) << e*B) and the
     split an int product; node values need no bound, since evaluation
     at 2^B is a ring map.  Only the one decode at the end needs every
     coefficient of N inside +-2^(B-1), and B comes from
@@ -270,7 +275,8 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
     (2, 4)
     """
     n, gens = mi.nvars, mi.gens
-    words = Words.holding(n, max([len(gens), *(max(g, default=0) for g in gens)]))
+    lcm = [max(c) for c in zip(*gens)]  # of all generators
+    words = Words.holding(n, max([len(gens), *lcm, (sum(lcm) + 1) // 2]))
     taylor = sum(comb(len(gens), i) for i in range(min(n, len(gens)) + 1))
     bits = field_bits(taylor.bit_length())
     num = IntPolynomial(unpack(_numerator(tuple(map(words.pack, gens)), words, bits, {}, [0], 1), bits))
@@ -287,30 +293,31 @@ def hilbert(mi: MonomialIdeal) -> HilbertData:
 def _numerator(
     gens: tuple[int, ...], words: Words, bits: int, cache: dict, entries: list[int], depth: int
 ) -> int:
-    """The numerator of a minimal generator tuple at t = 2^bits.
-
-    Evaluation at 2^bits is a ring map, so each node combines its
-    children's values with int shifts, sums and products, and no node
-    value needs a coefficient bound; only the caller's decode does.
-    """
-    if not gens:
-        return 1
-    if len(gens) == 1:
-        return 1 - (1 << words.degree(gens[0]) * bits)
-    if len(gens) == 2:
-        g, h = gens
-        return (
-            1 - (1 << words.degree(g) * bits) - (1 << words.degree(h) * bits)
-            + (1 << words.degree(words.lcm(g, h)) * bits)
-        )
+    """The numerator of a minimal generator tuple at t = 2^bits, as
+    ``hilbert`` describes it; no node value needs a coefficient bound."""
     got = cache.get(gens)
     if got is not None:
         return got
-    entries[0] += len(gens) * words.nvars
-    if entries[0] > MAX_HILBERT_ENTRIES:
-        raise ResourceLimitError(entries[0], MAX_HILBERT_ENTRIES, "Hilbert exponent entries")
-    if depth > MAX_HILBERT_DEPTH:
-        raise ResourceLimitError(depth, MAX_HILBERT_DEPTH, "nested Hilbert nodes")
+    if len(gens) > 2:
+        entries[0] += len(gens) * words.nvars
+        if entries[0] > MAX_HILBERT_ENTRIES:
+            raise ResourceLimitError(entries[0], MAX_HILBERT_ENTRIES, "Hilbert exponent entries")
+        if depth > MAX_HILBERT_DEPTH:
+            raise ResourceLimitError(depth, MAX_HILBERT_DEPTH, "nested Hilbert nodes")
+    if len(gens) <= _TAYLOR_GENS:
+        G, guard, cast = words.guards, words.width - 1, (1 << words.width) - 1
+        terms = [(0, 1)]  # (lcm of a subset, (-1)^its size)
+        for g in gens:
+            g |= G  # each new lcm as in Words.lcm, with g's guards set once
+            for m, sign in terms[:]:
+                keep = (g - m) & G
+                pick = keep - (keep >> guard)
+                terms.append((g & pick | m & ~pick, -sign))
+        out = 0
+        for m, sign in terms:
+            out += sign << m % cast * bits
+        cache[gens] = out
+        return out
     supports = list(map(words.support, gens))
     comps: list[tuple[int, list[int]]] = []
     for g, mask in zip(gens, supports):
@@ -491,15 +498,9 @@ def audit_separation_ideal(ell: int) -> Report:
         rep.add(check(f"generator {g.format(names)} vanishes under the weight map",
                       g.in_kernel(ideal.weights), True, kind=INVARIANT))
     gb = groebner_basis(ideal.generators)
-    rep.add(
-        check(
-            "basis elements stay in the weight kernel",
-            all(g.in_kernel(ideal.weights) for g in gb),
-            True,
-            kind=INVARIANT,
-            note=f"basis size {len(gb)}",
-        )
-    )
+    rep.add(check("basis elements stay in the weight kernel",
+                  all(g.in_kernel(ideal.weights) for g in gb), True,
+                  kind=INVARIANT, note=f"basis size {len(gb)}"))
     _hilbert_rows(rep, gb, ideal.nvars, ell, (ell + 1) // 2 * (ell // 2))
     rep.add(weight_kernel_row(ideal, gb))
     return rep
@@ -535,14 +536,9 @@ def audit_quadric_chain_ideal(ell: int) -> Report:
     )
     rep.add(check("generator count", len(ideal.generators), ell - 1,
                   kind=INVARIANT))
-    rep.add(
-        check(
-            "generators vanish under x_i -> t^i",
-            all(g.in_kernel(ideal.weights) for g in ideal.generators),
-            True,
-            kind=INVARIANT,
-        )
-    )
+    rep.add(check("generators vanish under x_i -> t^i",
+                  all(g.in_kernel(ideal.weights) for g in ideal.generators), True,
+                  kind=INVARIANT))
     gb = groebner_basis(ideal.generators)
     _hilbert_rows(rep, gb, ideal.nvars, 2, 2 ** (ell - 1))
     return rep

@@ -45,9 +45,9 @@ def test_benchmark_inputs_use_under_one_percent_of_each_cap(monkeypatch):
     # the family at length 45, at most 520 per random isomorphism pair,
     # words of 14,880 letters stored by the move graph at length 30 (the
     # benchmark's longest; 141,700 across the memo of
-    # enumerate_reduced_words), at most 15,144 Hilbert exponent entries per
+    # enumerate_reduced_words), at most 7,356 Hilbert exponent entries per
     # random ideal.  The Hilbert depth cap must stay under Python's
-    # recursion limit, so it gets a tenth: random ideals nest 19 deep.
+    # recursion limit, so it gets a tenth: random ideals nest 13 deep.
     words45 = rwgraph.family_word_graph(45)
     for module, name, cut in (
         (perm, "MAX_REDUCED_LETTERS", 100),

@@ -18,7 +18,8 @@ G6 = layered.build_layered_graph(staircase(6))
 W8 = perm.staircase_permutation(8)
 WEIGHTS = tuple(range(1, 9))
 QUADRICS = [Binomial((1, 0, 1, 0), (0, 2, 0, 0)), Binomial((1, 0, 0, 1), (0, 1, 1, 0))]
-STAIRCASE_IDEAL = MonomialIdeal(2, tuple((i, 6 - i) for i in range(1, 6)))
+# seven generators: more than a Taylor leaf closes, so its nodes nest
+STAIRCASE_IDEAL = MonomialIdeal(2, tuple((i, 8 - i) for i in range(1, 8)))
 
 # name: (module, its cap constant or None for an argument, the low cap,
 # a call that trips it, the length of the partial result or None)

@@ -340,6 +340,7 @@ def test_hilbert_pivot_dividing_all_or_all_but_one_generator(monkeypatch):
     # x0 divides the most generators.  When it divides all of them the
     # generators it does not divide are none, and I + (x0) gives 1 - t;
     # when it divides all but one, that one alone is the other child.
+    # Both ideals have more generators than a Taylor leaf, so they pivot.
     children, inner = [], toric._numerator
 
     def spied(gens, words, *args):
@@ -347,13 +348,12 @@ def test_hilbert_pivot_dividing_all_or_all_but_one_generator(monkeypatch):
         return inner(gens, words, *args)
 
     monkeypatch.setattr(toric, "_numerator", spied)
-    cases = [
-        (((2, 1, 0, 0), (1, 0, 2, 0), (1, 1, 0, 1)), ()),
-        (((2, 1, 0, 0), (1, 0, 2, 0), (1, 1, 0, 1), (0, 0, 1, 2)), ((0, 0, 1, 2),)),
-    ]
+    divided = ((2, 1, 0, 0), (1, 0, 2, 0), (1, 1, 0, 1), (1, 0, 1, 2), (1, 0, 0, 3), (1, 2, 1, 0))
+    cases = [(divided, ()), (divided + ((0, 1, 2, 1),), ((0, 1, 2, 1),))]
     for gens, free in cases:
         children.clear()
         mi = MonomialIdeal(4, gens)
+        assert len(mi.gens) == len(gens) > toric._TAYLOR_GENS
         hd = hilbert(mi)
         assert children[0] == mi.gens and free in children[1:], gens
         assert hd.numerator.coeffs == taylor_numerator(gens, 4), gens
@@ -408,6 +408,43 @@ def test_hilbert_two_generators_on_random_pairs():
             checked += 1
 
 
+def test_hilbert_at_the_taylor_leaf_boundary():
+    # ideals of exactly K minimal generators close as one Taylor leaf,
+    # those of K + 1 pivot into smaller nodes first
+    rng = random.Random(4423)
+    for size in (toric._TAYLOR_GENS, toric._TAYLOR_GENS + 1):
+        checked = 0
+        while checked < 60:
+            n = rng.randint(2, 6)
+            gens = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(size))
+            mi = MonomialIdeal(n, gens)
+            if len(mi.gens) != size:
+                continue
+            hd = hilbert(mi)
+            assert hd.numerator.coeffs == taylor_numerator(gens, n), gens
+            assert hd.numerator.series_prefix(n, 8) == standard_monomial_counts(mi, 8), gens
+            checked += 1
+
+
+def test_hilbert_widens_fields_for_the_lcm_degree():
+    # Every exponent fits an 8-bit field, but the lcm of all generators
+    # has degree at least 255, where casting out 2^8 - 1 no longer gives
+    # a word's degree; the fields must widen to 16 bits.
+    cases = [
+        ((100, 100, 0), (0, 100, 100), (100, 0, 100)),
+        ((127, 127, 0), (0, 127, 1), (127, 0, 1)),  # lcm degree exactly 255
+        tuple(tuple(60 if j in (i, (i + 1) % 5) else 0 for j in range(5)) for i in range(5)),
+        tuple(tuple(60 if j in (i, (i + 1) % 6) else 0 for j in range(6)) for i in range(6)),
+    ]
+    for gens in cases:
+        n = len(gens[0])
+        mi = MonomialIdeal(n, gens)
+        hd = hilbert(mi)
+        assert hd.numerator.coeffs == taylor_numerator(gens, n), gens
+        assert hd.numerator.series_prefix(n, 8) == standard_monomial_counts(mi, 8), gens
+    assert (hd.dimension, hd.degree) == (3, 2 * 60**3)
+
+
 def _counting(monkeypatch, name: str) -> list[int]:
     # rebinds the module global, so recursive calls are counted too
     calls, inner = [0], getattr(toric, name)
@@ -438,7 +475,7 @@ def test_engine_work_counts_are_pinned(monkeypatch):
             if u != v:
                 gens.append(Binomial(u, v))
         groebner_basis(gens)
-    assert (nodes[0], reductions[0]) == (2747, 1289)
+    assert (nodes[0], reductions[0]) == (892, 1289)
 
 
 def _quadrics() -> MonomialIdeal:
@@ -463,13 +500,14 @@ def test_hilbert_without_input_caps():
 
 
 def test_hilbert_entry_cap(monkeypatch):
-    # The quadrics' nodes of three or more generators hold 4,032
-    # exponent entries in all; each counts them when it starts.
-    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 4032)
+    # The quadrics' nodes of three or more generators, Taylor leaves
+    # included, hold 3,996 exponent entries in all; each counts them when
+    # it starts.
+    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 3996)
     assert hilbert(_quadrics()).dimension == 2
-    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 4031)
+    monkeypatch.setattr(toric, "MAX_HILBERT_ENTRIES", 3995)
     with pytest.raises(
-        ResourceLimitError, match="4032 Hilbert exponent entries exceed the cap 4031"
+        ResourceLimitError, match="3996 Hilbert exponent entries exceed the cap 3995"
     ):
         hilbert(_quadrics())
 
@@ -518,31 +556,39 @@ def test_hilbert_counts_past_an_8_bit_field_sum():
 
 def test_hilbert_depth_cap(monkeypatch):
     # The staircase ideal (x y^N, x^2 y^(N-1), ..., x^N y) loses one
-    # generator per level, so its nodes nest about N deep: two axes,
-    # each of multiplicity 1
+    # generator per level, so its nodes nest about N deep until a Taylor
+    # leaf closes them: two axes, each of multiplicity 1.  N = 503 is the
+    # first to reach 501 nested nodes
     def ideal(n: int) -> MonomialIdeal:
         return MonomialIdeal(2, tuple((i, n + 1 - i) for i in range(1, n + 1)))
 
     hd = hilbert(ideal(400))
     assert (hd.dimension, hd.degree) == (1, 2)
     with pytest.raises(ResourceLimitError, match="501 nested Hilbert nodes exceed the cap 500"):
-        hilbert(ideal(502))
+        hilbert(ideal(503))
     monkeypatch.setattr(toric, "MAX_HILBERT_DEPTH", 299)
     with pytest.raises(ResourceLimitError, match="300 nested Hilbert nodes exceed the cap 299"):
         hilbert(ideal(400))
 
 
 def test_hilbert_pivots_on_a_power_of_the_variable():
-    # (x^N y^N, y^N z^N, x^N z^N): the pivot x^N leaves two generators,
-    # so the recursion stops at once where pivoting on x nested N deep;
-    # three axes, each of multiplicity N^2
-    def ideal(n: int) -> MonomialIdeal:
-        return MonomialIdeal(3, ((n, n, 0), (0, n, n), (n, 0, n)))
+    # (x_i^N x_(i+1)^N) around a cycle of k variables.  For k = 3 the root
+    # is a Taylor leaf.  For k = 6 the pivot x0^N leaves two leaves of four
+    # generators, so the recursion stops at once where pivoting on x0
+    # nested N deep.  The quotient's top components are those of the
+    # smallest vertex covers of the cycle: 3 covers of 2 vertices for the
+    # triangle and 2 of 3 vertices for the hexagon, each of multiplicity
+    # N^(cover size)
+    def ideal(k: int, n: int) -> MonomialIdeal:
+        return MonomialIdeal(k, tuple(
+            tuple(n if j in (i, (i + 1) % k) else 0 for j in range(k)) for i in range(k)
+        ))
 
-    for n in (1, 2, 300, 2000):
-        hd = hilbert(ideal(n))
-        assert (hd.dimension, hd.degree) == (1, 3 * n**2)
-        assert hd.numerator.series_prefix(3, 8) == standard_monomial_counts(ideal(n), 8)
+    for k, dimension, covers in ((3, 1, 3), (6, 3, 2)):
+        for n in (1, 2, 300, 2000):
+            hd = hilbert(ideal(k, n))
+            assert (hd.dimension, hd.degree) == (dimension, covers * n ** (k - dimension))
+            assert hd.numerator.series_prefix(k, 8) == standard_monomial_counts(ideal(k, n), 8)
 
 
 def test_basis_size_cap(monkeypatch):
