@@ -48,7 +48,7 @@ from .partition import (
     staircase,
     triangular_gf_report,
 )
-from .perm import enumerate_reduced_words, staircase_permutation, word_to_str
+from .perm import staircase_permutation, word_to_str
 from .poly import IntPolynomial
 from .report import Report
 from .rwgraph import (

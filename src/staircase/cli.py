@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import comb
 
+from . import rwgraph
 from .chroma import (
     chromatic_number,
     class_sizes_closed_form,
@@ -39,9 +40,9 @@ from .layered import (
     vertex_parity_report,
 )
 from .partition import staircase, triangular_gf_report
-from .perm import enumerate_reduced_words, staircase_permutation, word_to_str
+from .perm import staircase_permutation, word_to_str
 from .report import INVARIANT, CheckRow, Report, check, skipped
-from .rwgraph import WordGraph, family_word_graph, structure_report
+from .rwgraph import WordGraph, build_word_graph, family_word_graph, structure_report
 from .toric import (
     audit_quadric_chain_ideal,
     audit_separation_ideal,
@@ -297,8 +298,13 @@ _AUDITS = {
 
 
 def cmd_words(args, lo: int, hi: int) -> Iterator[Report]:
+    # the reports hold every word of the range, so the word cap bounds their sum
+    letters, cap = 0, rwgraph.MAX_REDUCED_LETTERS
     for r in range(lo, hi + 1):
-        words = enumerate_reduced_words(staircase_permutation(r))
+        words = build_word_graph(staircase_permutation(r)).words
+        letters += sum(map(len, words))
+        if letters > cap:
+            raise ResourceLimitError(letters, cap, "stored reduced-word letters")
         rep = Report(f"reduced words of the staircase permutation, size {r}")
         rep.add(check("word count", len(words), comb(r, 2), kind=INVARIANT))
         for w in words:

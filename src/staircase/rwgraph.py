@@ -10,9 +10,10 @@ connect all reduced words of a permutation, so ``build_word_graph``
 finds the words and the edges in one breadth-first pass over the moves
 from a single word.  It takes each edge once, skipping the reverse of
 the move that found a word, and copies and hashes r letters per move
-taken: O((V+E)·r) for V words of r letters and E edges.
-``perm.enumerate_reduced_words`` finds the same words another way, and
-the tests hold the two against each other.
+taken: O((V+E)·r) for V words of r letters and E edges.  It is the
+package's one reduced-word enumerator; the tests hold it against a memo
+over the weak order.  MAX_REDUCED_LETTERS caps the letters of the words
+stored in one move graph, read at call time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
-from . import perm
 from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
 from .perm import Word, check_permutation, staircase_permutation, word_to_str
@@ -29,6 +29,8 @@ from .report import INVARIANT, Report, check
 
 BRAID = "braid"
 COMMUTATION = "commutation"
+
+MAX_REDUCED_LETTERS = 20_000_000  # letters stored by one move graph or one words run
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
     move rewrites two or three letters, so a new word keeps its parent's
     move positions away from them and rescans only the positions that
     read them.  Every stored word, the first one included, counts its
-    letters against ``perm.MAX_REDUCED_LETTERS``; ``max_degree`` caps
+    letters against ``MAX_REDUCED_LETTERS``; ``max_degree`` caps
     w's entries.
 
     Edge indices refer to the lexicographically sorted word list, each
@@ -125,7 +127,7 @@ def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
     if max_degree is not None and len(w) > max_degree:
         raise ResourceLimitError(len(w), max_degree, "permutation entries")
     start = _greedy_word(w)
-    r, cap = len(start), perm.MAX_REDUCED_LETTERS
+    r, cap = len(start), MAX_REDUCED_LETTERS
     if r > cap:
         raise ResourceLimitError(r, cap, "stored reduced-word letters")
     words = [start]

@@ -1,8 +1,10 @@
-"""Permutation products and inversion counts, for tests only.
+"""Permutation products, inversion counts and a second word enumerator, for tests only.
 
-They check ``enumerate_reduced_words`` from the definition: a word is a
-reduced word of w when its letters, applied to the identity as adjacent
-transpositions, give w, and its length is the inversion number of w.
+The products check the move graph's words from the definition: a word is
+a reduced word of w when its letters, applied to the identity as
+adjacent transpositions, give w, and its length is the inversion number
+of w.  ``enumerate_reduced_words`` finds all of them without any move,
+by a memo over the weak order, so it checks that the graph misses none.
 """
 
 from __future__ import annotations
@@ -60,3 +62,27 @@ def apply_word(word: Sequence[int], n: int) -> tuple[int, ...]:
     for a in word:
         w = apply_transposition(w, a)
     return w
+
+
+def enumerate_reduced_words(w: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """All reduced words of w in lexicographic order, by peeling descents.
+
+    Every reduced word of w ends in a descent position i, and chopping
+    that letter leaves a reduced word of w t_i.  The memo holds the words
+    of every permutation below w in the weak order, so its letters grow
+    far faster than the move graph's.
+
+    >>> enumerate_reduced_words((3, 5, 1, 2, 4))[0]
+    (2, 1, 4, 3, 2)
+    >>> len(enumerate_reduced_words((4, 2, 3, 1)))
+    6
+    """
+    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def words(u: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if u not in memo:
+            out = [word + (i,) for i in descents(u) for word in words(apply_transposition(u, i))]
+            memo[u] = out or [()]
+        return memo[u]
+
+    return tuple(sorted(words(check_permutation(w))))

@@ -44,20 +44,19 @@ def test_benchmark_inputs_use_under_one_percent_of_each_cap(monkeypatch):
     # benchmark's operations fail.  Measured use: 1,038 placements for
     # the family at length 45, at most 520 per random isomorphism pair,
     # words of 14,880 letters stored by the move graph at length 30 (the
-    # benchmark's longest; 141,700 across the memo of
-    # enumerate_reduced_words), at most 7,356 Hilbert exponent entries per
+    # benchmark's longest), at most 7,356 Hilbert exponent entries per
     # random ideal.  The Hilbert depth cap must stay under Python's
     # recursion limit, so it gets a tenth: random ideals nest 13 deep.
     words45 = rwgraph.family_word_graph(45)
     for module, name, cut in (
-        (perm, "MAX_REDUCED_LETTERS", 100),
+        (rwgraph, "MAX_REDUCED_LETTERS", 100),
         (layered, "MAX_ISO_NODES", 100),
         (toric, "MAX_HILBERT_ENTRIES", 100),
         (toric, "MAX_HILBERT_DEPTH", 10),
     ):
         monkeypatch.setattr(module, name, getattr(module, name) // cut)
     assert layered.is_isomorphic(words45, layered.build_layered_graph(staircase(45)))
-    assert len(perm.enumerate_reduced_words(perm.staircase_permutation(31))) == 465
+    assert rwgraph.build_word_graph(perm.staircase_permutation(31)).vertex_count == 465
     # the calls alone: the tiny workloads above check the answers
     results = {}
     for op in workloads.census_scale(7, False):

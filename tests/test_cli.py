@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,13 +7,17 @@ import subprocess
 import sys
 import textwrap
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from staircase import chroma, cli, identities, layered, perm, rwgraph, toric
+from staircase import chroma, cli, identities, layered, rwgraph, toric
 from staircase.cli import main
+from staircase.perm import staircase_permutation, word_to_str
 from staircase.poly import IntPolynomial
+
+from perm_oracle import enumerate_reduced_words
 
 
 def run(capsys, *argv):
@@ -70,7 +75,7 @@ def test_word_cap_is_a_resource_limit(capsys, monkeypatch):
     # the family move graph stores 66 words of 13 letters (858 in all) at
     # length 11 and 78 of 14 (1,092) at length 12; the 72nd word passes
     # a cap of 1,000
-    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 1000)
+    monkeypatch.setattr(rwgraph, "MAX_REDUCED_LETTERS", 1000)
     code, out, err = run(capsys, "graph", "--ell", "12")
     assert (code, out) == (3, "")
     assert err == "resource limit: 1008 stored reduced-word letters exceed the cap 1000\n"
@@ -87,9 +92,43 @@ def test_long_words_stop_at_the_word_cap(capsys):
         ), argv
 
 
+def test_words_answer_past_the_reach_of_the_weak_order_memo(capsys):
+    # a memo of every permutation below w stores 20.3M letters here, past
+    # the cap; the move graph stores its 6,105 words of 112 letters
+    code, out, err = run(capsys, "words", "--r", "111", "--format", "json")
+    assert (code, err) == (0, "")
+    (rep,) = json.loads(out)
+    assert len(rep["notes"]) == len(set(rep["notes"])) == comb(111, 2) == 6105
+
+
+def test_words_print_the_oracle_memo_words_in_order(capsys):
+    # byte-identity beyond the goldens at r = 4..6
+    for r_range, rs in (("4..40", range(4, 41)), ("61", (61,))):
+        code, out, _ = run(capsys, "words", "--r", r_range, "--format", "json")
+        assert code == 0
+        notes = [rep["notes"] for rep in json.loads(out)]
+        assert notes == [
+            [word_to_str(w) for w in enumerate_reduced_words(staircase_permutation(r))]
+            for r in rs
+        ], r_range
+
+
+def test_word_cap_bounds_the_letters_of_a_whole_words_run(capsys, monkeypatch):
+    # 30 + 60 + 105 + 168 = 363 letters at r = 4..7, at most 168 at one r
+    monkeypatch.setattr(rwgraph, "MAX_REDUCED_LETTERS", 362)
+    assert run(capsys, "words", "--r", "7")[0] == 0
+    code, out, err = run(capsys, "words", "--r", "4..7")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: 363 stored reduced-word letters exceed the cap 362\n"
+    monkeypatch.setattr(rwgraph, "MAX_REDUCED_LETTERS", 363)
+    code, out, err = run(capsys, "words", "--r", "4..7")
+    assert (code, err) == (0, "")
+    assert out.count("note: ") == 6 + 10 + 15 + 21
+
+
 def test_verify_all_skips_the_census_at_the_word_cap(capsys, monkeypatch):
     # a cap between the 858 letters of length 11 and the 1,092 of length 12
-    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 1000)
+    monkeypatch.setattr(rwgraph, "MAX_REDUCED_LETTERS", 1000)
     code, out, _ = run(capsys, "verify-all", "--ell", "11..12")
     assert code == 0
     assert "move-graph census at ell = 11\n  vertices " in out
@@ -470,11 +509,15 @@ def _shape(out):
     return [(rep["title"], [row["name"] for row in rep["rows"]]) for rep in json.loads(out)]
 
 
+def _without_last_word(g):
+    return dataclasses.replace(g, words=g.words[:-1])
+
+
 # For each report command: a library function it calls, rebound so that
 # the invariant row named last in the entry comes out wrong.
 _BROKEN = [
-    ("words --r 4..5", cli, "enumerate_reduced_words",
-     lambda w: perm.enumerate_reduced_words(w)[:-1], "word count"),
+    ("words --r 4..5", cli, "build_word_graph",
+     lambda w: _without_last_word(rwgraph.build_word_graph(w)), "word count"),
     ("graph --ell 4", rwgraph, "count_four_cycles", lambda g: 999, "vertices + cycles - edges"),
     ("layered --ell 3..4", cli, "is_isomorphic",
      lambda a, b: False, "isomorphic to the reduced-word graph"),

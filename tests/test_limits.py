@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from staircase import chroma, identities, layered, perm, poly, toric
+from staircase import chroma, identities, layered, perm, poly, rwgraph, toric
 from staircase.binomial import Binomial
 from staircase.errors import ResourceLimitError
 from staircase.partition import staircase
@@ -43,10 +43,10 @@ LIMITS = {
         layered, "MAX_SERIES_ROWS", 10, lambda: layered.family_series_report(3), None
     ),
     "permutation entries": (
-        perm, None, 7, lambda: perm.enumerate_reduced_words(W8, max_degree=7), None
+        rwgraph, None, 7, lambda: rwgraph.build_word_graph(W8, max_degree=7), None
     ),
     "reduced-word letters": (
-        perm, "MAX_REDUCED_LETTERS", 10, lambda: perm.enumerate_reduced_words(W8), None
+        rwgraph, "MAX_REDUCED_LETTERS", 10, lambda: rwgraph.build_word_graph(W8), None
     ),
     "basis elements": (
         toric, "MAX_BASIS", 2, lambda: toric.groebner_basis(QUADRICS), None

@@ -5,11 +5,12 @@ from math import comb
 
 import pytest
 
+from perm_oracle import enumerate_reduced_words
 from rwgraph_oracle import all_pairs_edges, detect_move, four_cycles_by_subsets
-from staircase import perm
+from staircase import rwgraph
 from staircase.errors import ResourceLimitError
 from staircase.graphs import SimpleGraph
-from staircase.perm import enumerate_reduced_words, staircase_permutation
+from staircase.perm import staircase_permutation
 from staircase.report import MISMATCH
 from staircase.rwgraph import (
     build_word_graph,
@@ -91,14 +92,14 @@ def test_graph_matches_both_oracles_beyond_the_family():
 
 def test_move_graph_work_counts_are_pinned(monkeypatch):
     # Counts, not timings: the search stores each word once, 78 words of
-    # 14 letters at length 12 and 465 of 32 at length 30.  The memo of
-    # every permutation below w (141,700 letters at length 30) fails here
-    # on any machine.
+    # 14 letters at length 12 and 465 of 32 at length 30.  A memo of
+    # every permutation below w, as in perm_oracle (141,700 letters at
+    # length 30), fails here on any machine.
     for ell, letters in ((12, 1092), (30, 14_880)):
         w = staircase_permutation(ell + 1)
-        monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", letters)
+        monkeypatch.setattr(rwgraph, "MAX_REDUCED_LETTERS", letters)
         assert build_word_graph(w).vertex_count == comb(ell + 1, 2)
-        monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", letters - 1)
+        monkeypatch.setattr(rwgraph, "MAX_REDUCED_LETTERS", letters - 1)
         with pytest.raises(
             ResourceLimitError,
             match=f"^{letters} stored reduced-word letters exceed the cap {letters - 1}$",
@@ -108,7 +109,7 @@ def test_move_graph_work_counts_are_pinned(monkeypatch):
 
 def test_the_first_word_counts_against_the_letter_cap(monkeypatch):
     # the start word alone is 14 letters at length 12
-    monkeypatch.setattr(perm, "MAX_REDUCED_LETTERS", 13)
+    monkeypatch.setattr(rwgraph, "MAX_REDUCED_LETTERS", 13)
     with pytest.raises(
         ResourceLimitError, match="^14 stored reduced-word letters exceed the cap 13$"
     ):
