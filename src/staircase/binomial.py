@@ -17,7 +17,8 @@ aborts rather than silently leave the binomial world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from itertools import compress, count
 
 from .errors import DomainError
 
@@ -134,8 +135,7 @@ def reduce_monomial(m: int, d: int, basis: list[Pair], words: Words) -> tuple[in
         m, d = n, nd
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(namedtuple("Binomial", "u v")):
     """The difference x^u - x^v of two distinct monomials.
 
     Kernel relations and Graver elements always come with disjoint
@@ -147,19 +147,21 @@ class Binomial:
     Binomial(u=(2, 1, 0), v=(0, 2, 1))
     """
 
-    u: Expo
-    v: Expo
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        u, v = tuple(self.u), tuple(self.v)
+    def __new__(cls, u: Expo, v: Expo) -> Binomial:
+        u, v = tuple(u), tuple(v)
         if len(u) != len(v):
             raise DomainError(f"side lengths differ: {len(u)} vs {len(v)}")
         if min(u + v, default=0) < 0:
             raise DomainError("exponents must be naturals")
         if u == v:
             raise DomainError("the zero binomial is not representable")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        return tuple.__new__(cls, (u, v))
+
+    @classmethod
+    def _make(cls, fields) -> Binomial:
+        return cls(*fields)  # _replace too, through the checks above
 
     @property
     def nvars(self) -> int:
@@ -186,12 +188,5 @@ class Binomial:
 
 
 def format_monomial(e: Expo, names: list[str]) -> str:
-    if not any(e):
-        return "1"
-    parts = []
-    for x, name in zip(e, names):
-        if x == 1:
-            parts.append(name)
-        elif x > 1:
-            parts.append(f"{name}^{x}")
-    return "*".join(parts)
+    parts = [names[i] if e[i] == 1 else f"{names[i]}^{e[i]}" for i in compress(count(), e)]
+    return "*".join(parts) or "1"

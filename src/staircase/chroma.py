@@ -15,7 +15,7 @@ have.  A cap on the number of live states bounds the work directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import DomainError, ResourceLimitError
@@ -222,12 +222,10 @@ def chromatic_number(g: SimpleGraph) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class ColourSeparation:
+class ColourSeparation(namedtuple("ColourSeparation", "mu kappa")):
     """Vertex counts of the two colour classes of a layered graph."""
 
-    mu: int
-    kappa: int
+    __slots__ = ()
 
     @property
     def balance(self) -> int:

@@ -13,8 +13,8 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from math import comb
 
 from . import rwgraph
@@ -224,21 +224,17 @@ def _isomorphism_row(ell: int, g: LayeredGraph, words: WordGraphs) -> CheckRow:
         return skipped(name, note=str(e))
 
 
-@dataclass(frozen=True)
-class Audit:
+class Audit(namedtuple("Audit", "title report lo why", defaults=(1, None))):
     """A report per length: report(ell, words) for ell >= lo.
 
-    A length from 1 to below lo gives a SKIPPED report that says why, or
-    no report when why is None; a length below 1 runs, so the report
-    raises its own DomainError; a resource limit gives a SKIPPED report.
-    The audits that read the family move graph get it from words, by
-    default family_word_graph.
+    A length from 1 to below lo gives a SKIPPED report titled title,
+    with {ell}, that says why, or no report when why is None; a length
+    below 1 runs, so the report raises its own DomainError; a resource
+    limit gives a SKIPPED report.  The audits that read the family move
+    graph get it from words, by default family_word_graph.
     """
 
-    title: str  # of the SKIPPED report, with {ell}
-    report: Callable[[int, WordGraphs], Report]
-    lo: int = 1
-    why: str | None = None
+    __slots__ = ()
 
     def run(self, ell: int, words: WordGraphs | None = None) -> Report | None:
         note = self.why

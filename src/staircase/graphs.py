@@ -10,22 +10,21 @@ weight-chain``, indexes the quadric ideal of ``toric``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(namedtuple("SimpleGraph", "n edges")):
     """Vertices 0..n-1 and edges (i, j, ...) with i < j, each stored once.
 
     Anything after j is a label that the engines ignore; they read only
-    the two ends.
+    the two ends.  A subclass that adds labels keeps n and edges as its
+    first two fields.
     """
 
-    n: int
-    edges: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def vertex_count(self) -> int:
@@ -77,8 +76,7 @@ class SimpleGraph:
         return tuple(colour)
 
 
-@dataclass(frozen=True)
-class WeightChain:
+class WeightChain(namedtuple("WeightChain", "ell")):
     """Two-row weighted node chain: top row l..1, bottom row l-1..0.
 
     Each bottom node points up to the top node of its column and the
@@ -86,7 +84,7 @@ class WeightChain:
     the last column stable.
     """
 
-    ell: int
+    __slots__ = ()
 
     @property
     def top_weights(self) -> tuple[int, ...]:

@@ -14,9 +14,8 @@ weight relations as binomials with disjoint supports.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .binomial import Binomial
@@ -28,30 +27,30 @@ MAX_GRAVER_STATES = 200_000
 WITNESS_NOTES = 100  # primitive subidentities a report lists by name
 
 
-@dataclass(frozen=True)
-class PartitionIdentity:
+class PartitionIdentity(namedtuple("PartitionIdentity", "lhs rhs bound")):
     """Two equal-sum multisets of parts in 1..bound, stored descending."""
 
-    lhs: tuple[int, ...]
-    rhs: tuple[int, ...]
-    bound: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lhs = tuple(sorted(self.lhs, reverse=True))
-        rhs = tuple(sorted(self.rhs, reverse=True))
+    def __new__(cls, lhs, rhs, bound: int) -> PartitionIdentity:
+        lhs = tuple(sorted(lhs, reverse=True))
+        rhs = tuple(sorted(rhs, reverse=True))
         if not lhs or not rhs:
             raise DomainError("both sides must be nonempty")
         for part in lhs + rhs:
             if not isinstance(part, int) or part < 1:
                 raise DomainError(f"parts must be positive integers, got {part!r}")
-            if part > self.bound:
-                raise DomainError(f"part {part} exceeds the bound {self.bound}")
+            if part > bound:
+                raise DomainError(f"part {part} exceeds the bound {bound}")
         if sum(lhs) != sum(rhs):
             raise InvalidIdentityError(
                 f"side sums differ: {sum(lhs)} vs {sum(rhs)}"
             )
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        return tuple.__new__(cls, (lhs, rhs, bound))
+
+    @classmethod
+    def _make(cls, fields) -> PartitionIdentity:
+        return cls(*fields)
 
     def all_parts_distinct(self) -> bool:
         parts = self.lhs + self.rhs
@@ -237,7 +236,7 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     # is reached once, from itself less one power of its last variable.
     n = len(ws)
     states = 0
-    by_weight: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+    by_weight: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
     frontier = [((0,) * n, 0, 0, 0, 1)]
     for e, degree, weight, support, divisors in frontier:
         if degree >= degree_bound:
@@ -251,22 +250,22 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
             wt, bits, divs = weight + w, support | 1 << i, divisors | divisors << w
             frontier.append((nxt, degree + 1, wt, bits, divs))
             # the proper divisors are all but 1 and x^nxt itself
-            by_weight.setdefault(wt, []).append((nxt, bits, divs & ~(1 | 1 << wt)))
+            by_weight.setdefault(wt, []).append((nxt, degree + 1, bits, divs & ~(1 | 1 << wt)))
 
     # The weights are positive, so a relation a - b with a | u and b | v
     # other than u - v itself has a and b proper divisors.  Such a pair
     # keeps the disjoint supports and the degree bound, so it is itself a
     # candidate: this is the dominance test over all candidates.
-    primitive: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    primitive: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     for _, group in sorted(by_weight.items()):
-        for (a, sa, pa), (b, sb, pb) in combinations(group, 2):
+        for (a, da, sa, pa), (b, db, sb, pb) in combinations(group, 2):
             states += 1
             if states > MAX_GRAVER_STATES:
                 raise ResourceLimitError(
                     states, MAX_GRAVER_STATES, "Graver states", _canonical_graver(primitive)
                 )
             if not sa & sb and not pa & pb:
-                primitive.append((a, b) if a > b else (b, a))
+                primitive.append((max(da, db), a, b) if a > b else (max(da, db), b, a))
     return _canonical_graver(primitive)
 
 
@@ -280,7 +279,7 @@ def _proper_sub_sums(parts: tuple[int, ...]) -> int:
 
 
 def _canonical_graver(
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    relations: list[tuple[int, tuple[int, ...], tuple[int, ...]]],
 ) -> tuple[Binomial, ...]:
-    ordered = sorted(pairs, key=lambda p: (max(sum(p[0]), sum(p[1])), p[0], p[1]))
-    return tuple(Binomial(u, v) for u, v in ordered)
+    """The relations (degree, u, v) as binomials, by degree, then u, then v."""
+    return tuple(Binomial(u, v) for _, u, v in sorted(relations))

@@ -10,9 +10,8 @@ inside a layer.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
@@ -24,14 +23,13 @@ MAX_ISO_NODES = 200_000  # vertex placements of one isomorphism search
 MAX_SERIES_ROWS = 10_000
 
 
-@dataclass(frozen=True)
-class LayeredGraph(SimpleGraph):
+class LayeredGraph(namedtuple("LayeredGraph", "n edges layer_sizes"), SimpleGraph):
     """Cells numbered layer by layer from layer 1, each layer by the
     coordinate b ascending: index j of layer i, labelled (i, j) in dot
     and json, is the cell (l - i - j, j).  Every edge joins a layer to
     the next one."""
 
-    layer_sizes: tuple[int, ...]
+    __slots__ = ()
 
     def _labelled_edges(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """The edges between (layer, index) labels, the later layer first, sorted."""
@@ -307,15 +305,19 @@ def vertex_parity_report(ell: int) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
-class BalanceMatrix:
+class BalanceMatrix(namedtuple("BalanceMatrix", "k")):
     """The 2x2 matrix [[k^2, k^2+k], [k^2-k, k^2]] attached to balance k."""
 
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"balance parameter must be positive, got {self.k}")
+    def __new__(cls, k: int) -> BalanceMatrix:
+        if k < 1:
+            raise DomainError(f"balance parameter must be positive, got {k}")
+        return tuple.__new__(cls, (k,))
+
+    @classmethod
+    def _make(cls, fields) -> BalanceMatrix:
+        return cls(*fields)
 
     @property
     def entries(self) -> tuple[tuple[int, int], tuple[int, int]]:

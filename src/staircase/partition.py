@@ -9,25 +9,29 @@ anti-diagonal a + b = d holds l - d cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .poly import IntPolynomial
 from .report import Report, check
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """A weakly decreasing tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, p in enumerate(self.parts):
+    def __new__(cls, parts: tuple[int, ...]) -> Partition:
+        for i, p in enumerate(parts):
             if p < 1:
                 raise DomainError(f"parts must be positive, got {p}")
-            if i and self.parts[i - 1] < p:
-                raise DomainError(f"parts must weakly decrease, got {self.parts}")
+            if i and parts[i - 1] < p:
+                raise DomainError(f"parts must weakly decrease, got {parts}")
+        return tuple.__new__(cls, (parts,))
+
+    @classmethod
+    def _make(cls, fields) -> Partition:
+        return cls(*fields)
 
     @property
     def size(self) -> int:

@@ -9,7 +9,7 @@ byte-deterministic: fixed key order, no timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -22,14 +22,9 @@ INVARIANT = "invariant"
 CLAIM = "claim"
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    observed: object
-    claimed: object
-    verdict: str
-    kind: str = CLAIM
-    note: str = ""
+class CheckRow(namedtuple("CheckRow", "name observed claimed verdict kind note",
+                          defaults=(CLAIM, ""))):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d = {
@@ -54,13 +49,13 @@ def skipped(name: str, note: str = "") -> CheckRow:
     return CheckRow(name, None, None, SKIPPED, CLAIM, note)
 
 
-@dataclass
 class Report:
     """A titled list of check rows."""
 
-    title: str
-    rows: list[CheckRow] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, title: str) -> None:
+        self.title = title
+        self.rows: list[CheckRow] = []
+        self.notes: list[str] = []
 
     def add(self, row: CheckRow) -> CheckRow:
         self.rows.append(row)
@@ -118,7 +113,7 @@ class Report:
 
 
 def _plain(x: object) -> object:
-    if isinstance(x, tuple):
+    if type(x) is tuple:  # not a record, which renders as str() gives it
         return [_plain(v) for v in x]
     return x
 

@@ -18,8 +18,8 @@ stored in one move graph, read at call time.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError, ResourceLimitError
@@ -33,11 +33,10 @@ COMMUTATION = "commutation"
 MAX_REDUCED_LETTERS = 20_000_000  # letters stored by one move graph or one words run
 
 
-@dataclass(frozen=True)
-class WordGraph(SimpleGraph):
+class WordGraph(namedtuple("WordGraph", "n edges words"), SimpleGraph):
     """Reduced words with typed move edges (i, j, type); vertices sorted, indices stable."""
 
-    words: tuple[Word, ...]
+    __slots__ = ()
 
     def braid_edge_count(self) -> int:
         return sum(1 for _, _, t in self.edges if t == BRAID)

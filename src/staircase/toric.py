@@ -35,7 +35,7 @@ Dimension always means the affine Krull dimension of the quotient.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from math import comb
 
@@ -52,44 +52,47 @@ MAX_COUNT_MASKS = 10_000  # live generator masks of one direct monomial count
 _TAYLOR_GENS = 5  # a Hilbert node of at most this many generators is a Taylor leaf
 
 
-@dataclass(frozen=True)
-class BinomialIdeal:
+class BinomialIdeal(namedtuple("BinomialIdeal", "nvars generators weights")):
     """A list of binomial generators with one weight per variable."""
 
-    nvars: int
-    generators: tuple[Binomial, ...]
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.nvars != self.nvars:
+    def __new__(cls, nvars: int, generators: tuple[Binomial, ...],
+                weights: tuple[int, ...]) -> BinomialIdeal:
+        for g in generators:
+            if g.nvars != nvars:
                 raise DomainError(
-                    f"generator on {g.nvars} variables in a {self.nvars}-variable ideal"
+                    f"generator on {g.nvars} variables in a {nvars}-variable ideal"
                 )
-        if len(self.weights) != self.nvars:
-            raise DomainError(
-                f"{len(self.weights)} weights for {self.nvars} variables"
-            )
+        if len(weights) != nvars:
+            raise DomainError(f"{len(weights)} weights for {nvars} variables")
+        return tuple.__new__(cls, (nvars, generators, weights))
+
+    @classmethod
+    def _make(cls, fields) -> BinomialIdeal:
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(namedtuple("MonomialIdeal", "nvars gens")):
     """Minimal monomial generators, kept as an antichain under division.
 
     >>> MonomialIdeal(2, ((1, 2), (1, 1), (0, 3))).gens
     ((1, 1), (0, 3))
     """
 
-    nvars: int
-    gens: tuple[Expo, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for g in self.gens:
-            if len(g) != self.nvars:
+    def __new__(cls, nvars: int, gens) -> MonomialIdeal:
+        for g in gens:
+            if len(g) != nvars:
                 raise DomainError(
-                    f"monomial on {len(g)} variables in a {self.nvars}-variable ideal"
+                    f"monomial on {len(g)} variables in a {nvars}-variable ideal"
                 )
-        object.__setattr__(self, "gens", _minimalize(self.nvars, self.gens))
+        return tuple.__new__(cls, (nvars, _minimalize(nvars, gens)))
+
+    @classmethod
+    def _make(cls, fields) -> MonomialIdeal:
+        return cls(*fields)
 
 
 def _minimalize(nvars: int, gens) -> tuple[Expo, ...]:
@@ -213,13 +216,10 @@ def initial_ideal(gb, nvars: int) -> MonomialIdeal:
     return MonomialIdeal(nvars, tuple(g.u for g in gb))
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(namedtuple("HilbertData", "numerator dimension degree")):
     """Series numerator over (1-t)^nvars, with dimension and degree."""
 
-    numerator: IntPolynomial
-    dimension: int
-    degree: int
+    __slots__ = ()
 
 
 def hilbert(mi: MonomialIdeal) -> HilbertData:

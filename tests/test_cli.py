@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -510,7 +509,7 @@ def _shape(out):
 
 
 def _without_last_word(g):
-    return dataclasses.replace(g, words=g.words[:-1])
+    return g._replace(words=g.words[:-1])
 
 
 # For each report command: a library function it calls, rebound so that
