@@ -1,13 +1,24 @@
 """Staircase permutation words, layered graphs, and toric ideal audits."""
 
+from .audits import (
+    audit_quadric_chain_ideal,
+    audit_separation_ideal,
+    balance_bound_check,
+    balance_matrix_report,
+    closed_form_report,
+    family_series_report,
+    parity_pair_report,
+    structure_report,
+    subidentity_report,
+    triangular_gf_report,
+    vertex_parity_report,
+)
 from .binomial import Binomial
 from .chroma import (
     ColourSeparation,
-    balance_bound_check,
     chromatic_number,
     chromatic_polynomial,
     class_sizes_closed_form,
-    closed_form_report,
     colour_separation,
     layered_closed_form,
     shared_balance_check,
@@ -28,25 +39,19 @@ from .identities import (
     parity_split,
     primitive_subidentities,
     primitive_subidentity_count,
-    subidentity_report,
 )
 from .layered import (
     BalanceMatrix,
     LayeredGraph,
-    balance_matrix_report,
     build_layered_graph,
-    family_series_report,
     is_isomorphic,
     missing_edge_polynomial,
-    parity_pair_report,
-    vertex_parity_report,
 )
 from .partition import (
     Partition,
     distinct_odd_parts,
     is_staircase,
     staircase,
-    triangular_gf_report,
 )
 from .perm import staircase_permutation, word_to_str
 from .poly import IntPolynomial
@@ -55,14 +60,11 @@ from .rwgraph import (
     WordGraph,
     build_word_graph,
     count_four_cycles,
-    structure_report,
 )
 from .toric import (
     BinomialIdeal,
     HilbertData,
     MonomialIdeal,
-    audit_quadric_chain_ideal,
-    audit_separation_ideal,
     consecutive_quadric_ideal,
     groebner_basis,
     hilbert,

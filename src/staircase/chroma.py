@@ -20,10 +20,8 @@ from math import comb
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
-from .layered import build_layered_graph
 from .partition import staircase
 from .poly import IntPolynomial, field_bits, pack, unpack
-from .report import INVARIANT, Report, check
 
 MAX_FRONTIER_STATES = 10_000
 
@@ -152,7 +150,7 @@ def layered_closed_form(ell: int) -> IntPolynomial:
     """The claimed closed form k(k-1)^3 (k^2-3k+3)^m with m = C(ell-1, 2).
 
     Its degree is 4 + 2m, which equals the vertex count C(ell+1, 2) only
-    for ell = 3 and 4; see closed_form_report for the audit.  The
+    for ell = 3 and 4; ``audits.closed_form_report`` audits it.  The
     expansion stops at ``poly.MAX_PRODUCT_BITS`` with
     ResourceLimitError, from ell = 42 on, before the power is taken.
     """
@@ -160,46 +158,6 @@ def layered_closed_form(ell: int) -> IntPolynomial:
         raise DomainError(f"closed form starts at length 3, got {ell}")
     m = comb(ell - 1, 2)
     return _FIXED_FACTOR * _SQUARE_FACTOR**m
-
-
-def closed_form_report(ell: int) -> Report:
-    """Claimed closed form against the swept chromatic polynomial at one length.
-
-    A length below 3, where the closed form starts, raises before any
-    sweep.  The sweep runs before the expansion, so a length past
-    ``MAX_FRONTIER_STATES`` stops before the claimed form, of degree
-    4 + (ell-1)(ell-2), is expanded.
-    """
-    if ell < 3:
-        raise DomainError(f"closed form starts at length 3, got {ell}")
-    actual = chromatic_polynomial(build_layered_graph(staircase(ell)))
-    formula = layered_closed_form(ell)
-    vertices = comb(ell + 1, 2)
-    rep = Report(f"layered closed form vs recursion, lengths {ell}..{ell}")
-    rep.add(
-        check(
-            f"formula degree at length {ell}",
-            formula.degree(),
-            vertices,
-            note="a chromatic polynomial has degree equal to the vertex count",
-        )
-    )
-    rep.add(
-        check(
-            f"formula equals recursion at length {ell}",
-            formula == actual,
-            True,
-        )
-    )
-    rep.add(
-        check(
-            f"recursion degree at length {ell}",
-            actual.degree(),
-            vertices,
-            kind=INVARIANT,
-        )
-    )
-    return rep
 
 
 def chromatic_number(g: SimpleGraph) -> int:
@@ -258,39 +216,6 @@ def class_sizes_closed_form(ell: int) -> tuple[int, int]:
         raise DomainError(f"need a positive length, got {ell}")
     h = ell // 2
     return ((h + 1) ** 2, h * (h + 1)) if ell % 2 else (h * (h + 1), h * h)
-
-
-def balance_bound_check(ell_max: int) -> Report:
-    """Balance against the ceiling bound, length by length.
-
-    The equality row compares what happens against the even-length-only
-    prediction; the closed forms for the class sizes make the bound an
-    equality at every length, so odd lengths show as mismatches.
-    """
-    if ell_max < 1:
-        raise DomainError(f"need a positive length bound, got {ell_max}")
-    rep = Report(f"balance bound through length {ell_max}")
-    for ell in range(1, ell_max + 1):
-        sep = colour_separation(ell)
-        bound = (ell + 1) // 2
-        rep.add(
-            check(
-                f"balance within bound at length {ell}",
-                sep.balance <= bound,
-                True,
-                kind=INVARIANT,
-                note=f"balance {sep.balance}, bound {bound}",
-            )
-        )
-        rep.add(
-            check(
-                f"equality only at even lengths, length {ell}",
-                sep.balance == bound,
-                ell % 2 == 0,
-                note="class-size closed forms force equality at every length",
-            )
-        )
-    return rep
 
 
 def shared_balance_check(k: int) -> bool:

@@ -4,7 +4,8 @@ Every command prints deterministic reports (text, markdown, or json)
 or one graph (dot, or json from export); identical configuration gives
 byte-identical output.  Exit codes: 0 success, 1 failed checks (any
 invariant failure in any report command, or any mismatch under
---strict), 2 usage error, 3 resource limit.
+--strict), 2 usage error, 3 resource limit.  Each report command is a
+view over ``audits``, which builds every row.
 """
 
 from __future__ import annotations
@@ -13,42 +14,14 @@ import argparse
 import functools
 import json
 import sys
-from collections import namedtuple
-from collections.abc import Callable, Iterator
-from math import comb
 
-from . import rwgraph
-from .chroma import (
-    chromatic_number,
-    class_sizes_closed_form,
-    closed_form_report,
-    colour_separation,
-    balance_bound_check,
-    shared_balance_check,
-)
+from . import audits
 from .errors import DomainError, ResourceLimitError
 from .graphs import weight_chain_diagram
-from .identities import graver_basis, subidentity_report
-from .layered import (
-    LayeredGraph,
-    balance_matrix_report,
-    build_layered_graph,
-    family_series_report,
-    is_isomorphic,
-    missing_edge_polynomial,
-    parity_pair_report,
-    vertex_parity_report,
-)
-from .partition import staircase, triangular_gf_report
-from .perm import staircase_permutation, word_to_str
-from .report import INVARIANT, CheckRow, Report, check, skipped
-from .rwgraph import WordGraph, build_word_graph, family_word_graph, structure_report
-from .toric import (
-    audit_quadric_chain_ideal,
-    audit_separation_ideal,
-    separation_ideal,
-    weight_names,
-)
+from .layered import build_layered_graph
+from .partition import staircase
+from .report import Report
+from .rwgraph import family_word_graph
 
 
 class UsageError(Exception):
@@ -191,204 +164,44 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return [*argv[: i + 1], *flags, *argv[i + 1 :]]
 
 
-WordGraphs = Callable[[int], WordGraph]  # family_word_graph, or one run's shared builds
+# The report commands: each maps its arguments and the range of lengths
+# (of sizes, for words) to its reports, all built by audits.
 
 
-def _built_once() -> WordGraphs:
-    """family_word_graph that builds each length once for its caller.
-
-    A length stopped at a cap keeps its ResourceLimitError and raises it
-    again, so every row that needs that graph reports the one build.
-    """
-    built: dict[int, WordGraph | ResourceLimitError] = {}
-
-    def words(ell: int) -> WordGraph:
-        if ell not in built:
-            try:
-                built[ell] = family_word_graph(ell)
-            except ResourceLimitError as e:
-                built[ell] = e
-        if isinstance(built[ell], ResourceLimitError):
-            raise built[ell]
-        return built[ell]
-
-    return words
+def cmd_words(args, sizes):
+    return audits.word_reports(sizes)
 
 
-def _isomorphism_row(ell: int, g: LayeredGraph, words: WordGraphs) -> CheckRow:
-    """The layered graph g against the move graph at ell, SKIPPED at a cap."""
-    name = "isomorphic to the reduced-word graph"
-    try:
-        return check(name, is_isomorphic(words(ell), g), True, kind=INVARIANT)
-    except ResourceLimitError as e:
-        return skipped(name, note=str(e))
+def cmd_graph(args, lengths):
+    return map(audits.structure_report, lengths)
 
 
-class Audit(namedtuple("Audit", "title report lo why", defaults=(1, None))):
-    """A report per length: report(ell, words) for ell >= lo.
-
-    A length from 1 to below lo gives a SKIPPED report titled title,
-    with {ell}, that says why, or no report when why is None; a length
-    below 1 runs, so the report raises its own DomainError; a resource
-    limit gives a SKIPPED report.  The audits that read the family move
-    graph get it from words, by default family_word_graph.
-    """
-
-    __slots__ = ()
-
-    def run(self, ell: int, words: WordGraphs | None = None) -> Report | None:
-        note = self.why
-        if not 1 <= ell < self.lo:
-            try:
-                return self.report(ell, words or family_word_graph)
-            except ResourceLimitError as e:
-                note = f"resource limit: {e}"
-        if note is None:
-            return None
-        rep = Report(self.title.format(ell=ell))
-        rep.add(skipped("audit", note=note))
-        return rep
-
-
-def _layered_checks(ell: int, words: WordGraphs) -> Report:
-    g = build_layered_graph(staircase(ell))
-    rep = Report(f"layered checks at length {ell}")
-    rep.add(_isomorphism_row(ell, g, words))
-    # bipartite, so chromatic_number answers without the chromatic sweep
-    rep.add(check("chromatic number", chromatic_number(g), 2))
-    if ell > 3:
-        rep.rows.extend(parity_pair_report(ell - 1).rows)
-    return rep
-
-
-# verify-all runs every audit, in this order, at each length; conjectures
-# runs c1, c2 or both.  The imported report functions are called through
-# lambdas, so each call looks up the module-level name, which a test or a
-# tracer may have rebound.
-_AUDITS = {
-    "census": Audit(
-        "move-graph census at ell = {ell}",
-        lambda ell, words: structure_report(ell, words),
-    ),
-    "layered": Audit("layered checks at length {ell}", _layered_checks),
-    "closed form": Audit(
-        "layered closed form vs recursion, lengths {ell}..{ell}",
-        lambda ell, _words: closed_form_report(ell),
-    ),
-    "subidentities": Audit(
-        "subidentities at length {ell}",
-        lambda ell, _words: subidentity_report(ell),
-        lo=5,
-    ),
-    "c1": Audit(
-        "separation ideal audit at length {ell}",
-        lambda ell, _words: audit_separation_ideal(ell),
-        5, "the distinct-parts hypothesis needs length >= 5",
-    ),
-    "c2": Audit(
-        "consecutive-quadric ideal audit at length {ell}",
-        lambda ell, _words: audit_quadric_chain_ideal(ell),
-        2, "the quadric chain needs length >= 2",
-    ),
-}
-
-
-def cmd_words(args, lo: int, hi: int) -> Iterator[Report]:
-    # the reports hold every word of the range, so the word cap bounds their sum
-    letters, cap = 0, rwgraph.MAX_REDUCED_LETTERS
-    for r in range(lo, hi + 1):
-        words = build_word_graph(staircase_permutation(r)).words
-        letters += sum(map(len, words))
-        if letters > cap:
-            raise ResourceLimitError(letters, cap, "stored reduced-word letters")
-        rep = Report(f"reduced words of the staircase permutation, size {r}")
-        rep.add(check("word count", len(words), comb(r, 2), kind=INVARIANT))
-        for w in words:
-            rep.note(word_to_str(w))
-        yield rep
-
-
-def cmd_graph(args, lo: int, hi: int) -> Iterator[Report]:
-    return (structure_report(ell) for ell in range(lo, hi + 1))
-
-
-def cmd_layered(args, lo: int, hi: int) -> Iterator[Report]:
-    for ell in range(lo, hi + 1):
-        g = build_layered_graph(staircase(ell))
-        rep = Report(f"layered graph at length {ell}")
-        rep.add(check("layer sizes", g.layer_sizes, tuple(range(ell, 0, -1)),
-                      kind=INVARIANT))
-        rep.add(check("edge count", g.edge_count, ell * (ell - 1), kind=INVARIANT))
-        if ell >= 3:
-            rep.add(_isomorphism_row(ell, g, family_word_graph))
-        rep.note(f"missing-edge polynomial {missing_edge_polynomial(ell).format('e')}")
-        if ell > 1:
-            rep.rows.extend(parity_pair_report(ell - 1).rows)
-        if ell % 2 == 1:
-            rep.rows.extend(vertex_parity_report(ell).rows)
-        yield rep
+def cmd_layered(args, lengths):
+    yield from map(audits.layered_report, lengths)
     if args.series:
-        yield family_series_report(args.series)
+        yield audits.family_series_report(args.series)
 
 
-def cmd_chroma(args, lo: int, hi: int) -> Iterator[Report]:
-    for ell in range(lo, hi + 1):
-        rep = closed_form_report(ell)
-        number = chromatic_number(build_layered_graph(staircase(ell)))
-        rep.add(check(f"chromatic number at length {ell}", number, 2))
-        yield rep
+def cmd_chroma(args, lengths):
+    return map(audits.chromatic_report, lengths)
 
 
-def cmd_separation(args, lo: int, hi: int) -> Iterator[Report]:
-    yield balance_bound_check(hi)
-    for ell in range(lo, hi + 1):
-        sep = colour_separation(ell)
-        rep = Report(f"colour separation at length {ell}")
-        rep.add(check("class sizes (mu, kappa)", (sep.mu, sep.kappa),
-                      class_sizes_closed_form(ell), kind=INVARIANT,
-                      note="closed forms from the layer sums"))
-        if ell % 2 == 0:
-            k = ell // 2
-            rep.add(check(f"pair at lengths {ell - 1}, {ell} shares balance {k}",
-                          shared_balance_check(k), True, kind=INVARIANT))
-            rep.rows.extend(balance_matrix_report(k).rows)
-        yield rep
+def cmd_separation(args, lengths):
+    yield audits.balance_bound_check(lengths[-1])
+    yield from map(audits.separation_report, lengths)
 
 
-def cmd_identities(args, lo: int, hi: int) -> Iterator[Report]:
-    for ell in range(lo, hi + 1):
-        rep = subidentity_report(ell)
-        if args.degree_bound:
-            weights = separation_ideal(ell).weights
-            names = weight_names(weights)
-            for b in graver_basis(weights, args.degree_bound):
-                rep.note(f"graver: {b.format(names)}")
-        yield rep
+def cmd_identities(args, lengths):
+    return (audits.subidentity_report(ell, args.degree_bound) for ell in lengths)
 
 
-def cmd_conjectures(args, lo: int, hi: int) -> Iterator[Report]:
+def cmd_conjectures(args, lengths):
     names = ("c1", "c2") if args.which == "both" else (args.which,)
-    for ell in range(lo, hi + 1):
-        for name in names:
-            yield _AUDITS[name].run(ell)
+    return (audits.AUDITS[name].run(ell) for ell in lengths for name in names)
 
 
-def cmd_verify_all(args, lo: int, hi: int) -> list[Report]:
-    reports = [triangular_gf_report()]
-    for ell in range(lo, hi + 1):
-        words = _built_once()  # the census and the layered checks share one build
-        runs = (audit.run(ell, words) for audit in _AUDITS.values())
-        reports += [rep for rep in runs if rep is not None]
-    reports.append(balance_bound_check(hi))
-    reports += [balance_matrix_report(k) for k in range(1, hi // 2 + 1)]
-    failures = sum(len(r.invariant_failures()) for r in reports)
-    mismatches = sum(len(r.mismatches()) for r in reports)
-    summary = Report("summary")
-    summary.add(check("invariant failures", failures, 0, kind=INVARIANT))
-    summary.note(f"claim mismatches reported: {mismatches}")
-    if mismatches and not args.strict:
-        summary.note("claim mismatches do not fail the run without --strict")
-    return [*reports, summary]
+def cmd_verify_all(args, lengths):
+    return audits.verify_all(lengths, args.strict)
 
 
 _COMMANDS = {
@@ -403,7 +216,7 @@ _COMMANDS = {
 }
 
 # The graph artifacts by export --kind; graph and layered draw theirs
-# with --format dot.  Lambdas, as in _AUDITS, so rebound names are seen.
+# with --format dot.  Lambdas, so that rebound names are seen.
 _GRAPHS = {
     "word-graph": lambda ell: family_word_graph(ell),
     "layered-graph": lambda ell: build_layered_graph(staircase(ell)),
@@ -428,7 +241,7 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
             return graph.to_dot(), 0
         data, code = graph.to_json(), 0
     else:
-        reports = list(_COMMANDS[args.command](args, lo, hi))
+        reports = list(_COMMANDS[args.command](args, range(lo, hi + 1)))
         strict = getattr(args, "strict", False)
         code = int(any(r.invariant_failures() or strict and r.mismatches() for r in reports))
         if args.format != "json":

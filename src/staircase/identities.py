@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import combinations, islice
+from itertools import combinations
 
 from .binomial import Binomial
 from .chroma import colour_separation
 from .errors import DomainError, InvalidIdentityError, ResourceLimitError
-from .report import INVARIANT, Report, check
 
 MAX_GRAVER_STATES = 200_000
-WITNESS_NOTES = 100  # primitive subidentities a report lists by name
 
 
 class PartitionIdentity(namedtuple("PartitionIdentity", "lhs rhs bound")):
@@ -162,40 +160,6 @@ def parity_split(ell: int) -> tuple[PartitionIdentity, PartitionIdentity]:
         PartitionIdentity(ident.lhs[i::2], (r,), ident.bound)
         for i, r in enumerate(ident.rhs)
     )
-
-
-def subidentity_report(ell: int) -> Report:
-    """Primitivity audit of the colour-separation identity at length ell."""
-    ident = colour_separation_identity(ell)
-    rep = Report(f"subidentities of {ident}")
-    rep.note(
-        "a proper subidentity keeps a nonempty part of each side and is "
-        "not the whole identity"
-    )
-    splits = parity_split(ell)
-    rep.add(check("all parts distinct", ident.all_parts_distinct(), True,
-                  kind=INVARIANT))
-    rep.add(check("identity is primitive", is_primitive(ident), False,
-                  note="the parity splits always exist"))
-    count = primitive_subidentity_count(ident)
-    rep.add(check("primitive subidentity count", count, 2,
-                  note="claimed count; a subset-sum knapsack counts every one"))
-    # tested split by split: a split's largest part is near the length,
-    # so from length 11 on it sorts after the listed witnesses
-    found = [
-        is_primitive(s) and not Counter(s.lhs) - Counter(ident.lhs)
-        and not Counter(s.rhs) - Counter(ident.rhs) and s != ident
-        for s in splits
-    ]
-    rep.add(check("parity splits among the primitive subidentities", all(found),
-                  True, kind=INVARIANT))
-    rep.add(check("subidentities equal to a parity split", sum(found), 2,
-                  kind=INVARIANT))
-    for sub in islice(primitive_subidentities(ident), WITNESS_NOTES):
-        rep.note(f"primitive: {sub}")
-    if count > WITNESS_NOTES:
-        rep.note(f"and {count - WITNESS_NOTES} more")
-    return rep
 
 
 def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:

@@ -15,12 +15,10 @@ from collections.abc import Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
-from .partition import Partition, distinct_odd_parts, is_staircase, staircase
+from .partition import Partition, is_staircase, staircase  # staircase: the doctests
 from .poly import IntPolynomial
-from .report import INVARIANT, Report, check
 
 MAX_ISO_NODES = 200_000  # vertex placements of one isomorphism search
-MAX_SERIES_ROWS = 10_000
 
 
 class LayeredGraph(namedtuple("LayeredGraph", "n edges layer_sizes"), SimpleGraph):
@@ -237,74 +235,6 @@ def missing_edge_polynomial(ell: int) -> IntPolynomial:
     return IntPolynomial(range(1, ell + 1))
 
 
-def family_series_report(n: int) -> Report:
-    """Truncations of z/((1-e)(1-ez)^2) against the per-length polynomials.
-
-    Both sides are truncated at z^n and e^n.  The closed form's
-    e-expansion is an infinite tail at every z-degree, so
-    coefficient-wise agreement with sum_{l>=2} P_l(e) z^l cannot hold
-    beyond the main diagonal; this report tabulates both sides and marks
-    each coefficient, asserting nothing.  Its n(n+1) rows are capped at
-    MAX_SERIES_ROWS.
-    """
-    if n < 1:
-        raise DomainError(f"need a positive truncation order, got {n}")
-    if n * (n + 1) > MAX_SERIES_ROWS:
-        raise ResourceLimitError(n * (n + 1), MAX_SERIES_ROWS, "series rows")
-    rep = Report(f"family generating function truncated at z^{n}, e^{n}")
-    for m in range(1, n + 1):
-        family = missing_edge_polynomial(m) if m >= 2 else IntPolynomial()
-        for q in range(n + 1):
-            # closed form: z * (sum_q e^q) * (sum_j (j+1) e^j z^j)
-            rep.add(check(f"coefficient of z^{m} e^{q}", m if q >= m - 1 else 0, family[q]))
-    rep.note(
-        "closed form carries coefficient m for every e-degree >= m-1, the "
-        "polynomial side starts at z^2 and stops at e-degree m-1; only the "
-        "diagonal from z^2 on can agree"
-    )
-    return rep
-
-
-def parity_pair_report(ell: int) -> Report:
-    """Three equivalent parity predicates for the staircases of lengths
-    ell and ell + 1, ell >= 1.
-
-    (i) the two sizes share parity, (ii) ell is odd, (iii) the
-    distinct-odd-parts partitions share length.  The claimed
-    equivalence is that all three agree.
-    """
-    p1, p2 = staircase(ell), staircase(ell + 1)
-    same_parity = p1.size % 2 == p2.size % 2
-    first_odd = ell % 2 == 1
-    equal_dop = len(distinct_odd_parts(p1).parts) == len(distinct_odd_parts(p2).parts)
-    rep = Report(f"parity pair at lengths {ell}, {ell + 1}")
-    rep.add(check("sizes share parity", same_parity, first_odd,
-                  kind=INVARIANT, note="claimed equivalent to first length odd"))
-    rep.add(check("distinct-odd-parts lengths equal", equal_dop, first_odd,
-                  kind=INVARIANT, note="claimed equivalent to first length odd"))
-    rep.add(check("all three predicates agree",
-                  same_parity == first_odd == equal_dop, True, kind=INVARIANT))
-    return rep
-
-
-def vertex_parity_report(ell: int) -> Report:
-    """Audit the claimed size parity of the pair starting at odd ell.
-
-    The claim under audit: both sizes even when ell = 1 mod 4, both odd
-    when ell = 3 mod 4.  Observed parity is reported next to it.
-    """
-    if ell % 2 == 0:
-        raise DomainError(f"the parity classes are claimed for odd lengths, got {ell}")
-    size1, size2 = staircase(ell).size, staircase(ell + 1).size
-    observed = "even-vertices" if size1 % 2 == 0 else "odd-vertices"
-    claimed = "even-vertices" if ell % 4 == 1 else "odd-vertices"
-    rep = Report(f"vertex-count parity class at ell = {ell}")
-    rep.add(check("sizes share parity", size1 % 2 == size2 % 2, True, kind=INVARIANT))
-    rep.add(check("parity class", observed, claimed,
-                  note=f"sizes {size1}, {size2}"))
-    return rep
-
-
 class BalanceMatrix(namedtuple("BalanceMatrix", "k")):
     """The 2x2 matrix [[k^2, k^2+k], [k^2-k, k^2]] attached to balance k."""
 
@@ -332,19 +262,3 @@ class BalanceMatrix(namedtuple("BalanceMatrix", "k")):
     def column_sums(self) -> tuple[int, int]:
         (a, b), (c, d) = self.entries
         return (a + c, b + d)
-
-
-def balance_matrix_report(k: int) -> Report:
-    m = BalanceMatrix(k)
-    rep = Report(f"balance matrix at k = {k}")
-    rep.add(check("determinant", m.determinant, k * k, kind=INVARIANT))
-    rep.add(
-        check(
-            "column sums",
-            m.column_sums(),
-            (staircase(2 * k - 1).size, staircase(2 * k).size),
-            kind=INVARIANT,
-            note="sizes of the shared-balance staircase pair",
-        )
-    )
-    return rep

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError
-from .poly import IntPolynomial
-from .report import Report, check
 
 
 class Partition(namedtuple("Partition", "parts")):
@@ -97,19 +95,3 @@ def distinct_odd_parts(p: Partition) -> Partition:
         hooks.append(p.hook_length(i, i))
         i += 1
     return Partition(tuple(hooks))
-
-
-def triangular_gf_report() -> Report:
-    """Coefficients of z / (1 - z)^3 against the triangular numbers, z^0..z^10.
-
-    Index 0 is included but flagged degenerate: the series and the
-    closed form both vanish there, so it carries no information.
-    """
-    upto = 10
-    coeffs = IntPolynomial.variable().series_prefix(3, upto)
-
-    rep = Report(f"triangular generating function through index {upto}")
-    for r in range(upto + 1):
-        note = "degenerate index" if r == 0 else ""
-        rep.add(check(f"coefficient of z^{r}", coeffs[r], r * (r + 1) // 2, note=note))
-    return rep

@@ -19,13 +19,10 @@ stored in one move graph, read at call time.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
-from math import comb
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
 from .perm import Word, check_permutation, staircase_permutation, word_to_str
-from .report import INVARIANT, Report, check
 
 BRAID = "braid"
 COMMUTATION = "commutation"
@@ -197,36 +194,3 @@ def family_word_graph(ell: int) -> WordGraph:
     if ell < 3:
         raise DomainError(f"the family move graph starts at ell = 3, got {ell}")
     return build_word_graph(staircase_permutation(ell + 1))
-
-
-def structure_report(
-    ell: int, words: Callable[[int], WordGraph] | None = None
-) -> Report:
-    """Audit the claimed census of the degree-(ell+1) family move graph.
-
-    The printed claims under audit: C(ell+1, 2) vertices, ell(ell+1)
-    edges, ell-1 braid edges, C(ell-1, 2) four-cycles, and an
-    alternating sum v + c - e = 1.  The edge claim is also compared
-    against the independent closed count ell(ell-1).  ``words(ell)``
-    gives the graph when a caller shares its builds; by default
-    ``family_word_graph`` builds it.
-    """
-    if ell < 3:
-        raise DomainError(f"the family census starts at ell = 3, got {ell}")
-    g = (words or family_word_graph)(ell)
-    cycles = count_four_cycles(g)
-    rep = Report(f"move-graph census at ell = {ell}")
-    rep.add(check("vertices", g.vertex_count, comb(ell + 1, 2)))
-    rep.add(check("edges (printed claim)", g.edge_count, ell * (ell + 1)))
-    rep.add(check("edges (closed count)", g.edge_count, ell * (ell - 1)))
-    rep.add(check("braid edges", g.braid_edge_count(), ell - 1))
-    rep.add(check("four-cycles", cycles, comb(ell - 1, 2)))
-    rep.add(
-        check(
-            "vertices + cycles - edges",
-            g.vertex_count + cycles - g.edge_count,
-            1,
-            kind=INVARIANT,
-        )
-    )
-    return rep

@@ -1,8 +1,11 @@
 """Binomial ideals, a Buchberger engine for them, and Hilbert data.
 
-Two engines carry every dimension and degree row.  Both run on packed
-exponent words (``binomial.Words``), one int per monomial, and build
-tuples only at entry and exit.
+The two family ideals, the separation ideal and the consecutive
+quadrics, are built here; ``audits`` holds the reports on them.
+
+Two engines compute every dimension and degree the audits report.
+Both run on packed exponent words (``binomial.Words``), one int per
+monomial, and build tuples only at entry and exit.
 
 Buchberger never leaves pure differences: S-pairs of binomials are
 binomials and reduction is monomial rewriting, so coefficients stay
@@ -26,8 +29,6 @@ or more generators a call starts, MAX_HILBERT_DEPTH their nesting.
 ``standard_monomial_counts`` counts the same series directly on
 exponent tuples, in at most MAX_COUNT_MASKS live masks, and shares no
 code with the recursion.
-With a variable of weight 1, one reduction per variable tells whether
-a binomial ideal is its whole weight kernel.
 
 Dimension always means the affine Krull dimension of the quotient.
 """
@@ -43,7 +44,6 @@ from .binomial import Binomial, Expo, Pair, Words, reduce_monomial
 from .errors import DomainError, ResourceLimitError
 from .identities import PartitionIdentity, colour_separation_identity, parity_split
 from .poly import IntPolynomial, field_bits, unpack
-from .report import INVARIANT, CheckRow, Report, check
 
 MAX_BASIS = 256
 MAX_HILBERT_ENTRIES = 20_000_000  # exponent entries of the nodes one call starts
@@ -431,81 +431,6 @@ def weight_names(weights) -> list[str]:
     return [f"x{w}" for w in weights]
 
 
-def _hilbert_rows(rep: Report, gb, nvars: int, dimension: int, degree: int) -> None:
-    """Dimension and degree of the quotient by gb against the claimed ones,
-    and its series against the direct monomial count."""
-    mi = initial_ideal(gb, nvars)
-    hd = hilbert(mi)
-    rep.add(check("dimension", hd.dimension, dimension))
-    rep.add(check("degree", hd.degree, degree))
-    rep.add(
-        check(
-            "series prefix equals direct monomial count through degree 8",
-            hd.numerator.series_prefix(nvars, 8),
-            standard_monomial_counts(mi, 8),
-            kind=INVARIANT,
-        )
-    )
-
-
-def weight_kernel_row(ideal: BinomialIdeal, gb) -> CheckRow:
-    """Whether the ideal, with Groebner basis gb, is the weight kernel.
-
-    With x of weight 1, the kernel of x_i -> t^(weights[i]) is generated
-    by x_w - x^w for the other variables x_w, as the quotient by those
-    is k[x] = k[t]; the note counts those that do not reduce to zero
-    modulo gb and names the first two as x^w - x_w, lead first when the
-    other weights exceed 1, as the audited ones do.
-    """
-    if 1 not in ideal.weights:
-        raise DomainError(f"no variable of weight 1 among {ideal.weights}")
-    one, n = ideal.weights.index(1), ideal.nvars
-    # rewrites never raise the degree: no exponent outgrows a weight or basis exponent
-    words = Words.holding(n, max(ideal.weights + tuple(x for g in gb for x in g.u + g.v)))
-    basis = [words.pack_binomial(g) for g in gb]
-    outside = []
-    for i, w in enumerate(ideal.weights):  # x - x^1 is 0 and reduces to it
-        u = tuple(int(j == i) for j in range(n))
-        v = tuple(w * (j == one) for j in range(n))
-        if reduce_monomial(words.pack(u), 1, basis, words) != reduce_monomial(
-            words.pack(v), w, basis, words
-        ):
-            outside.append(Binomial(v, u).format(weight_names(ideal.weights)))
-    note = f"{len(outside)} of {n - 1} kernel generators lie outside"
-    if outside:
-        note += "; first " + ", ".join(outside[:2])
-    return check("the two relations generate the weight kernel", not outside, True, note=note)
-
-
-def audit_separation_ideal(ell: int) -> Report:
-    """Audit of the two-generator separation ideal at one length.
-
-    Computes the Groebner basis, Hilbert dimension and degree of the
-    ideal the two parity-split generators generate, compares with the
-    claimed dimension l and degree ceil(l/2)*floor(l/2), and checks
-    whether that ideal is the whole kernel of the weight map.
-    """
-    ideal = separation_ideal(ell)
-    names = weight_names(ideal.weights)
-    rep = Report(f"separation ideal audit at length {ell}")
-    rep.note(
-        "dimension and degree are affine: Krull dimension of the full "
-        "quotient ring and reduced Hilbert numerator at 1"
-    )
-    rep.note("two readings: the ideal of the two relations (dimension and "
-             "degree rows) and the whole weight kernel (kernel row)")
-    for g in ideal.generators:
-        rep.add(check(f"generator {g.format(names)} vanishes under the weight map",
-                      g.in_kernel(ideal.weights), True, kind=INVARIANT))
-    gb = groebner_basis(ideal.generators)
-    rep.add(check("basis elements stay in the weight kernel",
-                  all(g.in_kernel(ideal.weights) for g in gb), True,
-                  kind=INVARIANT, note=f"basis size {len(gb)}"))
-    _hilbert_rows(rep, gb, ideal.nvars, ell, (ell + 1) // 2 * (ell // 2))
-    rep.add(weight_kernel_row(ideal, gb))
-    return rep
-
-
 def consecutive_quadric_ideal(ell: int) -> BinomialIdeal:
     """x_(j-1) x_(j+1) - x_j^2 for j = 1..l-1, weights 0..l.
 
@@ -524,21 +449,3 @@ def consecutive_quadric_ideal(ell: int) -> BinomialIdeal:
         v[j] = 2
         gens.append(Binomial(tuple(u), tuple(v)))
     return BinomialIdeal(n, tuple(gens), tuple(range(n)))
-
-
-def audit_quadric_chain_ideal(ell: int) -> Report:
-    """Audit of the consecutive-quadric ideal at one length."""
-    ideal = consecutive_quadric_ideal(ell)
-    rep = Report(f"consecutive-quadric ideal audit at length {ell}")
-    rep.note(
-        "dimension is the affine Krull dimension of the quotient; the "
-        "projective dimension is one less"
-    )
-    rep.add(check("generator count", len(ideal.generators), ell - 1,
-                  kind=INVARIANT))
-    rep.add(check("generators vanish under x_i -> t^i",
-                  all(g.in_kernel(ideal.weights) for g in ideal.generators), True,
-                  kind=INVARIANT))
-    gb = groebner_basis(ideal.generators)
-    _hilbert_rows(rep, gb, ideal.nvars, 2, 2 ** (ell - 1))
-    return rep

@@ -4,8 +4,15 @@ import json
 import time
 from math import comb
 
-from staircase.chroma import (
+from staircase.audits import (
+    audit_quadric_chain_ideal,
+    audit_separation_ideal,
     balance_bound_check,
+    family_series_report,
+    structure_report,
+    triangular_gf_report,
+)
+from staircase.chroma import (
     chromatic_number,
     chromatic_polynomial,
     colour_separation,
@@ -23,20 +30,13 @@ from staircase.identities import (
 from staircase.layered import (
     BalanceMatrix,
     build_layered_graph,
-    family_series_report,
     is_isomorphic,
 )
-from staircase.partition import staircase, triangular_gf_report
+from staircase.partition import staircase
 from staircase.perm import staircase_permutation, word_to_str
 from staircase.poly import IntPolynomial
-from staircase.rwgraph import (
-    build_word_graph,
-    count_four_cycles,
-    structure_report,
-)
+from staircase.rwgraph import build_word_graph, count_four_cycles
 from staircase.toric import (
-    audit_quadric_chain_ideal,
-    audit_separation_ideal,
     consecutive_quadric_ideal,
     hilbert,
     initial_ideal,

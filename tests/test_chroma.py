@@ -4,12 +4,11 @@ from math import comb, perm
 
 import pytest
 
-from staircase import chroma
+from staircase import audits, chroma
+from staircase.audits import balance_bound_check, closed_form_report
 from staircase.chroma import (
-    balance_bound_check,
     chromatic_number,
     chromatic_polynomial,
-    closed_form_report,
     colour_separation,
     layered_closed_form,
     shared_balance_check,
@@ -85,7 +84,7 @@ def test_closed_form_report_checks_its_floor_before_the_sweep(ell, monkeypatch):
     def no_sweep(g):
         raise AssertionError("swept below the closed form's floor")
 
-    monkeypatch.setattr(chroma, "chromatic_polynomial", no_sweep)
+    monkeypatch.setattr(audits, "chromatic_polynomial", no_sweep)
     with pytest.raises(DomainError, match=f"closed form starts at length 3, got {ell}$"):
         closed_form_report(ell)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from staircase import chroma, cli, identities, layered, rwgraph, toric
+from staircase import audits, chroma, cli, layered, rwgraph, toric
 from staircase.cli import main
 from staircase.perm import staircase_permutation, word_to_str
 from staircase.poly import IntPolynomial
@@ -498,7 +498,7 @@ def test_identities_past_twenty_parts(capsys):
         "subidentities equal to a parity split            observed=2  claimed=2  MATCH",
     ):
         assert row in out
-    rep = cli._AUDITS["subidentities"].run(19)
+    rep = audits.AUDITS["subidentities"].run(19)
     assert not any(row.verdict == "SKIPPED" for row in rep.rows)
     assert not rep.invariant_failures()
 
@@ -512,21 +512,22 @@ def _without_last_word(g):
     return g._replace(words=g.words[:-1])
 
 
-# For each report command: a library function it calls, rebound so that
-# the invariant row named last in the entry comes out wrong.
+# For each report command: an engine function that audits calls for it,
+# rebound in audits so that the invariant row named last in the entry
+# comes out wrong.
 _BROKEN = [
-    ("words --r 4..5", cli, "build_word_graph",
+    ("words --r 4..5", audits, "build_word_graph",
      lambda w: _without_last_word(rwgraph.build_word_graph(w)), "word count"),
-    ("graph --ell 4", rwgraph, "count_four_cycles", lambda g: 999, "vertices + cycles - edges"),
-    ("layered --ell 3..4", cli, "is_isomorphic",
+    ("graph --ell 4", audits, "count_four_cycles", lambda g: 999, "vertices + cycles - edges"),
+    ("layered --ell 3..4", audits, "is_isomorphic",
      lambda a, b: False, "isomorphic to the reduced-word graph"),
-    ("chroma --ell 4", chroma, "chromatic_polynomial",
+    ("chroma --ell 4", audits, "chromatic_polynomial",
      lambda g: IntPolynomial.variable(), "recursion degree at length 4"),
-    ("separation --ell 3..4", cli, "class_sizes_closed_form",
+    ("separation --ell 3..4", audits, "class_sizes_closed_form",
      lambda ell: (0, 0), "class sizes (mu, kappa)"),
-    ("identities --ell 5", identities, "is_primitive",
+    ("identities --ell 5", audits, "is_primitive",
      lambda ident: False, "parity splits among the primitive subidentities"),
-    ("conjectures --ell 5 --which c2", toric, "standard_monomial_counts",
+    ("conjectures --ell 5 --which c2", audits, "standard_monomial_counts",
      lambda mi, upto: (0,) * (upto + 1),
      "series prefix equals direct monomial count through degree 8"),
 ]
@@ -555,6 +556,44 @@ def test_every_report_command_exits_1_on_an_invariant_failure(
     assert any(line.strip().startswith(row) and line.endswith("MISMATCH")
                for line in text.splitlines())
 
+
+
+# For verify-all: an engine function that audits calls at length 4,
+# rebound in audits so that one invariant row comes out wrong.
+_BROKEN_IN_VERIFY_ALL = [
+    ("count_four_cycles", lambda g: 999, "vertices + cycles - edges"),
+    ("standard_monomial_counts", lambda mi, upto: (0,) * (upto + 1),
+     "series prefix equals direct monomial count through degree 8"),
+]
+
+
+@pytest.mark.parametrize("name, broken, row", _BROKEN_IN_VERIFY_ALL,
+                         ids=[c[0] for c in _BROKEN_IN_VERIFY_ALL])
+def test_verify_all_exits_1_on_an_invariant_failure(capsys, monkeypatch, name, broken, row):
+    argv = ["verify-all", "--ell", "4", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    shape = _shape(out)
+    summary = json.loads(out)[-1]
+    assert [(r["name"], r["verdict"]) for r in summary["rows"]] == [("invariant failures", "MATCH")]
+    monkeypatch.setattr(audits, name, broken)
+    for strict in ([], ["--strict"]):
+        code, out, err = run(capsys, *argv, *strict)
+        assert (code, err) == (1, ""), strict
+        # every report still prints, with the row marked and counted
+        assert _shape(out) == shape
+        *reports, summary = json.loads(out)
+        marked = [r for rep in reports for r in rep["rows"] if r["name"] == row]
+        assert len(marked) == 1
+        assert (marked[0]["verdict"], marked[0]["kind"]) == ("MISMATCH", "invariant")
+        (failures,) = summary["rows"]
+        assert failures["name"] == "invariant failures"
+        assert (failures["observed"], failures["claimed"]) == (1, 0)
+        assert (failures["verdict"], failures["kind"]) == ("MISMATCH", "invariant")
+        code, text, _ = run(capsys, *argv[:-2], *strict)
+        assert code == 1
+        tail = text.split("\nsummary\n")[1].splitlines()
+        assert tail[0].split() == ["invariant", "failures", "observed=1", "claimed=0", "MISMATCH"]
 
 def test_claim_mismatches_alone_exit_0(capsys):
     for argv in ("graph --ell 4", "chroma --ell 5", "identities --ell 5",

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from staircase.audits import subidentity_report
 from staircase.binomial import Binomial
 from staircase.chroma import colour_separation
 from staircase import identities
@@ -21,7 +22,6 @@ from staircase.identities import (
     parity_split,
     primitive_subidentities,
     primitive_subidentity_count,
-    subidentity_report,
 )
 
 from identities_oracle import (

@@ -8,18 +8,20 @@ import pytest
 from iso_oracle import isomorphic_by_permutations
 from layered_oracle import is_subgraph_order
 from staircase import layered
+from staircase.audits import (
+    balance_matrix_report,
+    family_series_report,
+    parity_pair_report,
+    vertex_parity_report,
+)
 from staircase.chroma import chromatic_polynomial, colour_separation
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.layered import (
     BalanceMatrix,
-    balance_matrix_report,
     build_layered_graph,
-    family_series_report,
     is_isomorphic,
     missing_edge_polynomial,
-    parity_pair_report,
-    vertex_parity_report,
 )
 from staircase.partition import Partition, staircase
 from staircase.perm import staircase_permutation

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from staircase import chroma, identities, layered, perm, poly, rwgraph, toric
+from staircase import audits, chroma, identities, layered, perm, poly, rwgraph, toric
 from staircase.binomial import Binomial
 from staircase.errors import ResourceLimitError
 from staircase.partition import staircase
@@ -40,7 +40,7 @@ LIMITS = {
         layered, "MAX_ISO_NODES", 10, lambda: layered.is_isomorphic(G6, G6), None
     ),
     "series rows": (
-        layered, "MAX_SERIES_ROWS", 10, lambda: layered.family_series_report(3), None
+        audits, "MAX_SERIES_ROWS", 10, lambda: audits.family_series_report(3), None
     ),
     "permutation entries": (
         rwgraph, None, 7, lambda: rwgraph.build_word_graph(W8, max_degree=7), None

@@ -1,16 +1,15 @@
 import pytest
 
+from staircase.audits import parity_pair_report, subidentity_report, triangular_gf_report
 from staircase.chroma import colour_separation
 from staircase.errors import DomainError
 from staircase.graphs import weight_chain_diagram
-from staircase.identities import colour_separation_identity, parity_split, subidentity_report
-from staircase.layered import parity_pair_report
+from staircase.identities import colour_separation_identity, parity_split
 from staircase.partition import (
     Partition,
     distinct_odd_parts,
     is_staircase,
     staircase,
-    triangular_gf_report,
 )
 from staircase.toric import separation_ideal
 

@@ -7,9 +7,9 @@ path, ``_make`` and ``_replace`` included.
 
 import pytest
 
+from staircase.audits import Audit
 from staircase.binomial import Binomial
 from staircase.chroma import ColourSeparation, colour_separation
-from staircase.cli import Audit
 from staircase.errors import DomainError, InvalidIdentityError
 from staircase.graphs import SimpleGraph, WeightChain
 from staircase.identities import PartitionIdentity

@@ -8,15 +8,12 @@ import pytest
 from perm_oracle import enumerate_reduced_words
 from rwgraph_oracle import all_pairs_edges, detect_move, four_cycles_by_subsets
 from staircase import rwgraph
+from staircase.audits import structure_report
 from staircase.errors import ResourceLimitError
 from staircase.graphs import SimpleGraph
 from staircase.perm import staircase_permutation
 from staircase.report import MISMATCH
-from staircase.rwgraph import (
-    build_word_graph,
-    count_four_cycles,
-    structure_report,
-)
+from staircase.rwgraph import build_word_graph, count_four_cycles
 
 
 def test_detect_move_kinds():

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from staircase import toric
+from staircase.audits import audit_quadric_chain_ideal, audit_separation_ideal, weight_kernel_row
 from staircase.binomial import Binomial
 from staircase.errors import DomainError, ResourceLimitError
 from staircase.graphs import weight_chain_diagram
@@ -14,8 +15,6 @@ from staircase.poly import IntPolynomial
 from staircase.toric import (
     BinomialIdeal,
     MonomialIdeal,
-    audit_quadric_chain_ideal,
-    audit_separation_ideal,
     consecutive_quadric_ideal,
     groebner_basis,
     hilbert,
@@ -23,7 +22,6 @@ from staircase.toric import (
     initial_ideal,
     separation_ideal,
     standard_monomial_counts,
-    weight_kernel_row,
 )
 
 from toric_oracle import (
