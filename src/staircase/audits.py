@@ -15,7 +15,7 @@ from itertools import islice
 from math import comb
 
 from . import rwgraph
-from .binomial import Binomial, Words, reduce_monomial
+from .binomial import Binomial, Words, format_monomial, reduce_monomial
 from .chroma import (chromatic_number, chromatic_polynomial, class_sizes_closed_form,
                      colour_separation, layered_closed_form, shared_balance_check)
 from .errors import DomainError, ResourceLimitError
@@ -311,8 +311,11 @@ def subidentity_report(ell: int, degree_bound: int | None = None) -> Report:
     if degree_bound:
         weights = separation_ideal(ell).weights
         names = weight_names(weights)
-        for b in graver_basis(weights, degree_bound):
-            rep.note(f"graver: {b.format(names)}")
+        basis = graver_basis(weights, degree_bound)
+        # sides recur across relations, so each is formatted once
+        text = {e: format_monomial(e, names) for e in {e for b in basis for e in b}}
+        for u, v in basis:
+            rep.note(f"graver: {text[u]} - {text[v]}")
     return rep
 
 
@@ -343,18 +346,25 @@ def weight_kernel_row(ideal: BinomialIdeal, gb) -> CheckRow:
     # rewrites never raise the degree: no exponent outgrows a weight or basis exponent
     words = Words.holding(n, max(ideal.weights + tuple(x for g in gb for x in g.u + g.v)))
     basis = [words.pack_binomial(g) for g in gb]
-    outside = []
-    for i, w in enumerate(ideal.weights):  # x - x^1 is 0 and reduces to it
-        u = tuple(int(j == i) for j in range(n))
-        v = tuple(w * (j == one) for j in range(n))
-        if reduce_monomial(words.pack(u), 1, basis, words) != reduce_monomial(
-            words.pack(v), w, basis, words
-        ):
-            outside.append(Binomial(v, u).format(weight_names(ideal.weights)))
+    # variable j is the field shifted by width * (n - 1 - j); x - x^1 is 0 and reduces to it
+    shift = [words.width * (n - 1 - j) for j in range(n)]
+    outside = [
+        (i, w) for i, w in enumerate(ideal.weights)
+        if reduce_monomial(1 << shift[i], 1, basis, words)
+        != reduce_monomial(w << shift[one], w, basis, words)
+    ]
     note = f"{len(outside)} of {n - 1} kernel generators lie outside"
     if outside:
-        note += "; first " + ", ".join(outside[:2])
+        names = weight_names(ideal.weights)
+        note += "; first " + ", ".join(
+            Binomial(_power(n, one, w), _power(n, i, 1)).format(names) for i, w in outside[:2]
+        )
     return check("the two relations generate the weight kernel", not outside, True, note=note)
+
+
+def _power(n: int, j: int, e: int) -> tuple[int, ...]:
+    """The exponent tuple of x_j^e among n variables."""
+    return (0,) * j + (e,) + (0,) * (n - 1 - j)
 
 
 def audit_separation_ideal(ell: int) -> Report:

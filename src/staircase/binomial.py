@@ -18,7 +18,6 @@ aborts rather than silently leave the binomial world.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress, count
 
 from .errors import DomainError
 
@@ -188,5 +187,4 @@ class Binomial(namedtuple("Binomial", "u v")):
 
 
 def format_monomial(e: Expo, names: list[str]) -> str:
-    parts = [names[i] if e[i] == 1 else f"{names[i]}^{e[i]}" for i in compress(count(), e)]
-    return "*".join(parts) or "1"
+    return "*".join([n if x == 1 else f"{n}^{x}" for n, x in zip(names, e) if x]) or "1"

@@ -27,8 +27,9 @@ number of nodes can grow exponentially with the generator count.
 MAX_HILBERT_ENTRIES bounds the exponent entries of the nodes of three
 or more generators a call starts, MAX_HILBERT_DEPTH their nesting.
 ``standard_monomial_counts`` counts the same series directly on
-exponent tuples, in at most MAX_COUNT_MASKS live masks, and shares no
-code with the recursion.
+exponent tuples, in at most MAX_COUNT_MASKS live masks and about
+nvars * masks * (top+1) * (upto+1) additions, top a variable's largest
+generator exponent capped at upto; it shares no code with the recursion.
 
 Dimension always means the affine Krull dimension of the quotient.
 """
@@ -39,6 +40,7 @@ import heapq
 from collections import namedtuple
 from itertools import accumulate
 from math import comb
+from operator import add, or_
 
 from .binomial import Binomial, Expo, Pair, Words, reduce_monomial
 from .errors import DomainError, ResourceLimitError
@@ -369,11 +371,13 @@ def standard_monomial_counts(mi: MonomialIdeal, upto: int) -> tuple[int, ...]:
     count per degree 0..upto.  A state whose mask holds a generator with
     no exponent past the current variable is in the ideal whatever
     follows, so it is dropped at once; what is left at the end is
-    standard.  Masks then differ only in the generators that straddle
+    standard.  Every exponent from top, the variable's largest generator
+    exponent (at most upto), on leaves the same mask, so those add as
+    one prefix sum.  Masks differ only in the generators that straddle
     the current variable, so work is about nvars * 2^(straddling
-    generators) * (upto+1)^2, and more than MAX_COUNT_MASKS live masks
-    raise ResourceLimitError.  It never touches the numerator recursion,
-    so it is that recursion's oracle.
+    generators) * (top+1) * (upto+1), and more than MAX_COUNT_MASKS
+    live masks raise ResourceLimitError.  It never touches the numerator
+    recursion, so it is that recursion's oracle.
 
     >>> standard_monomial_counts(MonomialIdeal(2, ((1, 1),)), 3)
     (1, 2, 2, 2)
@@ -382,18 +386,20 @@ def standard_monomial_counts(mi: MonomialIdeal, upto: int) -> tuple[int, ...]:
         return ()
     states = {(1 << len(mi.gens)) - 1: [1] + [0] * upto}
     for i in range(mi.nvars):
-        # keep[e]: the generators whose x_i exponent is at most e, up to
-        # the largest such exponent (or upto); a larger e keeps them all
+        # keep[e]: the generators whose x_i exponent is at most e; from
+        # top on it keeps all it ever keeps
         top = min(max((g[i] for g in mi.gens), default=0), upto)
-        keep = [
-            sum(1 << k for k, g in enumerate(mi.gens) if g[i] <= e)
-            for e in range(top + 1)
-        ]
-        ends = sum(1 << k for k, g in enumerate(mi.gens) if not any(g[i + 1 :]))
+        keep, ends = [0] * (top + 1), 0
+        for k, g in enumerate(mi.gens):
+            if g[i] <= top:
+                keep[g[i]] |= 1 << k
+            if not any(g[i + 1 :]):
+                ends |= 1 << k
+        keep = list(accumulate(keep, or_))
         nxt: dict[int, list[int]] = {}
         for mask, counts in states.items():
-            for e in range(upto + 1):
-                m = mask & keep[min(e, top)]
+            for e in range(top + 1):
+                m = mask & keep[e]
                 if m & ends:
                     break  # keep[e] only grows with e
                 acc = nxt.get(m)
@@ -401,8 +407,8 @@ def standard_monomial_counts(mi: MonomialIdeal, upto: int) -> tuple[int, ...]:
                     if len(nxt) >= MAX_COUNT_MASKS:
                         raise ResourceLimitError(len(nxt) + 1, MAX_COUNT_MASKS, "monomial-count masks")
                     acc = nxt[m] = [0] * (upto + 1)
-                for d in range(upto + 1 - e):
-                    acc[d + e] += counts[d]
+                # counts * t^e, or at top counts * t^top / (1 - t)
+                acc[e:] = map(add, acc[e:], counts if e < top else accumulate(counts))
         states = nxt
     return tuple(states.get(0, [0] * (upto + 1)))
 

@@ -23,6 +23,7 @@ from staircase.identities import (
     primitive_subidentities,
     primitive_subidentity_count,
 )
+from staircase.toric import separation_ideal, weight_names
 
 from identities_oracle import (
     brute_is_primitive,
@@ -179,6 +180,14 @@ def test_subidentity_report_rows():
     assert by_name["primitive subidentity count"].observed == 6
     assert by_name["subidentities equal to a parity split"].verdict == "MATCH"
     assert not rep.invariant_failures()
+
+
+@pytest.mark.parametrize("ell, bound", [(5, 3), (6, 3), (7, 3), (8, 3), (9, 3), (7, 4)])
+def test_subidentity_report_lists_the_graver_basis_in_order(ell, bound):
+    weights = separation_ideal(ell).weights
+    names = weight_names(weights)
+    notes = [n for n in subidentity_report(ell, bound).notes if n.startswith("graver:")]
+    assert notes == ["graver: " + b.format(names) for b in graver_basis(weights, bound)]
 
 
 def test_graver_basis_tiny():

@@ -22,11 +22,13 @@ from staircase.toric import (
     initial_ideal,
     separation_ideal,
     standard_monomial_counts,
+    weight_names,
 )
 
 from toric_oracle import (
     brute_standard_monomial_counts,
     normal_form,
+    reduce_monomial,
     s_binomial,
     taylor_numerator,
 )
@@ -254,6 +256,32 @@ def test_standard_monomial_counts_edge_cases():
     # degree 0 alone: 1 unless the ideal is the unit ideal
     assert standard_monomial_counts(MonomialIdeal(2, ((1, 0), (0, 2))), 0) == (1,)
     assert standard_monomial_counts(MonomialIdeal(2, ((0, 0),)), 0) == (0,)
+
+
+def test_standard_monomial_counts_tail_matches_brute_force():
+    # From top, a variable's largest generator exponent clamped to upto,
+    # every exponent adds as one prefix sum: here top is clamped where
+    # exponents pass upto, is upto itself at upto 0, and is 0 for a
+    # variable that no generator uses, so that variable is all tail.
+    ideals = [
+        MonomialIdeal(3, ((5, 0, 1), (0, 4, 0), (1, 1, 3))),
+        MonomialIdeal(3, ((7, 0, 0),)),
+        MonomialIdeal(4, ((2, 0, 1, 0), (0, 0, 3, 0), (1, 0, 0, 0))),
+        MonomialIdeal(2, ((0, 3), (2, 2))),
+    ]
+    rng = random.Random(4031)
+    for _ in range(60):
+        mi = _random_monomial_ideal(rng)
+        unused = rng.randrange(mi.nvars + 1)  # a fresh variable no generator uses
+        ideals.append(MonomialIdeal(
+            mi.nvars + 1,
+            tuple(g[:unused] + (0,) + g[unused:] for g in mi.gens),
+        ))
+    for mi in ideals:
+        for upto in (0, 1, 2, 4):
+            assert standard_monomial_counts(mi, upto) == brute_standard_monomial_counts(
+                mi.nvars, mi.gens, upto
+            ), (mi, upto)
 
 
 def test_hilbert_prefix_matches_direct_count_on_random_ideals():
@@ -641,6 +669,40 @@ def test_weight_kernel_row_reads_true_on_the_whole_kernel():
     assert row.note == "1 of 2 kernel generators lie outside; first x1^3 - x3"
     with pytest.raises(DomainError):
         weight_kernel_row(BinomialIdeal(3, gens, (2, 3, 4)), ())
+
+
+def _power(n: int, j: int, e: int) -> tuple[int, ...]:
+    return (0,) * j + (e,) + (0,) * (n - 1 - j)
+
+
+def test_weight_kernel_row_reads_match_on_the_kernel_generators():
+    # the ideal of the x_w - x1^w themselves is the whole weight kernel
+    for ell in range(5, 11):
+        weights = separation_ideal(ell).weights
+        n = len(weights)
+        gens = tuple(
+            Binomial(_power(n, 0, w), _power(n, i, 1)) for i, w in enumerate(weights) if w != 1
+        )
+        row = weight_kernel_row(BinomialIdeal(n, gens, weights), groebner_basis(gens))
+        assert (row.observed, row.verdict) == (True, "MATCH"), ell
+        assert row.note == f"0 of {n - 1} kernel generators lie outside"
+
+
+def test_weight_kernel_row_matches_a_reduction_on_exponent_tuples():
+    for ell in range(5, 21):
+        ideal = separation_ideal(ell)
+        gb = groebner_basis(ideal.generators)
+        n, one = ideal.nvars, ideal.weights.index(1)
+        outside = [
+            Binomial(_power(n, one, w), _power(n, i, 1)).format(weight_names(ideal.weights))
+            for i, w in enumerate(ideal.weights)
+            if reduce_monomial(_power(n, i, 1), gb) != reduce_monomial(_power(n, one, w), gb)
+        ]
+        note = f"{len(outside)} of {n - 1} kernel generators lie outside"
+        if outside:
+            note += "; first " + ", ".join(outside[:2])
+        row = weight_kernel_row(ideal, gb)
+        assert (row.observed, row.note) == (not outside, note), ell
 
 
 def test_audit_separation_ideal_6():
