@@ -6,12 +6,19 @@ cells, so layer 1 is the long hypotenuse and layer l the corner cell.
 Two cells are adjacent exactly when they share a side, which moves
 between consecutive diagonals, making the graph layered with no edges
 inside a layer.
+
+The layered graph at length l is the move graph on the reduced words of
+``staircase_permutation(l + 1)``, and ``family_image`` is an explicit
+isomorphism: it reads each word's cell from where the letters l and
+l - 1 first occur and from its last letter.  The audits check that map
+edge by edge.  ``is_isomorphic`` is the general backtracking search for
+any two graphs, a library function that no report runs.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import SimpleGraph
@@ -63,24 +70,66 @@ def build_layered_graph(p: Partition) -> LayeredGraph:
     """
     if not is_staircase(p):
         raise DomainError(f"{p.parts} is not a staircase")
-    sizes = []
     edges = []
     first = 0  # the number of the first cell of the layer
     for d in range(p.length - 1, -1, -1):  # layer l - d, the diagonal a + b = d
-        layer = [(d - b, b) for b in range(d + 1)]
-        following = first + len(layer)
-        for v, (a, b) in enumerate(layer, first):
-            # side-sharing neighbours one diagonal down, (a - 1, b) and
-            # (a, b - 1), are the cells b and b - 1 of the next layer;
-            # the other two directions are the same pairs seen from the
-            # far end
-            if a > 0:
-                edges.append((v, following + b))
-            if b > 0:
-                edges.append((v, following + b - 1))
-        sizes.append(len(layer))
-        first = following
-    return LayeredGraph(first, tuple(sorted(edges)), tuple(sizes))
+        for v in range(first, first + d + 1):
+            # v is the cell (a, b) = (d - b, b), b = v - first; its
+            # side-sharing neighbours one diagonal down, (a, b - 1) and
+            # (a - 1, b), are the cells b - 1 and b of the next layer,
+            # v + d and v + d + 1, so the edges come in order; the other
+            # two directions are the same pairs seen from the far end
+            if v > first:
+                edges.append((v, v + d))
+            if v < first + d:
+                edges.append((v, v + d + 1))
+        first += d + 1
+    return LayeredGraph(first, tuple(edges), tuple(range(p.length, 0, -1)))
+
+
+def family_image(ell: int, words: Iterable[tuple[int, ...]]) -> list[int]:
+    """The vertex of ``build_layered_graph(staircase(ell))`` that each
+    reduced word of ``staircase_permutation(ell + 1)`` goes to.
+
+    Word w goes to the cell (a, b): b is the index of the first letter
+    ell, and a is 0 if w ends with ell - 2, else ell minus the index of
+    the first ell - 1.
+
+    Proof sketch.  The permutation's ell + 2 inversions are entry 1
+    against every other entry, and entry ell + 1 against ell - 1 and
+    ell.  So each letter of a reduced word moves entry 1 right, through
+    the letters 1, 2, ..., ell in turn, or entry ell + 1 left, through
+    ell, ell - 1, ell - 2; the letter where the two cross does both.
+    Entry ell + 1 meets entry 1 at its first, second or third step:
+
+    - first: the one word 1 2 ... ell (ell - 1) (ell - 2), the cell
+      (0, ell - 1);
+    - second: its step ell falls into one of the ell - 1 gaps of
+      1 ... ell - 2, b letters after the start; the crossing ell - 1
+      follows, then ell - 2 and ell in either order, a = 0 or 1;
+    - third: its steps ell and ell - 1 fall into the gaps of
+      1 ... ell - 3 at indices b < c, followed by ell - 2, ell - 1, ell:
+      a = ell - c runs over 2 .. ell - 1 - b.
+
+    That is every cell once.  A commutation slides a step of entry
+    ell + 1 past one of entry 1, or swaps the last two letters of the
+    second kind: b or a moves by one.  A braid turns ell (ell - 1) ell
+    into (ell - 1) ell (ell - 1), taking (0, ell - 2) to (0, ell - 1),
+    or (ell - 2) (ell - 1) (ell - 2) into (ell - 1) (ell - 2) (ell - 1),
+    taking (1, b) to (2, b).  So every move joins side-sharing cells,
+    and as both graphs have ell(ell - 1) edges, the map is an
+    isomorphism.
+
+    >>> family_image(3, [(1, 2, 3, 2, 1), (1, 3, 2, 1, 3), (1, 3, 2, 3, 1),
+    ...                  (3, 1, 2, 1, 3), (3, 1, 2, 3, 1), (3, 2, 1, 2, 3)])
+    [2, 1, 4, 3, 5, 0]
+    """
+    if ell < 3:
+        raise DomainError(f"the family map starts at ell = 3, got {ell}")
+    cells = ((0 if w[-1] == ell - 2 else ell - w.index(ell - 1), w.index(ell)) for w in words)
+    # as build_layered_graph numbers them: the diagonals longer than that
+    # of (a, b) hold a + b + 2, ..., ell cells, and then b comes
+    return [sum(range(a + b + 2, ell + 1)) + b for a, b in cells]
 
 
 def is_isomorphic(g1: SimpleGraph, g2: SimpleGraph, cap: int | None = None) -> bool:

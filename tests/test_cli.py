@@ -309,26 +309,40 @@ def test_closed_form_audit_skips_at_the_state_cap(capsys, monkeypatch):
     assert closed.startswith("  audit  observed=-  claimed=-  SKIPPED")
 
 
-def test_layered_isomorphism_row_at_the_placement_cap(capsys, monkeypatch):
-    # the search places 33 vertices at length 7 and 36 at length 8
-    skipped = (
-        "isomorphic to the reduced-word graph  observed=-  claimed=-  SKIPPED\n"
-        "    note: 36 isomorphism search placements exceed the cap 35\n"
-    )
-    with monkeypatch.context() as m:
-        m.setattr(layered, "MAX_ISO_NODES", 35)
-        code, out, _ = run(capsys, "layered", "--ell", "7..8")
-        assert code == 0
-        at7, at8 = out.split("layered graph at length 8\n")
-        assert "isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH" in at7
-        assert skipped in at8
-        code, out, _ = run(capsys, "verify-all", "--ell", "8")
-        assert code == 0
-        assert out.split("layered checks at length 8\n")[1].startswith("  " + skipped)
-    # the default cap answers the row at every length the command line runs
-    code, out, _ = run(capsys, "layered", "--ell", "8")
+def _swapped_image(ell, words):
+    """The family map with the images of the first two words swapped."""
+    image = layered.family_image(ell, words)
+    image[0], image[1] = image[1], image[0]
+    return image
+
+
+def test_a_broken_family_map_fails_the_isomorphism_row(capsys, monkeypatch):
+    name = "isomorphic to the reduced-word graph"
+    monkeypatch.setattr(audits, "family_image", _swapped_image)
+    for argv in ("layered --ell 5", "verify-all --ell 5"):
+        code, out, err = run(capsys, *argv.split(), "--format", "json")
+        assert (code, err) == (1, ""), argv
+        rows = [r for rep in json.loads(out) for r in rep["rows"]]
+        (row,) = [r for r in rows if r["name"] == name]
+        assert (row["observed"], row["verdict"], row["kind"]) == (False, "MISMATCH", "invariant")
+        code, text, _ = run(capsys, *argv.split())
+        assert code == 1, argv
+        assert f"{name}  observed=False  claimed=True  MISMATCH" in text
+    # the summary of verify-all counts the one failure
+    failures = [r for r in rows if r["name"] == "invariant failures"]
+    assert [(r["observed"], r["verdict"]) for r in failures] == [(1, "MISMATCH")]
+
+
+def test_the_isomorphism_row_runs_no_search(capsys, monkeypatch):
+    match = "isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH"
+    # no placement is allowed, so a search would raise at its first vertex
+    monkeypatch.setattr(layered, "MAX_ISO_NODES", 0)
+    code, out, _ = run(capsys, "layered", "--ell", "7..8")
     assert code == 0
-    assert "isomorphic to the reduced-word graph  observed=True  claimed=True  MATCH" in out
+    assert [part.count(match) for part in out.split("layered graph at length 8\n")] == [1, 1]
+    code, out, _ = run(capsys, "verify-all", "--ell", "8")
+    assert code == 0
+    assert out.split("layered checks at length 8\n")[1].startswith("  " + match)
 
 
 def test_toric_audit_skips_at_the_hilbert_entry_cap(capsys, monkeypatch):
@@ -519,8 +533,8 @@ _BROKEN = [
     ("words --r 4..5", audits, "build_word_graph",
      lambda w: _without_last_word(rwgraph.build_word_graph(w)), "word count"),
     ("graph --ell 4", audits, "count_four_cycles", lambda g: 999, "vertices + cycles - edges"),
-    ("layered --ell 3..4", audits, "is_isomorphic",
-     lambda a, b: False, "isomorphic to the reduced-word graph"),
+    ("layered --ell 3..4", audits, "family_image", _swapped_image,
+     "isomorphic to the reduced-word graph"),
     ("chroma --ell 4", audits, "chromatic_polynomial",
      lambda g: IntPolynomial.variable(), "recursion degree at length 4"),
     ("separation --ell 3..4", audits, "class_sizes_closed_form",

@@ -26,6 +26,8 @@ GOLDEN = [
      "86515d7de0caffe8d42446b43f44606dd782fe03ceb4aa00e499fdb6c71a5326"),
     (None, "layered --ell 1..7 --series 4 --format text", 0,
      "5a131d65484aff8fa31f7ca690b953b0f5e0f03b0ebc62095480c8e8da17339d"),
+    (None, "layered --ell 1..45 --format text", 0,
+     "d28967cbe14ca9242846328a05329604ec902cef0dbe3bdb6885d6cc56232897"),
     (None, "chroma --ell 3..9 --format text", 0,
      "2fcee8dd2c681dd064d6a3870f336059ecfa5398cbd754fc145d85308713190d"),
     (None, "separation --ell 1..10 --format text", 0,

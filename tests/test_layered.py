@@ -20,6 +20,7 @@ from staircase.graphs import SimpleGraph
 from staircase.layered import (
     BalanceMatrix,
     build_layered_graph,
+    family_image,
     is_isomorphic,
     missing_edge_polynomial,
 )
@@ -53,6 +54,18 @@ def test_isomorphic_to_word_graph():
         words = build_word_graph(staircase_permutation(ell + 1))
         layered = build_layered_graph(staircase(ell))
         assert is_isomorphic(words, layered)
+
+
+def test_family_image_carries_the_move_graph_onto_the_layered_graph():
+    for ell in range(3, 61):
+        words, diagonals = family_word_graph(ell), build_layered_graph(staircase(ell))
+        image = family_image(ell, words.words)
+        assert sorted(image) == list(range(diagonals.n)), ell
+        moved = SimpleGraph.from_edges(words.n, [(image[a], image[b]) for a, b, _ in words.edges])
+        assert moved.edges == diagonals.edges, ell
+    for ell in (1, 2):
+        with pytest.raises(DomainError):
+            family_image(ell, [])
 
 
 def test_engines_take_both_family_graphs_as_they_are():

@@ -6,7 +6,9 @@ and a command that assembles its own rows repeats what another command
 already checks.  So the engine modules compute and build no report: they
 import nothing from ``report``, ``audits`` or ``cli``.  ``audits`` does
 not import the command line, and ``cli.py`` renders reports but builds
-no row: it never calls ``check``, ``skipped`` or ``Report``.
+no row: it never calls ``check``, ``skipped`` or ``Report``.  No report
+runs the general isomorphism search: ``audits`` never names
+``is_isomorphic``.
 """
 
 import ast
@@ -61,6 +63,21 @@ def test_engines_import_no_report_module(module):
 
 def test_audits_does_not_import_the_command_line():
     assert "cli" not in _imports("audits")
+
+
+def test_audits_do_not_import_the_isomorphism_search():
+    # the family isomorphism row checks an explicit map; the general
+    # backtracking search stays a library function that no report runs
+    names = set()
+    for node in ast.walk(_tree("audits")):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert {"family_image", "build_layered_graph"} <= names  # the reader sees the imports
+    assert "is_isomorphic" not in names
 
 
 def test_the_command_line_builds_no_row():
