@@ -323,8 +323,7 @@ def subidentity_report(ell: int, degree_bound: int | None = None) -> Report:
         basis = graver_basis(weights, degree_bound)
         # sides recur across relations, so each is formatted once
         text = {e: format_monomial(e, names) for e in {e for b in basis for e in b}}
-        for u, v in basis:
-            rep.note(f"graver: {text[u]} - {text[v]}")
+        rep.notes.extend([f"graver: {text[u]} - {text[v]}" for u, v in basis])
     return rep
 
 

@@ -9,7 +9,9 @@ one: keeping both would force the whole left side.  So it is a sub-multiset
 of the left side summing to one right part, and primitive, since one part
 has no proper sub-sum; a 0/1 knapsack counts them in O(l * mu).  The
 degree-truncated Graver enumeration at the bottom realizes primitive
-weight relations as binomials with disjoint supports.
+weight relations as binomials with disjoint supports.  It runs on packed
+``Words`` exponent words and unpacks and checks each distinct side of
+its result once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from itertools import combinations
 
-from .binomial import Binomial
+from .binomial import Binomial, Words
 from .chroma import colour_separation
 from .errors import DomainError, InvalidIdentityError, ResourceLimitError
 
@@ -175,10 +177,11 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     its ResourceLimitError carries the primitive relations found so
     far, canonically sorted.  A candidate u - v is primitive when no
     proper divisor of x^u has the weight of a proper divisor of x^v.
-    Each monomial carries its support and its divisor weights as
-    bitmasks, built from its parent's with a few integer operations, so
-    each equal-weight pair costs two ANDs: one for disjoint supports,
-    one for primitivity.
+    Each monomial is a packed ``Words`` word and carries its support and
+    its divisor weights as bitmasks, all built from its parent's with a
+    few integer operations, so each equal-weight pair costs two ANDs:
+    one for disjoint supports, one for primitivity.  Each distinct side
+    of the result is unpacked and checked once.
 
     >>> [b.format() for b in graver_basis((1, 2), 2)]
     ['x0^2 - x1']
@@ -193,21 +196,23 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     if degree_bound < 1:
         raise DomainError(f"degree bound must be positive, got {degree_bound}")
 
-    # Each monomial carries its degree, weight, support bits and the
+    # Each monomial carries its word, degree, weight, support bits and the
     # weights of its divisors as a bitmask, all from its parent's in one
     # step: the divisors of x^(e + e_i) are those of x^e and x_i times them.
     # A monomial is extended only at its last variable or later, so each
     # is reached once, from itself less one power of its last variable.
     n = len(ws)
+    words = Words.holding(n, degree_bound)
+    units = [1 << words.width * k for k in reversed(range(n))]
     states = 0
-    by_weight: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
-    frontier = [((0,) * n, 0, 0, 0, 1)]
+    by_weight: dict[int, list[tuple[int, int, int, int]]] = {}
+    frontier = [(0, 0, 0, 0, 1)]
     for e, degree, weight, support, divisors in frontier:
         if degree >= degree_bound:
             continue
         for i in range(max(support.bit_length() - 1, 0), n):
             w = ws[i]
-            nxt = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            nxt = e + units[i]
             states += 1
             if states > MAX_GRAVER_STATES:
                 raise ResourceLimitError(states, MAX_GRAVER_STATES, "Graver states", ())
@@ -219,18 +224,20 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
     # The weights are positive, so a relation a - b with a | u and b | v
     # other than u - v itself has a and b proper divisors.  Such a pair
     # keeps the disjoint supports and the degree bound, so it is itself a
-    # candidate: this is the dominance test over all candidates.
-    primitive: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    # candidate: this is the dominance test over all candidates.  Words
+    # compare as their vectors do lexicographically, so a > b is on vectors.
+    primitive: list[tuple[int, int, int]] = []
     for _, group in sorted(by_weight.items()):
         for (a, da, sa, pa), (b, db, sb, pb) in combinations(group, 2):
             states += 1
             if states > MAX_GRAVER_STATES:
                 raise ResourceLimitError(
-                    states, MAX_GRAVER_STATES, "Graver states", _canonical_graver(primitive)
+                    states, MAX_GRAVER_STATES, "Graver states",
+                    _canonical_graver(primitive, words),
                 )
             if not sa & sb and not pa & pb:
                 primitive.append((max(da, db), a, b) if a > b else (max(da, db), b, a))
-    return _canonical_graver(primitive)
+    return _canonical_graver(primitive, words)
 
 
 def _proper_sub_sums(parts: tuple[int, ...]) -> int:
@@ -243,7 +250,21 @@ def _proper_sub_sums(parts: tuple[int, ...]) -> int:
 
 
 def _canonical_graver(
-    relations: list[tuple[int, tuple[int, ...], tuple[int, ...]]],
+    relations: list[tuple[int, int, int]], words: Words
 ) -> tuple[Binomial, ...]:
-    """The relations (degree, u, v) as binomials, by degree, then u, then v."""
-    return tuple(Binomial(u, v) for _, u, v in sorted(relations))
+    """The relations (degree, u, v) of packed words as binomials, by
+    degree, then u, then v.
+
+    The checks of ``Binomial(u, v)`` run in bulk: each distinct side is
+    unpacked and checked once, and each relation's sides are compared
+    as words, which are equal exactly when their vectors are.
+    """
+    _, us, vs = zip(*sorted(relations)) if relations else [()] * 3
+    sides = dict(zip(distinct := {*us, *vs}, map(words.unpack, distinct)))
+    if lengths := set(map(len, sides.values())) - {words.nvars}:
+        raise DomainError(f"side lengths differ: {lengths.pop()} vs {words.nvars}")
+    if min(map(min, sides.values()), default=0) < 0:
+        raise DomainError("exponents must be naturals")
+    if any(map(int.__eq__, us, vs)):
+        raise DomainError("the zero binomial is not representable")
+    return tuple([tuple.__new__(Binomial, (sides[u], sides[v])) for u, v in zip(us, vs)])

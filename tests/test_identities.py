@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from staircase.audits import subidentity_report
-from staircase.binomial import Binomial
+from staircase.binomial import Binomial, Words
 from staircase.chroma import colour_separation
 from staircase import identities
 from staircase.errors import (
@@ -212,6 +212,42 @@ def test_graver_elements_are_primitive_relations():
     for b in graver_basis(weights, 4):
         assert b.in_kernel(weights)
         assert not any(map(min, b.u, b.v))  # disjoint supports
+
+
+@pytest.mark.parametrize("ell, bound", [(ell, 3) for ell in range(5, 13)] + [(7, 4)])
+def test_graver_records_pass_the_binomial_checks_in_order(ell, bound):
+    basis = graver_basis(separation_ideal(ell).weights, bound)
+    assert basis and all(type(b) is Binomial and b == Binomial(*b) for b in basis)
+    keys = [(max(sum(b.u), sum(b.v)), b.u, b.v) for b in basis]
+    assert keys == sorted(keys)
+
+
+def test_graver_records_sort_and_keep_every_binomial_check(monkeypatch):
+    words = Words.holding(3, 2)
+    u, v, w = words.pack((2, 0, 0)), words.pack((0, 1, 0)), words.pack((0, 0, 1))
+    assert identities._canonical_graver([(2, v, w), (1, u, w), (1, u, v)], words) == (
+        Binomial((2, 0, 0), (0, 0, 1)),
+        Binomial((2, 0, 0), (0, 1, 0)),
+        Binomial((0, 1, 0), (0, 0, 1)),
+    )
+    assert identities._canonical_graver([], words) == ()
+    # each check of Binomial(u, v) fires in the bulk build too
+    with pytest.raises(DomainError, match="zero binomial"):
+        identities._canonical_graver([(2, u, v), (2, u, u)], words)
+    monkeypatch.setattr(Words, "unpack", lambda self, w: (-1, 0, 0))
+    with pytest.raises(DomainError, match="naturals"):
+        identities._canonical_graver([(2, u, v)], words)
+    monkeypatch.setattr(Words, "unpack", lambda self, w: (1, 0))
+    with pytest.raises(DomainError, match="side lengths differ: 2 vs 3"):
+        identities._canonical_graver([(2, u, v)], words)
+
+
+def test_graver_fields_widen_past_the_guard_bit():
+    # 129 needs eight value bits, so byte fields would reach their guard,
+    # and 257 needs nine, more than a byte holds
+    assert graver_basis((1, 129), 130) == (Binomial((129, 0), (0, 1)),)
+    assert graver_basis((2, 3), 130) == (Binomial((3, 0), (0, 2)),)
+    assert graver_basis((1, 257), 257) == (Binomial((257, 0), (0, 1)),)
 
 
 def test_graver_validates_weights():
