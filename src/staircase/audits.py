@@ -19,7 +19,7 @@ from .binomial import Binomial, Words, format_monomial, reduce_monomial
 from .chroma import (chromatic_number, chromatic_polynomial, class_sizes_closed_form,
                      colour_separation, layered_closed_form, shared_balance_check)
 from .errors import DomainError, ResourceLimitError
-from .identities import (colour_separation_identity, graver_basis, is_primitive, parity_split,
+from .identities import (colour_separation_identity, graver_table, is_primitive, parity_split,
                          primitive_subidentities, primitive_subidentity_count)
 from .layered import (BalanceMatrix, LayeredGraph, build_layered_graph, family_image,
                       missing_edge_polynomial)
@@ -29,7 +29,8 @@ from .poly import IntPolynomial
 from .report import INVARIANT, CheckRow, Report, check, skipped
 from .rwgraph import WordGraph, build_word_graph, count_four_cycles, family_word_graph
 from .toric import (BinomialIdeal, consecutive_quadric_ideal, groebner_basis, hilbert,
-                    initial_ideal, separation_ideal, standard_monomial_counts, weight_names)
+                    initial_ideal, separation_ideal, separation_weights,
+                    standard_monomial_counts, weight_names)
 
 MAX_SERIES_ROWS = 10_000
 WITNESS_NOTES = 100  # primitive subidentities a report lists by name
@@ -317,13 +318,13 @@ def subidentity_report(ell: int, degree_bound: int | None = None) -> Report:
         rep.note(f"primitive: {sub}")
     if count > WITNESS_NOTES:
         rep.note(f"and {count - WITNESS_NOTES} more")
-    if degree_bound:
-        weights = separation_ideal(ell).weights
+    if degree_bound is not None:
+        weights = separation_weights(ell)
         names = weight_names(weights)
-        basis = graver_basis(weights, degree_bound)
+        pairs, sides = graver_table(weights, degree_bound)
         # sides recur across relations, so each is formatted once
-        text = {e: format_monomial(e, names) for e in {e for b in basis for e in b}}
-        rep.notes.extend([f"graver: {text[u]} - {text[v]}" for u, v in basis])
+        text = {w: format_monomial(e, names) for w, e in sides.items()}
+        rep.notes.extend([f"graver: {text[u]} - {text[v]}" for u, v in pairs])
     return rep
 
 

@@ -10,8 +10,9 @@ of the left side summing to one right part, and primitive, since one part
 has no proper sub-sum; a 0/1 knapsack counts them in O(l * mu).  The
 degree-truncated Graver enumeration at the bottom realizes primitive
 weight relations as binomials with disjoint supports.  It runs on packed
-``Words`` exponent words and unpacks and checks each distinct side of
-its result once.
+``Words`` exponent words.  ``graver_table`` unpacks and checks each
+distinct side of its result once, and both ``graver_basis`` and the
+identities report read their output from that one table.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from itertools import combinations
 
-from .binomial import Binomial, Words
+from .binomial import Binomial, Expo, Words
 from .chroma import colour_separation
 from .errors import DomainError, InvalidIdentityError, ResourceLimitError
 
 MAX_GRAVER_STATES = 200_000
+GraverTable = tuple[list[tuple[int, int]], dict[int, Expo]]  # (u, v) word pairs, word -> vector
 
 
 class PartitionIdentity(namedtuple("PartitionIdentity", "lhs rhs bound")):
@@ -165,7 +167,18 @@ def parity_split(ell: int) -> tuple[PartitionIdentity, PartitionIdentity]:
 
 
 def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
-    """Primitive weight relations up to a total-degree bound.
+    """Primitive weight relations up to a total-degree bound, as the
+    records of ``graver_table``.
+
+    >>> [b.format() for b in graver_basis((1, 2), 2)]
+    ['x0^2 - x1']
+    """
+    return _records(*graver_table(weights, degree_bound))
+
+
+def graver_table(weights, degree_bound: int) -> GraverTable:
+    """The primitive relations as sorted (u, v) pairs of packed words,
+    and the table of each word's checked exponent vector.
 
     Enumerates all pairs of disjoint-support monomials of equal weight
     and degree at most ``degree_bound`` and keeps the ones with no
@@ -175,16 +188,13 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
 
     MAX_GRAVER_STATES bounds the monomials plus the pairs enumerated;
     its ResourceLimitError carries the primitive relations found so
-    far, canonically sorted.  A candidate u - v is primitive when no
+    far as sorted binomials.  A candidate u - v is primitive when no
     proper divisor of x^u has the weight of a proper divisor of x^v.
     Each monomial is a packed ``Words`` word and carries its support and
     its divisor weights as bitmasks, all built from its parent's with a
     few integer operations, so each equal-weight pair costs two ANDs:
     one for disjoint supports, one for primitivity.  Each distinct side
-    of the result is unpacked and checked once.
-
-    >>> [b.format() for b in graver_basis((1, 2), 2)]
-    ['x0^2 - x1']
+    enters the table once and passes the checks of ``Binomial``.
     """
     ws = tuple(weights)
     if not ws:
@@ -237,7 +247,7 @@ def graver_basis(weights, degree_bound: int) -> tuple[Binomial, ...]:
                 )
             if not sa & sb and not pa & pb:
                 primitive.append((max(da, db), a, b) if a > b else (max(da, db), b, a))
-    return _canonical_graver(primitive, words)
+    return _checked_table(primitive, words)
 
 
 def _proper_sub_sums(parts: tuple[int, ...]) -> int:
@@ -249,11 +259,9 @@ def _proper_sub_sums(parts: tuple[int, ...]) -> int:
     return mask & ~(1 | 1 << sum(parts))
 
 
-def _canonical_graver(
-    relations: list[tuple[int, int, int]], words: Words
-) -> tuple[Binomial, ...]:
-    """The relations (degree, u, v) of packed words as binomials, by
-    degree, then u, then v.
+def _checked_table(relations: list[tuple[int, int, int]], words: Words) -> GraverTable:
+    """The relations (degree, u, v) of packed words as (u, v) pairs, by
+    degree, then u, then v, and the table of their unpacked sides.
 
     The checks of ``Binomial(u, v)`` run in bulk: each distinct side is
     unpacked and checked once, and each relation's sides are compared
@@ -267,4 +275,16 @@ def _canonical_graver(
         raise DomainError("exponents must be naturals")
     if any(map(int.__eq__, us, vs)):
         raise DomainError("the zero binomial is not representable")
-    return tuple([tuple.__new__(Binomial, (sides[u], sides[v])) for u, v in zip(us, vs)])
+    return list(zip(us, vs)), sides
+
+
+def _records(pairs, sides) -> tuple[Binomial, ...]:
+    """The pairs of a checked table as ``Binomial`` records."""
+    return tuple([tuple.__new__(Binomial, (sides[u], sides[v])) for u, v in pairs])
+
+
+def _canonical_graver(
+    relations: list[tuple[int, int, int]], words: Words
+) -> tuple[Binomial, ...]:
+    """The relations (degree, u, v) of packed words as sorted binomials."""
+    return _records(*_checked_table(relations, words))

@@ -424,10 +424,14 @@ def identity_binomial(ident: PartitionIdentity, weights) -> Binomial:
     return Binomial(tuple(map(ident.lhs.count, ws)), tuple(map(ident.rhs.count, ws)))
 
 
+def separation_weights(ell: int) -> tuple[int, ...]:
+    """The weights (1..ell, mu, kappa) of the separation ideal, for ell >= 5."""
+    return tuple(range(1, ell + 1)) + colour_separation_identity(ell).rhs
+
+
 def separation_ideal(ell: int) -> BinomialIdeal:
-    """The two parity-split relations over weights (1..ell, mu, kappa),
-    for ell >= 5."""
-    weights = tuple(range(1, ell + 1)) + colour_separation_identity(ell).rhs
+    """The two parity-split relations over ``separation_weights(ell)``."""
+    weights = separation_weights(ell)
     gens = tuple(identity_binomial(s, weights) for s in parity_split(ell))
     return BinomialIdeal(len(weights), gens, weights)
 

@@ -86,6 +86,10 @@ GOLDEN = [
      "15e9bd2a14cf2146ec23199c9bb4c15ce613ffc4610340a5aeaec82b2694da65"),
     (None, "identities --ell 5..7 --degree-bound 4 --format markdown", 0,
      "4b43950660f4c989090bdc0c22f1db6d3bfa1e0bbe2fd7f038309b8f59d83f42"),
+    (None, "identities --ell 14 --degree-bound 4 --format text", 0,
+     "df4458eaa40095c05b4999fc3e8e981c6be4c5abc12efde3e6bb1893534f9f56"),
+    (None, "identities --ell 15 --degree-bound 4", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (None, "graph --ell 5 --format dot", 0,
      "c086479e0e854d974dede3eb8cbf34175b83b896d0a60e7ab805d4ff5c6c7ff9"),
     (None, "layered --ell 4 --format dot", 0,

@@ -242,6 +242,29 @@ def test_graver_records_sort_and_keep_every_binomial_check(monkeypatch):
         identities._canonical_graver([(2, u, v)], words)
 
 
+def test_subidentity_report_keeps_every_binomial_check(monkeypatch):
+    # the report reads its notes from the same checked table as the records
+    monkeypatch.setattr(Words, "unpack", lambda self, w: (-1,) + (0,) * (self.nvars - 1))
+    with pytest.raises(DomainError, match="naturals"):
+        subidentity_report(7, 3)
+    monkeypatch.setattr(Words, "unpack", lambda self, w: (1, 0))
+    with pytest.raises(DomainError, match="side lengths differ: 2 vs 9"):
+        subidentity_report(7, 3)
+
+
+def test_subidentity_report_builds_no_records(monkeypatch):
+    want = subidentity_report(7, 3).notes
+    monkeypatch.setattr(identities, "_records", None)
+    assert subidentity_report(7, 3).notes == want
+
+
+def test_subidentity_report_degree_bound_is_positive_or_none():
+    for bound in (0, -1):
+        with pytest.raises(DomainError, match=f"degree bound must be positive, got {bound}"):
+            subidentity_report(7, bound)
+    assert not [n for n in subidentity_report(7, None).notes if n.startswith("graver:")]
+
+
 def test_graver_fields_widen_past_the_guard_bit():
     # 129 needs eight value bits, so byte fields would reach their guard,
     # and 257 needs nine, more than a byte holds

@@ -21,6 +21,7 @@ from staircase.toric import (
     identity_binomial,
     initial_ideal,
     separation_ideal,
+    separation_weights,
     standard_monomial_counts,
     weight_names,
 )
@@ -640,6 +641,15 @@ def test_separation_ideal_shape():
     assert len(ideal.generators) == 2
     for g in ideal.generators:
         assert g.in_kernel(ideal.weights)
+
+
+def test_separation_weights_are_the_ideal_weights():
+    assert separation_weights(5) == (1, 2, 3, 4, 5, 9, 6)
+    assert separation_weights(6) == (1, 2, 3, 4, 5, 6, 12, 9)
+    for ell in range(5, 12):
+        assert separation_ideal(ell).weights == separation_weights(ell)
+    with pytest.raises(DomainError):
+        separation_weights(4)
 
 
 def test_audit_separation_ideal_5():
