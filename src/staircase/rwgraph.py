@@ -9,15 +9,21 @@ By the word property of Matsumoto (1964) and Tits (1969) the moves
 connect all reduced words of a permutation, so ``build_word_graph``
 finds the words and the edges in one breadth-first pass over the moves
 from a single word.  It takes each edge once, skipping the reverse of
-the move that found a word, and copies and hashes r letters per move
-taken: O((V+E)·r) for V words of r letters and E edges.  It is the
-package's one reduced-word enumerator; the tests hold it against a memo
-over the weak order.  MAX_REDUCED_LETTERS caps the letters of the words
-stored in one move graph, read at call time.
+the move that found a word.  A move taken costs one add and one hash of
+an int of r·b bits, b the bit length of the largest letter, and each
+word found one copy of its r letters: O((V+E)·r·b) bits of C arithmetic
+and O(V·r) letters copied for V words of r letters and E edges.  It is
+the package's one reduced-word enumerator; the tests hold it against a
+memo over the weak order.  MAX_REDUCED_LETTERS caps the letters of the
+words stored in one move graph, read at call time.  A stored letter is
+one 8-byte slot of a word tuple; with the edges, masks and queue the
+build peaks at about 60 bytes per letter on the longest element of S_6
+and about 10 on the family's long words (tracemalloc, 64-bit CPython).
 """
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from collections import namedtuple
 
 from .errors import DomainError, ResourceLimitError
@@ -58,37 +64,37 @@ class WordGraph(namedtuple("WordGraph", "n edges words"), SimpleGraph):
         return "\n".join(lines) + "\n"
 
 
-def _greedy_word(w: tuple[int, ...]) -> Word:
-    """One reduced word of w, peeled from its end.
+def _first_word(w: tuple[int, ...]) -> Word:
+    """One reduced word of w, by insertion sort.
 
-    Swapping the first descent i of w removes one inversion and leaves
-    w t_i, so the positions swapped until w is sorted, read backwards,
-    spell a reduced word.  After a swap at i the first descent is at
-    i - 1 or later, so the scan resumes there: O(n + r) steps for r
-    inversions.
+    Moving the entry at position p left past the c entries before it
+    that exceed it swaps positions p, p - 1, ..., p - c + 1, each swap
+    removing one inversion, so the swaps read backwards spell a reduced
+    word.  Bisecting the entries seen so far gives each c.
     """
-    u, letters, i = list(w), [], 1
-    while True:
-        while i < len(u) and u[i - 1] < u[i]:
-            i += 1
-        if i == len(u):
-            return tuple(reversed(letters))
-        u[i - 1], u[i] = u[i], u[i - 1]
-        letters.append(i)
-        i = max(i - 1, 1)
+    seen, letters = [], []
+    for p, v in enumerate(w):
+        c = p - bisect(seen, v)
+        insort(seen, v)
+        letters += range(p, p - c, -1)
+    letters.reverse()
+    return tuple(letters)
 
 
-def _move_positions(word: Word, lo: int, hi: int) -> list[int]:
-    """The positions k in lo..hi-1 where a move starts in word.
+def _move_mask(seg: Word, lo: int, hi: int) -> int:
+    """Bit p set for each position p in lo..hi-1 where a move starts.
 
-    Adjacent letters of a reduced word differ, so word[k], word[k+1]
-    either commute (|x - y| > 1) or start a braid when word[k+2] == word[k].
+    seg holds the word's letters from position lo on, up to hi + 1 or
+    the word's end.  Adjacent letters of a reduced word differ, so the
+    letters at p, p+1 either commute (|x - y| > 1) or start a braid when
+    the letter at p+2 equals the one at p.
     """
-    last = len(word) - 2
-    return [
-        k for k in range(lo, hi)
-        if abs(word[k] - word[k + 1]) > 1 or k < last and word[k + 2] == word[k]
-    ]
+    mask, last = 0, len(seg) - 2
+    for q in range(hi - lo):
+        x = seg[q]
+        if abs(x - seg[q + 1]) > 1 or q < last and seg[q + 2] == x:
+            mask |= 1 << q
+    return mask << lo
 
 
 def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
@@ -100,14 +106,25 @@ def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
     positions whose move leads to a word found before it: a new word
     starts with the position its parent used, and a known word reached
     again gets that position ORed in.  When the search comes to a word
-    it skips those positions, so every other move finds either a new
-    word, which joins the queue, or a known one not yet reached, and
-    each edge is recorded from the side of the word found first.  A
-    move rewrites two or three letters, so a new word keeps its parent's
-    move positions away from them and rescans only the positions that
-    read them.  Every stored word, the first one included, counts its
-    letters against ``MAX_REDUCED_LETTERS``; ``max_degree`` caps
-    w's entries.
+    it takes the moves outside that mask, so every move taken finds
+    either a new word, which joins the queue, or a queued one, and each
+    edge is recorded from the side of the word found first.  Once a word
+    is searched, each of its neighbours has the reverse move marked, so
+    no later move ends at it: the search drops it from the index, with
+    its key and masks, and the index holds only the queue.
+
+    The index keys each queued word by one int of b-bit letter fields,
+    the first letter most significant, b the bit length of the largest
+    letter n - 1.  Swapping x y at k adds (y - x)·C[k] to the key and the
+    braid x y x -> y x y at k adds (y - x)·B[k], from two place-value
+    tables built once per call, so a move is one add and one hash of an
+    int in C.  A new word's letters are sliced from its parent's, so
+    every word holds the int objects of the first.  The moves of a word
+    are a bit mask too; a move rewrites two or three letters, so a new
+    word keeps its parent's moves away from them and rescans only the
+    positions that read them.  Every stored word, the first one
+    included, counts its letters against ``MAX_REDUCED_LETTERS``;
+    ``max_degree`` caps w's entries.
 
     Edge indices refer to the lexicographically sorted word list, each
     edge stored once as (i, j, type) with i < j.
@@ -122,40 +139,56 @@ def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
     w = check_permutation(w)
     if max_degree is not None and len(w) > max_degree:
         raise ResourceLimitError(len(w), max_degree, "permutation entries")
-    start = _greedy_word(w)
+    start = _first_word(w)
     r, cap = len(start), MAX_REDUCED_LETTERS
     if r > cap:
         raise ResourceLimitError(r, cap, "stored reduced-word letters")
-    words = [start]
-    moves = [_move_positions(start, 0, r - 1)]  # the move positions of each word
+    bits = max(len(w) - 1, 1).bit_length()  # letters are 1..n-1
+    step = (1 << bits) - 1  # C[k]: +1 at field k, -1 at field k+1
+    C = list(map(step.__lshift__, range(bits * (r - 2), -1, -bits)))
+    step = (step << bits) + 1  # B[k]: +1, -1, +1 at fields k, k+1, k+2
+    B = list(map(step.__lshift__, range(bits * (r - 3), -1, -bits)))
+    key = 0
+    for x in start:
+        key = key << bits | x
+    words, keys, index = [start], [key], {key: 0}
+    moves = [_move_mask(start, 0, r - 1)]  # bit k: a move starts at k
     back = [0]  # bit k: the move at k leads to a word found before this one
-    index = {start: 0}
     edges = []
+    lookup, add = index.get, edges.append
     for i, word in enumerate(words):
-        taken = back[i]
-        for k in moves[i]:
-            if taken >> k & 1:
-                continue
+        key, mask, taken = keys[i], moves[i], back[i]
+        keys[i] = moves[i] = back[i] = None  # no later move reads a searched word
+        del index[key]
+        todo = mask & ~taken
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            k = bit.bit_length() - 1
             x, y = word[k], word[k + 1]
             if abs(x - y) > 1:
-                t, end, moved = COMMUTATION, k + 2, word[:k] + (y, x) + word[k + 2 :]
+                t, moved = COMMUTATION, key + (y - x) * C[k]
             else:
-                t, end, moved = BRAID, k + 3, word[:k] + (y, x, y) + word[k + 3 :]
-            j = index.get(moved)
+                t, moved = BRAID, key + (y - x) * B[k]
+            j = lookup(moved)
             if j is None:
                 j = len(words)
                 letters = (j + 1) * r
                 if letters > cap:
                     raise ResourceLimitError(letters, cap, "stored reduced-word letters")
                 index[moved] = j
-                words.append(moved)
-                lo = max(k - 2, 0)
-                kept = [p for p in moves[i] if p < lo or p >= end]
-                moves.append(kept + _move_positions(moved, lo, min(end, r - 1)))
-                back.append(1 << k)
+                keys.append(moved)
+                mid = (y, x) if t is COMMUTATION else (y, x, y)
+                end, lo = k + len(mid), max(k - 2, 0)
+                made = word[:k] + mid + word[end:]
+                words.append(made)
+                kept = mask & ~((1 << end) - (1 << lo))
+                moves.append(kept | _move_mask(made[lo : end + 2], lo, min(end, r - 1)))
+                back.append(bit)
             else:
-                back[j] |= 1 << k
-            edges.append((i, j, t))
+                back[j] |= bit
+            add((i, j, t))
+    del index, keys, moves, back, lookup, add  # the search state, before the sorts
     order = sorted(range(len(words)), key=words.__getitem__)
     rank = [0] * len(words)
     for new, old in enumerate(order):
@@ -164,7 +197,7 @@ def build_word_graph(w, max_degree: int | None = None) -> WordGraph:
         (rank[i], rank[j], t) if rank[i] < rank[j] else (rank[j], rank[i], t)
         for i, j, t in edges
     )
-    return WordGraph(len(words), tuple(edges), tuple(words[old] for old in order))
+    return WordGraph(len(words), tuple(edges), tuple(map(words.__getitem__, order)))
 
 
 def count_four_cycles(g: SimpleGraph) -> int:

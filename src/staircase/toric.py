@@ -320,7 +320,8 @@ def _numerator(
             out += sign << m % cast * bits
         cache[gens] = out
         return out
-    supports = list(map(words.support, gens))
+    G, ones, low = words.guards, words.ones, words.width - 1
+    supports = [(((g | G) - ones) & G) >> low for g in gens]  # words.support, inlined
     comps: list[tuple[int, list[int]]] = []
     for g, mask in zip(gens, supports):
         joined = [g]
@@ -353,7 +354,7 @@ def _numerator(
         kept = free
         for h in lowered:
             if not h & field:
-                kept = [g for g in kept if not words.divides(h, g)]
+                kept = [g for g in kept if ((g | G) - h) & G != G]  # h does not divide g
         lowered += kept
         a = _numerator(free, words, bits, cache, entries, depth + 1)
         b = _numerator(tuple(lowered), words, bits, cache, entries, depth + 1)

@@ -87,6 +87,22 @@ def test_graph_matches_both_oracles_beyond_the_family():
         assert g.edges == all_pairs_edges(g.words), w
 
 
+@pytest.mark.parametrize("n, lo", [(256, 252), (300, 254)])
+def test_large_letters_match_both_oracles(n, lo):
+    # the degree-n identity reversed on positions lo..lo+4: the longest
+    # element of S_5 on the letters lo..lo+3, the largest 255 at n = 256
+    # and 257 at n = 300, past one byte
+    w = list(range(1, n + 1))
+    w[lo - 1 : lo + 4] = reversed(w[lo - 1 : lo + 4])
+    g = build_word_graph(w)
+    assert g.vertex_count == 768
+    assert all(type(word) is tuple and all(type(a) is int for a in word) for word in g.words)
+    assert g.words == enumerate_reduced_words(w)
+    assert g.edges == all_pairs_edges(g.words)
+    # every word is made from the first by moves, so no letter is copied
+    assert len({id(a) for word in g.words for a in word}) <= len(g.words[0])
+
+
 def test_move_graph_work_counts_are_pinned(monkeypatch):
     # Counts, not timings: the search stores each word once, 78 words of
     # 14 letters at length 12 and 465 of 32 at length 30.  A memo of
